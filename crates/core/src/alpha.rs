@@ -191,12 +191,12 @@ pub fn max_representable_m() -> u32 {
 #[derive(Debug, Clone)]
 pub struct RepetitionFreeSeqs {
     m: u16,
-    /// Sequences of the current length, in lexicographic order; `None`
-    /// before the first call to `next`.
-    current_len: usize,
-    /// Position within the current length class; the class is regenerated
-    /// lazily via odometer stepping over injective words.
-    word: Option<Vec<u16>>,
+    /// The current word; starts as the empty word.
+    word: Vec<u16>,
+    /// `used[c]` iff letter `c` occurs in `word`.
+    used: Vec<bool>,
+    /// Whether `word` has not been yielded yet.
+    pending: bool,
     exhausted: bool,
 }
 
@@ -205,60 +205,65 @@ impl RepetitionFreeSeqs {
     pub fn new(m: u16) -> Self {
         RepetitionFreeSeqs {
             m,
-            current_len: 0,
-            word: None,
+            word: Vec::with_capacity(usize::from(m)),
+            used: vec![false; usize::from(m)],
+            pending: true,
             exhausted: false,
         }
     }
 
-    /// Smallest injective word of length `len`, i.e. `[0, 1, …, len-1]`, or
-    /// `None` when `len > m`.
-    fn first_word(&self, len: usize) -> Option<Vec<u16>> {
-        if len > self.m as usize {
-            None
+    /// The next word in shortlex order, borrowed from the enumerator so a
+    /// caller can build its own sequence type from it without a detour.
+    pub(crate) fn next_word(&mut self) -> Option<&[u16]> {
+        if self.exhausted {
+            return None;
+        }
+        if self.pending {
+            self.pending = false;
+        } else if !self.advance() {
+            self.exhausted = true;
+            return None;
+        }
+        Some(&self.word)
+    }
+
+    /// Advances `word` to the next injective word in shortlex order;
+    /// returns `false` after the last word of length `m`.
+    fn advance(&mut self) -> bool {
+        // Odometer over injective words: from the right, release each
+        // letter and try the next unused letter above it; on success,
+        // refill the suffix with the smallest unused letters.
+        for pos in (0..self.word.len()).rev() {
+            let cur = self.word[pos];
+            self.used[usize::from(cur)] = false;
+            if let Some(c) = (cur + 1..self.m).find(|&c| !self.used[usize::from(c)]) {
+                self.word[pos] = c;
+                self.used[usize::from(c)] = true;
+                self.fill_from(pos + 1);
+                return true;
+            }
+        }
+        // The length class is exhausted and every letter released: start
+        // the next length at `[0, 1, …, len]`.
+        if self.word.len() < usize::from(self.m) {
+            self.word.push(0);
+            self.fill_from(0);
+            true
         } else {
-            Some((0..len as u16).collect())
+            false
         }
     }
 
-    /// Advances `word` to the lexicographically next injective word of the
-    /// same length; returns `false` when the class is exhausted.
-    fn advance(&mut self) -> bool {
-        let m = self.m;
-        let word = match &mut self.word {
-            Some(w) => w,
-            None => return false,
-        };
-        // Odometer over injective words: increment the last position to the
-        // next unused letter; on wrap, carry left.
-        let len = word.len();
-        let mut pos = len;
-        loop {
-            if pos == 0 {
-                return false;
+    /// Fills `word[start..]` with the smallest letters unused by
+    /// `word[..start]`, ascending.
+    fn fill_from(&mut self, start: usize) {
+        let mut c = 0;
+        for slot in start..self.word.len() {
+            while self.used[c] {
+                c += 1;
             }
-            pos -= 1;
-            let used: std::collections::HashSet<u16> = word[..pos].iter().copied().collect();
-            // Next letter after word[pos] that is unused in the prefix.
-            let mut cand = word[pos] + 1;
-            while cand < m && used.contains(&cand) {
-                cand += 1;
-            }
-            if cand < m {
-                word[pos] = cand;
-                // Fill the suffix with the smallest unused letters.
-                let mut used: std::collections::HashSet<u16> =
-                    word[..=pos].iter().copied().collect();
-                for slot in word.iter_mut().take(len).skip(pos + 1) {
-                    let mut c = 0;
-                    while used.contains(&c) {
-                        c += 1;
-                    }
-                    *slot = c;
-                    used.insert(c);
-                }
-                return true;
-            }
+            self.word[slot] = c as u16;
+            self.used[c] = true;
         }
     }
 }
@@ -267,36 +272,8 @@ impl Iterator for RepetitionFreeSeqs {
     type Item = SMsgSeq;
 
     fn next(&mut self) -> Option<SMsgSeq> {
-        if self.exhausted {
-            return None;
-        }
-        match self.word.take() {
-            None => {
-                // First call: yield the empty sequence and prime length 1.
-                self.current_len = 0;
-                self.word = self.first_word(0);
-                // Current item is the empty word; set up next length.
-                let out = SMsgSeq::new();
-                self.current_len = 1;
-                self.word = self.first_word(1);
-                if self.word.is_none() {
-                    self.exhausted = true;
-                }
-                Some(out)
-            }
-            Some(word) => {
-                let out = SMsgSeq::from_indices(word.iter().copied());
-                self.word = Some(word);
-                if !self.advance() {
-                    self.current_len += 1;
-                    self.word = self.first_word(self.current_len);
-                    if self.word.is_none() {
-                        self.exhausted = true;
-                    }
-                }
-                Some(out)
-            }
-        }
+        self.next_word()
+            .map(|w| SMsgSeq::from_indices(w.iter().copied()))
     }
 }
 
@@ -393,6 +370,7 @@ pub fn unrank(m: u16, r: u128) -> Result<SMsgSeq> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::DataSeq;
     use proptest::prelude::*;
 
     const ALPHA_TABLE: [(u32, u128); 9] = [
@@ -486,6 +464,38 @@ mod tests {
         // All distinct.
         let set: std::collections::HashSet<_> = seqs.iter().collect();
         assert_eq!(set.len(), seqs.len());
+    }
+
+    #[test]
+    fn enumeration_equals_brute_force_filter() {
+        for m in 0u16..=6 {
+            // Every word of length 0..=m in lexicographic order, kept
+            // when repetition-free.
+            let mut expected = Vec::new();
+            for len in 0..=u32::from(m) {
+                for code in 0..u32::from(m).pow(len) {
+                    let mut word = vec![0u16; len as usize];
+                    let mut rest = code;
+                    for slot in word.iter_mut().rev() {
+                        *slot = (rest % u32::from(m)) as u16;
+                        rest /= u32::from(m);
+                    }
+                    let seq = SMsgSeq::from_indices(word);
+                    if seq.is_repetition_free() {
+                        expected.push(seq);
+                    }
+                }
+            }
+            assert_eq!(expected.len() as u128, alpha(m.into()).unwrap(), "m={m}");
+            let seqs: Vec<SMsgSeq> = RepetitionFreeSeqs::new(m).collect();
+            assert_eq!(seqs, expected, "m={m}");
+            let as_data: Vec<DataSeq> = expected
+                .iter()
+                .map(|w| DataSeq::from_indices(w.msgs().iter().map(|s| s.0)))
+                .collect();
+            let family = crate::sequence::SequenceFamily::repetition_free(m);
+            assert_eq!(family.seqs(), &as_data[..], "m={m}");
+        }
     }
 
     #[test]

@@ -109,9 +109,23 @@ impl fmt::Display for Domain {
 /// The paper's length convention (`|X| = k + 1` for a `k`-element sequence)
 /// is exposed separately as [`DataSeq::paper_len`]; [`DataSeq::len`] is the
 /// ordinary element count.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct DataSeq {
     items: Vec<DataItem>,
+}
+
+impl Clone for DataSeq {
+    fn clone(&self) -> Self {
+        DataSeq {
+            items: self.items.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffer, so pooled per-run resets
+    /// reuse their allocation (the derived impl would re-allocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.items.clone_from(&source.items);
+    }
 }
 
 impl DataSeq {
@@ -197,15 +211,10 @@ impl DataSeq {
     /// Position of the first repeated element (the *second* occurrence), if
     /// any.
     pub fn first_repetition(&self) -> Option<usize> {
-        // Domains are small (u16); a bitset over seen values is both simple
-        // and fast.
-        let mut seen = std::collections::HashSet::with_capacity(self.items.len());
-        for (i, item) in self.items.iter().enumerate() {
-            if !seen.insert(item) {
-                return Some(i);
-            }
-        }
-        None
+        // A quadratic scan that never allocates: inputs are at most an
+        // alphabet long, and tight's debug-build precondition runs this
+        // on every pooled reset.
+        (1..self.items.len()).find(|&i| self.items[..i].contains(&self.items[i]))
     }
 
     /// Reverses the sequence (used by the Section-5 recovery mode, which
@@ -331,6 +340,12 @@ mod tests {
         assert!(!rep.is_repetition_free());
         assert_eq!(rep.first_repetition(), Some(2));
         assert_eq!(DataSeq::from_indices([7, 7]).first_repetition(), Some(1));
+        // Sequences as long as the largest alphabets and beyond.
+        for n in [32u16, 33, 40] {
+            assert!(DataSeq::from_indices(0..n).is_repetition_free());
+            let rep = DataSeq::from_indices((0..n).chain([n / 2]));
+            assert_eq!(rep.first_repetition(), Some(usize::from(n)), "n={n}");
+        }
     }
 
     #[test]

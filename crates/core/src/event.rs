@@ -460,13 +460,10 @@ impl Trace {
     }
 
     /// Rewinds the trace for a fresh run on `input`, as if newly created —
-    /// but keeping the event buffer's allocation, and cloning `input` only
-    /// when it differs from the current one. Sweep grids run many seeds
-    /// per sequence, so the common rewind is allocation-free.
+    /// but copying `input` into the existing buffers, so a pooled rewind
+    /// is allocation-free once the buffers have grown.
     pub fn reset(&mut self, input: &DataSeq) {
-        if &self.input != input {
-            self.input = input.clone();
-        }
+        self.input.clone_from(input);
         self.events.clear();
         self.steps = 0;
     }

@@ -76,6 +76,6 @@ pub use data::{DataItem, DataSeq, Domain};
 pub use error::{Error, Result};
 pub use event::{CorruptionKind, Event, MsgEvent, MsgId, ProcessId, Step, Trace};
 pub use proto::{
-    InputTape, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
+    InputTape, Msgs, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
 };
 pub use schema::{ConformanceVerdict, Verdict, CERT_SCHEMA_VERSION};

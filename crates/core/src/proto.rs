@@ -36,6 +36,13 @@ impl InputTape {
         InputTape { seq, cursor: 0 }
     }
 
+    /// Reloads the tape with `seq` and rewinds the cursor, reusing the
+    /// tape's buffer (the allocation-free form of `*self = InputTape::new(seq.clone())`).
+    pub fn reset(&mut self, seq: &DataSeq) {
+        self.seq.clone_from(seq);
+        self.cursor = 0;
+    }
+
     /// Reads (and consumes) the next item.
     ///
     /// # Errors
@@ -94,7 +101,7 @@ pub enum SenderEvent {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SenderOutput {
     /// Messages to put on the channel this step.
-    pub send: Vec<SMsg>,
+    pub send: Msgs<SMsg>,
 }
 
 impl SenderOutput {
@@ -105,7 +112,9 @@ impl SenderOutput {
 
     /// A step that sends a single message.
     pub fn send_one(msg: SMsg) -> Self {
-        SenderOutput { send: vec![msg] }
+        SenderOutput {
+            send: Msgs::one(msg),
+        }
     }
 }
 
@@ -124,9 +133,9 @@ pub enum ReceiverEvent {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReceiverOutput {
     /// Messages to put on the channel this step.
-    pub send: Vec<RMsg>,
+    pub send: Msgs<RMsg>,
     /// Items to append to the output tape this step, in order.
-    pub write: Vec<DataItem>,
+    pub write: Msgs<DataItem>,
 }
 
 impl ReceiverOutput {
@@ -138,11 +147,170 @@ impl ReceiverOutput {
     /// A step that sends a single message and writes nothing.
     pub fn send_one(msg: RMsg) -> Self {
         ReceiverOutput {
-            send: vec![msg],
-            write: Vec::new(),
+            send: Msgs::one(msg),
+            write: Msgs::new(),
         }
     }
 }
+
+/// How many elements a [`Msgs`] holds before it spills to the heap.
+const INLINE: usize = 2;
+
+/// The messages or written items of one protocol step.
+///
+/// A step of the paper's model (§2.2) delivers at most one message each
+/// way, and most protocols answer with at most one message and one
+/// written item, so up to two elements live inline and a step allocates
+/// nothing. Longer outputs — a GoBackN window, a batch write — spill to
+/// the heap. Derefs to a slice and iterates by value without allocating.
+#[derive(Clone)]
+pub struct Msgs<T> {
+    repr: Repr<T>,
+}
+
+#[derive(Clone)]
+enum Repr<T> {
+    /// `buf[..len]` are the elements.
+    Inline { len: u8, buf: [T; INLINE] },
+    /// More than [`INLINE`] elements were pushed.
+    Spilled(Vec<T>),
+}
+
+impl<T: Copy + Default> Msgs<T> {
+    /// No elements.
+    pub fn new() -> Self {
+        Msgs {
+            repr: Repr::Inline {
+                len: 0,
+                buf: [T::default(); INLINE],
+            },
+        }
+    }
+
+    /// Exactly one element.
+    pub fn one(x: T) -> Self {
+        let mut buf = [T::default(); INLINE];
+        buf[0] = x;
+        Msgs {
+            repr: Repr::Inline { len: 1, buf },
+        }
+    }
+
+    /// Appends an element, spilling to the heap past the inline capacity.
+    pub fn push(&mut self, x: T) {
+        match &mut self.repr {
+            Repr::Inline { len, buf } if usize::from(*len) < INLINE => {
+                buf[usize::from(*len)] = x;
+                *len += 1;
+            }
+            Repr::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(buf);
+                v.push(x);
+                self.repr = Repr::Spilled(v);
+            }
+            Repr::Spilled(v) => v.push(x),
+        }
+    }
+}
+
+impl<T: Copy + Default> Default for Msgs<T> {
+    fn default() -> Self {
+        Msgs::new()
+    }
+}
+
+impl<T> std::ops::Deref for Msgs<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.repr {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Msgs<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Msgs<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for Msgs<T> {}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for Msgs<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl<T: Copy + Default> Extend<T> for Msgs<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for x in iter {
+            self.push(x);
+        }
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for Msgs<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut msgs = Msgs::new();
+        msgs.extend(iter);
+        msgs
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Msgs<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: Copy> IntoIterator for Msgs<T> {
+    type Item = T;
+    type IntoIter = MsgsIntoIter<T>;
+
+    fn into_iter(self) -> MsgsIntoIter<T> {
+        MsgsIntoIter {
+            msgs: self,
+            next: 0,
+        }
+    }
+}
+
+/// By-value iterator over a [`Msgs`]; allocates nothing.
+#[derive(Debug, Clone)]
+pub struct MsgsIntoIter<T> {
+    msgs: Msgs<T>,
+    next: usize,
+}
+
+impl<T: Copy> Iterator for MsgsIntoIter<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        let x = self.msgs.get(self.next).copied()?;
+        self.next += 1;
+        Some(x)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.msgs.len() - self.next;
+        (n, Some(n))
+    }
+}
+
+impl<T: Copy> ExactSizeIterator for MsgsIntoIter<T> {}
 
 /// A deterministic sender protocol.
 ///
@@ -321,6 +489,14 @@ mod tests {
     }
 
     #[test]
+    fn tape_reset_reloads_and_rewinds() {
+        let mut t = InputTape::new(DataSeq::from_indices([1, 2, 3]));
+        t.read().unwrap();
+        t.reset(&DataSeq::from_indices([7]));
+        assert_eq!(t, InputTape::new(DataSeq::from_indices([7])));
+    }
+
+    #[test]
     fn tape_full_view() {
         let t = InputTape::new(DataSeq::from_indices([1, 2, 3]));
         assert_eq!(t.full(), &DataSeq::from_indices([1, 2, 3]));
@@ -388,6 +564,23 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         a.on_event(SenderEvent::Tick);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn msgs_hold_two_inline_then_spill_in_order() {
+        let mut m = Msgs::new();
+        assert!(m.is_empty());
+        for i in 0..5u16 {
+            m.push(SMsg(i));
+            assert_eq!(m.len(), usize::from(i) + 1);
+        }
+        assert_eq!(m, (0..5).map(SMsg).collect::<Vec<_>>());
+        let by_value: Vec<SMsg> = m.clone().into_iter().collect();
+        assert_eq!(m, by_value);
+        assert_eq!(m.into_iter().len(), 5);
+        let short: Msgs<RMsg> = [RMsg(1), RMsg(2)].into_iter().collect();
+        assert_ne!(short, Msgs::one(RMsg(1)));
+        assert_eq!(format!("{short:?}"), "[RMsg(1), RMsg(2)]");
     }
 
     #[test]

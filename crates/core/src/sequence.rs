@@ -79,9 +79,11 @@ impl SequenceFamily {
     /// size `d` — exactly the family the paper's tight protocols transmit;
     /// its size is `α(d)`.
     pub fn repetition_free(d: u16) -> Self {
-        let seqs = crate::alpha::RepetitionFreeSeqs::new(d)
-            .map(|ms| DataSeq::from_indices(ms.msgs().iter().map(|m| m.0)))
-            .collect();
+        let mut words = crate::alpha::RepetitionFreeSeqs::new(d);
+        let mut seqs = Vec::new();
+        while let Some(word) = words.next_word() {
+            seqs.push(DataSeq::from_indices(word.iter().copied()));
+        }
         SequenceFamily { seqs }
     }
 

@@ -16,7 +16,7 @@
 use stp_core::alphabet::{Alphabet, RMsg, SMsg};
 use stp_core::data::{DataItem, DataSeq};
 use stp_core::proto::{
-    InputTape, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
+    InputTape, Msgs, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
 };
 
 /// Encodes `(bit, value)` into the composite sender alphabet.
@@ -125,7 +125,7 @@ impl Sender for AbpSender {
     }
 
     fn reset(&mut self, input: &DataSeq) {
-        self.tape = InputTape::new(input.clone());
+        self.tape.reset(input);
         self.bit = 0;
         self.outstanding = None;
         self.done = false;
@@ -176,8 +176,8 @@ impl Receiver for AbpReceiver {
                     self.written += 1;
                     let _ = pos;
                     ReceiverOutput {
-                        send: vec![RMsg(bit as u16)],
-                        write: vec![DataItem(value)],
+                        send: Msgs::one(RMsg(bit as u16)),
+                        write: Msgs::one(DataItem(value)),
                     }
                 } else {
                     // Duplicate of the previous item: re-acknowledge it so a
@@ -280,7 +280,7 @@ mod tests {
         let mut s = AbpSender::new(input.clone(), 2);
         let mut r = AbpReceiver::new(2);
         let mut written = Vec::new();
-        let mut pending = s.on_event(SenderEvent::Init).send;
+        let mut pending = s.on_event(SenderEvent::Init).send.to_vec();
         for _ in 0..40 {
             let mut acks = Vec::new();
             for m in pending.drain(..) {

@@ -34,7 +34,9 @@
 
 use stp_core::alphabet::{Alphabet, RMsg, SMsg};
 use stp_core::data::{DataItem, DataSeq};
-use stp_core::proto::{Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput};
+use stp_core::proto::{
+    Msgs, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
+};
 
 const ACK_START: u16 = 4;
 const ACK_DONE: u16 = 5;
@@ -255,7 +257,7 @@ impl Sender for HybridSender {
 
     fn reset(&mut self, input: &DataSeq) {
         debug_assert!(input.items().iter().all(|it| it.0 < self.domain));
-        self.input = input.clone();
+        self.input.clone_from(input);
         self.phase = SPhase::Abp;
         self.acked = 0;
         self.bit = 0;
@@ -333,12 +335,11 @@ impl HybridReceiver {
         }
     }
 
-    fn commit(&mut self, parity: u8) -> Vec<DataItem> {
+    fn commit(&mut self, parity: u8) -> Msgs<DataItem> {
         // w - a ∈ {0, 1}; parity of a arrived with START.
         let delta = usize::from(self.written % 2 != parity as usize % 2);
         let take = self.buffer.len().saturating_sub(delta);
-        let mut items: Vec<DataItem> = self.buffer[..take].to_vec();
-        items.reverse();
+        let items: Msgs<DataItem> = self.buffer[..take].iter().rev().copied().collect();
         self.written += items.len();
         items
     }
@@ -369,8 +370,8 @@ impl Receiver for HybridReceiver {
                     self.expected_bit ^= 1;
                     self.written += 1;
                     ReceiverOutput {
-                        send: vec![RMsg(bit as u16)],
-                        write: vec![DataItem(v)],
+                        send: Msgs::one(RMsg(bit as u16)),
+                        write: Msgs::one(DataItem(v)),
                     }
                 } else {
                     ReceiverOutput::send_one(RMsg(bit as u16))
@@ -396,7 +397,7 @@ impl Receiver for HybridReceiver {
                 let items = self.commit(parity);
                 self.phase = RPhase::Done;
                 ReceiverOutput {
-                    send: vec![RMsg(ACK_DONE)],
+                    send: Msgs::one(RMsg(ACK_DONE)),
                     write: items,
                 }
             }

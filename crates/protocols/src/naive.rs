@@ -90,7 +90,7 @@ impl Sender for NaiveSender {
     }
 
     fn reset(&mut self, input: &DataSeq) {
-        self.tape = InputTape::new(input.clone());
+        self.tape.reset(input);
         self.outstanding = None;
         self.done = false;
     }

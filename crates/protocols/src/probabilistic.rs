@@ -146,12 +146,12 @@ impl Sender for CodebookSender {
     }
 
     fn reset(&mut self, input: &DataSeq) {
-        self.code = self
+        let (_, code) = self
             .codebook
             .iter()
             .find(|(x, _)| x == input)
-            .map(|(_, c)| c.clone())
             .expect("input must be an allowable sequence");
+        self.code.clone_from(code);
         self.next = 0;
         self.input_len = input.len();
         self.done = false;
@@ -212,7 +212,7 @@ impl Receiver for CodebookReceiver {
                 if is_new && !self.decoded && self.seen.len() == self.m as usize {
                     self.decoded = true;
                     if let Some(x) = self.decode() {
-                        out.write = x.items().to_vec();
+                        out.write = x.items().iter().copied().collect();
                     }
                 }
                 out
@@ -337,7 +337,7 @@ mod tests {
         let mut s = fam.sender_for(&x);
         let mut r = fam.receiver();
         let mut written = Vec::new();
-        let mut pending = s.on_event(SenderEvent::Init).send;
+        let mut pending = s.on_event(SenderEvent::Init).send.to_vec();
         for _ in 0..50 {
             let mut acks = Vec::new();
             for m in pending.drain(..) {

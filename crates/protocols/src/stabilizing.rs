@@ -41,7 +41,7 @@
 use stp_core::alphabet::{Alphabet, RMsg, SMsg};
 use stp_core::data::{DataItem, DataSeq};
 use stp_core::proto::{
-    InputTape, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
+    InputTape, Msgs, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
 };
 
 /// Encodes frame `(i, v)` into the composite sender alphabet.
@@ -195,7 +195,7 @@ impl Sender for StabilizingSender {
             input.len() <= self.max_len as usize,
             "input must fit within max_len"
         );
-        self.tape = InputTape::new(input.clone());
+        self.tape.reset(input);
         self.items.clear();
         self.cursor = 0;
         self.done = false;
@@ -255,8 +255,8 @@ impl Receiver for StabilizingReceiver {
                 if i == self.e {
                     self.e += 1;
                     ReceiverOutput {
-                        send: vec![RMsg(self.e)],
-                        write: vec![DataItem(value)],
+                        send: Msgs::one(RMsg(self.e)),
+                        write: Msgs::one(DataItem(value)),
                     }
                 } else {
                     ReceiverOutput::send_one(RMsg(self.e))
@@ -311,7 +311,7 @@ mod tests {
         let mut pending = if init {
             let out = s.on_event(SenderEvent::Init);
             r.on_event(ReceiverEvent::Init);
-            out.send
+            out.send.to_vec()
         } else {
             Vec::new()
         };
@@ -405,7 +405,7 @@ mod tests {
         let mut s = StabilizingSender::new(input.clone(), 3, 6);
         let mut r = StabilizingReceiver::new(3, 6);
         // Corrupt the cursor mid-transfer, repeatedly.
-        let mut pending = s.on_event(SenderEvent::Init).send;
+        let mut pending = s.on_event(SenderEvent::Init).send.to_vec();
         r.on_event(ReceiverEvent::Init);
         let mut written = Vec::new();
         for round in 0..300 {

@@ -15,7 +15,7 @@
 use stp_core::alphabet::{Alphabet, RMsg, SMsg};
 use stp_core::data::{DataItem, DataSeq};
 use stp_core::proto::{
-    InputTape, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
+    InputTape, Msgs, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
 };
 
 fn encode(seq: u16, value: u16, d: u16) -> SMsg {
@@ -127,7 +127,7 @@ impl Sender for StenningSender {
     }
 
     fn reset(&mut self, input: &DataSeq) {
-        self.tape = InputTape::new(input.clone());
+        self.tape.reset(input);
         self.seq = 0;
         self.outstanding = None;
         self.done = false;
@@ -184,8 +184,8 @@ impl Receiver for StenningReceiver {
                     self.expected = (self.expected + 1) % self.modulus;
                     self.written += 1;
                     ReceiverOutput {
-                        send: vec![RMsg(seq)],
-                        write: vec![DataItem(value)],
+                        send: Msgs::one(RMsg(seq)),
+                        write: Msgs::one(DataItem(value)),
                     }
                 } else if self.written > 0 {
                     // Re-acknowledge the last in-order item so lost acks get
@@ -271,7 +271,7 @@ mod tests {
         let mut s = StenningSender::new(input.clone(), 2, 4);
         let mut r = StenningReceiver::new(2, 4);
         let mut written = Vec::new();
-        let mut pending = s.on_event(SenderEvent::Init).send;
+        let mut pending = s.on_event(SenderEvent::Init).send.to_vec();
         for _ in 0..50 {
             let mut acks = Vec::new();
             for m in pending.drain(..) {

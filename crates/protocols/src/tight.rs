@@ -26,7 +26,7 @@
 use stp_core::alphabet::{Alphabet, RMsg, SMsg};
 use stp_core::data::DataItem;
 use stp_core::proto::{
-    InputTape, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
+    InputTape, Msgs, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
 };
 
 /// Retransmission behaviour of the tight protocol.
@@ -162,7 +162,7 @@ impl Sender for TightSender {
 
     fn reset(&mut self, input: &stp_core::data::DataSeq) {
         debug_assert!(input.is_repetition_free(), "X must be repetition-free");
-        self.tape = InputTape::new(input.clone());
+        self.tape.reset(input);
         self.outstanding = None;
         self.sent_current = false;
         self.done = false;
@@ -218,8 +218,8 @@ impl Receiver for TightReceiver {
                     self.seen.push(msg.0);
                     self.written += 1;
                     ReceiverOutput {
-                        send: vec![RMsg(msg.0)],
-                        write: vec![DataItem(msg.0)],
+                        send: Msgs::one(RMsg(msg.0)),
+                        write: Msgs::one(DataItem(msg.0)),
                     }
                 }
             }
@@ -373,7 +373,7 @@ mod tests {
         r.on_event(ReceiverEvent::Init);
         for _ in 0..10 {
             let mut acks = Vec::new();
-            for m in s_out.send.drain(..) {
+            for m in std::mem::take(&mut s_out.send) {
                 let out = r.on_event(ReceiverEvent::Deliver(m));
                 written.extend(out.write);
                 acks.extend(out.send);

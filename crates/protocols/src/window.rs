@@ -15,7 +15,7 @@
 use stp_core::alphabet::{Alphabet, RMsg, SMsg};
 use stp_core::data::{DataItem, DataSeq};
 use stp_core::proto::{
-    InputTape, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
+    InputTape, Msgs, Receiver, ReceiverEvent, ReceiverOutput, Sender, SenderEvent, SenderOutput,
 };
 
 fn encode(seq: u16, value: u16, d: u16) -> SMsg {
@@ -100,7 +100,7 @@ impl GoBackNSender {
         let k = self.modulus as usize;
         let base = self.base;
         let from = self.transmitted;
-        let send: Vec<SMsg> = self.pending[from..]
+        let send: Msgs<SMsg> = self.pending[from..]
             .iter()
             .enumerate()
             .map(|(j, item)| encode(((base + from + j) % k) as u16, item.0, d))
@@ -185,7 +185,7 @@ impl Sender for GoBackNSender {
     }
 
     fn reset(&mut self, input: &DataSeq) {
-        self.tape = InputTape::new(input.clone());
+        self.tape.reset(input);
         self.base = 0;
         self.pending.clear();
         self.transmitted = 0;
@@ -241,8 +241,8 @@ impl Receiver for GoBackNReceiver {
                 if seq == self.expected() {
                     self.written += 1;
                     ReceiverOutput {
-                        send: vec![RMsg(seq)],
-                        write: vec![DataItem(value)],
+                        send: Msgs::one(RMsg(seq)),
+                        write: Msgs::one(DataItem(value)),
                     }
                 } else if self.written > 0 {
                     let last = ((self.written - 1) % self.modulus as usize) as u16;
@@ -408,7 +408,7 @@ mod tests {
         let mut s = GoBackNSender::new(input.clone(), 2, 8, 4);
         let mut r = GoBackNReceiver::new(2, 8);
         let mut written = Vec::new();
-        let mut pending = s.on_event(SenderEvent::Init).send;
+        let mut pending = s.on_event(SenderEvent::Init).send.to_vec();
         for _ in 0..100 {
             let mut acks = Vec::new();
             for m in pending.drain(..) {

@@ -255,66 +255,65 @@ impl SweepEngine {
         let claimed = &claimed;
         let work = &work;
         let cursor = &cursor;
+        // One worker's loop; it captures only shared references, so it
+        // is `Copy` and runs both on spawned threads and on this one.
+        let worker = move || {
+            // The pool: one lazily built world per scheduler recipe,
+            // reset between cells. Worlds never cross threads, so no
+            // Send bound is needed on the boxed components.
+            if let Some(m) = meter {
+                m.worker_started();
+            }
+            let mut worlds: Vec<Option<World>> = (0..spec.schedulers.len()).map(|_| None).collect();
+            let mut out = Vec::new();
+            // Per-worker sampling tick: each worker profiles every
+            // `period`-th of *its own* cells, so the sampled share is
+            // period-independent of the thread count.
+            let mut tick: u64 = 0;
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= work.len() {
+                    break;
+                }
+                let cell_prof = prof.filter(|p| {
+                    tick += 1;
+                    p.sample(tick)
+                });
+                let (sched, xi, seed) = work[i];
+                out.push((
+                    i,
+                    run_cell(
+                        &mut worlds,
+                        family,
+                        spec,
+                        sched,
+                        &claimed.seqs()[xi],
+                        seed,
+                        cell_prof,
+                    ),
+                ));
+                if let Some(m) = meter {
+                    m.record_done(1);
+                }
+            }
+            if let Some(m) = meter {
+                m.worker_finished();
+            }
+            out
+        };
+        // The calling thread is worker 0; `threads - 1` more are spawned.
         let buckets: Vec<Vec<(usize, MemberRun)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        // The pool: one lazily built world per scheduler
-                        // recipe, reset between cells. Worlds never cross
-                        // threads, so no Send bound is needed on the
-                        // boxed components.
-                        if let Some(m) = meter {
-                            m.worker_started();
-                        }
-                        let mut worlds: Vec<Option<World>> =
-                            (0..spec.schedulers.len()).map(|_| None).collect();
-                        let mut out = Vec::new();
-                        // Per-worker sampling tick: each worker profiles
-                        // every `period`-th of *its own* cells, so the
-                        // sampled share is period-independent of the
-                        // thread count.
-                        let mut tick: u64 = 0;
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= work.len() {
-                                break;
-                            }
-                            let cell_prof = prof.filter(|p| {
-                                tick += 1;
-                                p.sample(tick)
-                            });
-                            let (sched, xi, seed) = work[i];
-                            out.push((
-                                i,
-                                run_cell(
-                                    &mut worlds,
-                                    family,
-                                    spec,
-                                    sched,
-                                    &claimed.seqs()[xi],
-                                    seed,
-                                    cell_prof,
-                                ),
-                            ));
-                            if let Some(m) = meter {
-                                m.record_done(1);
-                            }
-                        }
-                        if let Some(m) = meter {
-                            m.worker_finished();
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
+            let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut buckets = Vec::with_capacity(threads);
+            buckets.push(worker());
+            buckets.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked")),
+            );
+            buckets
         });
-        let mut indexed: Vec<(usize, MemberRun)> = buckets.into_iter().flatten().collect();
-        indexed.sort_unstable_by_key(|(i, _)| *i);
-        let outcome = SweepOutcome::from_runs(indexed.into_iter().map(|(_, r)| r).collect());
+        let outcome = merge(work.len(), buckets);
         if let Some(m) = meter {
             m.finish();
         }
@@ -390,6 +389,21 @@ impl SweepEngine {
         }
         outcome
     }
+}
+
+/// Restores grid order from per-worker `(cell index, run)` buckets by
+/// scattering each run into its slot.
+pub(crate) fn merge(cells: usize, buckets: Vec<Vec<(usize, MemberRun)>>) -> SweepOutcome {
+    let mut slots: Vec<Option<MemberRun>> = std::iter::repeat_with(|| None).take(cells).collect();
+    for (i, run) in buckets.into_iter().flatten() {
+        slots[i] = Some(run);
+    }
+    SweepOutcome::from_runs(
+        slots
+            .into_iter()
+            .map(|run| run.expect("every grid cell ran exactly once"))
+            .collect(),
+    )
 }
 
 /// Executes one grid cell on a pooled world, building it on first use and

@@ -111,19 +111,18 @@ impl RunStats {
     /// Steps between consecutive writes (first entry is the step of the
     /// first write): the per-item learning latency profile.
     pub fn inter_write_gaps(&self) -> Vec<Step> {
-        let mut gaps = Vec::with_capacity(self.write_steps.len());
-        let mut prev = 0;
-        for &s in &self.write_steps {
-            gaps.push(s - prev);
-            prev = s;
-        }
-        gaps
+        self.gaps().collect()
     }
 
     /// The largest inter-write gap, a proxy for the protocol's worst-case
     /// per-item latency in this run.
     pub fn max_gap(&self) -> Option<Step> {
-        self.inter_write_gaps().into_iter().max()
+        self.gaps().max()
+    }
+
+    fn gaps(&self) -> impl Iterator<Item = Step> + '_ {
+        let prev = std::iter::once(0).chain(self.write_steps.iter().copied());
+        self.write_steps.iter().zip(prev).map(|(&s, p)| s - p)
     }
 }
 
@@ -192,11 +191,7 @@ impl Default for MetricsProbe {
 
 impl Probe for MetricsProbe {
     fn on_run_start(&mut self, input: &DataSeq) {
-        // Clone the input only when it actually changed — pooled sweeps
-        // replay the same sequence across many seeds.
-        if self.input != *input {
-            self.input = input.clone();
-        }
+        self.input.clone_from(input);
         self.steps = 0;
         self.sends_s = 0;
         self.sends_r = 0;
@@ -451,7 +446,7 @@ impl SweepReport {
             self.sends_per_item.record(spi);
         }
         self.drop_counts.record(stats.drops as f64);
-        for g in stats.inter_write_gaps() {
+        for g in stats.gaps() {
             self.write_gaps.record(g as f64);
         }
     }

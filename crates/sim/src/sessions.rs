@@ -1073,17 +1073,17 @@ impl SessionEngine {
 
         // Apply outputs after deliveries: sends become deliverable next
         // step at the earliest.
-        for item in r_out.write {
+        for &item in r_out.write.iter() {
             self.safe[slot] &= self.inputs[slot].get(self.written[slot]) == Some(item);
             self.write_steps[slot].push(t);
             self.written[slot] += 1;
         }
         obs.mark(deliver);
-        for m in s_out.send {
+        for &m in s_out.send.iter() {
             channel.send_s(m);
             self.sends_s[slot] += 1;
         }
-        for m in r_out.send {
+        for &m in r_out.send.iter() {
             channel.send_r(m);
             self.sends_r[slot] += 1;
         }

@@ -32,7 +32,7 @@
 //! throughput can be computed from the critical path rather than
 //! wall-clock (the same convention as `bench_sessions`' churn lanes).
 
-use crate::engine::{run_cell, Cell, SweepEngine, SweepSpec};
+use crate::engine::{merge, run_cell, Cell, SweepEngine, SweepSpec};
 use crate::prof::PhaseProfiler;
 use crate::runner::{MemberRun, SweepOutcome};
 use crate::telemetry::ProgressMeter;
@@ -245,7 +245,7 @@ impl StealSweep {
                 .map(|h| h.join().expect("steal worker panicked"))
                 .collect()
         });
-        let outcome = merge(buckets);
+        let outcome = merge(work.len(), buckets);
         if let Some(m) = meter {
             m.finish();
         }
@@ -290,7 +290,7 @@ impl StealSweep {
             buckets.push(out);
         }
         StealReport {
-            outcome: merge(buckets),
+            outcome: merge(work.len(), buckets),
             worker_busy_secs: busy,
             wall_secs: wall.elapsed().as_secs_f64(),
         }
@@ -352,15 +352,6 @@ fn run_indexed_cell(
         index,
         run_cell(worlds, family, spec, sched, &seqs[xi], seed, cell_prof),
     ));
-}
-
-/// Flattens per-worker result buckets and restores grid order. The sort
-/// key is the grid index, so the merged outcome is independent of how
-/// chunks migrated between workers.
-fn merge(buckets: Vec<Vec<(usize, MemberRun)>>) -> SweepOutcome {
-    let mut indexed: Vec<(usize, MemberRun)> = buckets.into_iter().flatten().collect();
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    SweepOutcome::from_runs(indexed.into_iter().map(|(_, r)| r).collect())
 }
 
 #[cfg(test)]

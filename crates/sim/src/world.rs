@@ -668,11 +668,9 @@ impl World {
             }
         };
         let s_out = self.sender.on_event(s_event);
-        obs.mark(Phase::ReceiverStep);
-        let r_out = self.receiver.on_event(r_event);
-
-        // Record tape reads the sender performed during this step.
-        obs.mark(Phase::SenderStep);
+        // Record tape reads the sender performed during this step. The
+        // receiver's step emits no events, so recording them before it
+        // keeps the trace order and saves a pair of phase marks.
         let reads_now = self.sender.reads();
         for pos in self.reads_seen..reads_now {
             if let Some(item) = self.trace.input().get(pos) {
@@ -681,10 +679,12 @@ impl World {
         }
         self.reads_seen = reads_now;
 
+        obs.mark(Phase::ReceiverStep);
+        let r_out = self.receiver.on_event(r_event);
+
         // Apply outputs after deliveries: sends become deliverable next
         // step at the earliest.
-        obs.mark(Phase::ReceiverStep);
-        for item in r_out.write {
+        for &item in r_out.write.iter() {
             // Positions are assigned consecutively, so safety reduces to
             // "each written item matches the input at its position" —
             // exactly what `require::check_safety` verifies on full traces.
@@ -700,7 +700,7 @@ impl World {
             self.written += 1;
         }
         obs.mark(deliver);
-        for m in s_out.send {
+        for &m in s_out.send.iter() {
             self.channel.send_s(m);
             self.sends_s += 1;
             self.record(t, Event::SendS { msg: m });
@@ -719,7 +719,7 @@ impl World {
                 );
             }
         }
-        for m in r_out.send {
+        for &m in r_out.send.iter() {
             self.channel.send_r(m);
             self.sends_r += 1;
             self.record(t, Event::SendR { msg: m });
@@ -814,11 +814,15 @@ impl World {
         obs.mark(Phase::Bookkeeping);
         self.step += 1;
         self.trace.set_steps(self.step);
-        obs.mark(Phase::ProbeDispatch);
-        for p in &mut self.probes {
-            p.on_step_end(t);
+        // Without probes there is nothing to dispatch, and no clock
+        // reads are spent on an empty phase.
+        if !self.probes.is_empty() {
+            obs.mark(Phase::ProbeDispatch);
+            for p in &mut self.probes {
+                p.on_step_end(t);
+            }
+            obs.mark(Phase::Bookkeeping);
         }
-        obs.mark(Phase::Bookkeeping);
     }
 
     /// Runs exactly `steps` global steps and returns the trace.
