@@ -60,10 +60,7 @@ use stp_bench::host::host_parallelism;
 use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_protocols::{FamilySpec, ResendPolicy};
 use stp_sim::fleet::{FleetRegistry, WatchdogSpec};
-use stp_sim::sessions::{
-    run_churn_fleet_isolated, run_churn_isolated, run_churn_profiled_isolated, ChurnReport,
-    ChurnSpec, ServerSpec, SessionTemplate,
-};
+use stp_sim::sessions::{run_churn, ChurnReport, ChurnRun, ChurnSpec, ServerSpec, SessionTemplate};
 use stp_sim::{PhaseProfiler, SessionsRecord};
 
 /// One shard-count lane of the benchmark.
@@ -177,6 +174,12 @@ fn workload(shards: u16) -> ChurnSpec {
 fn main() {
     let (host_cores_effective, host_cores_present) = host_parallelism();
     let meter = stp_bench::telemetry::progress();
+    // Every lane times each shard in isolation (see the module docs).
+    let isolated = ChurnRun {
+        meter: Some(&meter),
+        isolated: true,
+        ..ChurnRun::default()
+    };
 
     let mut lanes = Vec::new();
     let mut records: Vec<SessionsRecord> = Vec::new();
@@ -185,7 +188,7 @@ fn main() {
     for shards in [1u16, 4, 8] {
         eprintln!("bench_sessions: lane {shards} shard(s)…");
         let spec = workload(shards);
-        let report = run_churn_isolated(&spec, Some(&meter));
+        let report = run_churn(&spec, &isolated);
         assert_eq!(report.submitted, spec.sessions);
         assert_eq!(
             report.completed + report.exhausted + report.disconnected,
@@ -228,7 +231,13 @@ fn main() {
              lap {lap}/{OVERHEAD_LAPS}…"
         );
         let fleet = FleetRegistry::new(4);
-        let metered = run_churn_fleet_isolated(&metered_spec, Some(&meter), &fleet);
+        let metered = run_churn(
+            &metered_spec,
+            &ChurnRun {
+                fleet: Some(&fleet),
+                ..isolated
+            },
+        );
         assert_eq!(
             metered.digest, base.digest,
             "metering must not change any session's outcome"
@@ -257,7 +266,7 @@ fn main() {
             "bench_sessions: unmetered control lap {lap}/{}…",
             OVERHEAD_LAPS - 1
         );
-        let control = run_churn_isolated(&workload(4), Some(&meter));
+        let control = run_churn(&workload(4), &isolated);
         assert_eq!(control.digest, base.digest);
         plain_busy = plain_busy.min(control.shard_busy_secs.iter().sum());
     }
@@ -278,7 +287,13 @@ fn main() {
     let mut profiled_lane = None;
     for lap in 1..=PROF_LAPS {
         eprintln!("bench_sessions: profiled lane 4 shard(s), lap {lap}/{PROF_LAPS}…");
-        let profiled = run_churn_profiled_isolated(&workload(4), Some(&meter), &prof);
+        let profiled = run_churn(
+            &workload(4),
+            &ChurnRun {
+                profiler: Some(&prof),
+                ..isolated
+            },
+        );
         assert_eq!(
             profiled.digest, base.digest,
             "profiling must not change any session's outcome"

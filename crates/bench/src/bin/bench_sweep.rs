@@ -25,10 +25,10 @@ use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::data::DataSeq;
 use stp_core::event::TraceMode;
 use stp_protocols::{ProtocolFamily, ResendPolicy, TightFamily};
-use stp_sim::{run_family_member, PhaseProfiler, RunStats, StealSweep, SweepEngine, SweepSpec};
+use stp_sim::{run_family_member, PhaseProfiler, RunStats, SweepEngine, SweepSpec};
 
-/// Worker widths for the work-stealing scaling lanes.
-const STEAL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+/// Worker widths for the parallel scaling lanes.
+const PARALLEL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Sampling period for the profiled lane. The E1 grid's cells are tiny
 /// (a couple of microseconds each), so a fully profiled cell pays the
@@ -102,13 +102,13 @@ fn legacy_sweep_family_parallel(
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One work-stealing scaling lane, measured in isolated critical-path
-/// mode: each worker's statically-dealt chunks run sequentially with a
+/// One parallel scaling lane, measured by `SweepEngine::run_isolated`:
+/// each worker's statically-dealt chunks run sequentially with a
 /// per-worker busy clock, and the lane's time is the slowest worker's —
 /// what `workers` real cores would need, judged honestly from however
 /// many cores the host grants (the `bench_sessions` churn convention).
 #[derive(Debug, Serialize)]
-struct StealLaneReport {
+struct ParallelLaneReport {
     /// Worker count (and thread count on a wide-enough host).
     workers: usize,
     /// Fastest critical-path seconds across the timed reps.
@@ -126,7 +126,7 @@ struct SweepBenchReport {
     sweeps_timed: usize,
     /// Worker threads per lane. Each lane records what it actually ran
     /// with — there is deliberately no global `threads` scalar, which
-    /// used to misreport the steal lanes' widths.
+    /// used to misreport the parallel lanes' widths.
     lane_threads: BTreeMap<String, usize>,
     /// Parallelism actually granted to this process (affinity/cgroup
     /// aware) — what the lanes were *measured* on. `lane_threads` above
@@ -151,13 +151,13 @@ struct SweepBenchReport {
     profiled_secs: f64,
     profiled_runs_per_sec: f64,
     prof_overhead: f64,
-    /// How the steal lanes below were timed (`critical-path`), to keep
-    /// them from being read as wall-clock numbers.
-    steal_timing: &'static str,
-    /// Work-stealing scaling lanes at [`STEAL_WIDTHS`] workers.
-    steal_lanes: Vec<StealLaneReport>,
-    /// 4-worker steal lane throughput over the 1-worker steal lane —
-    /// the scaling headline `PARALLEL_FLOOR` gates in CI.
+    /// How the parallel lanes below were timed (`critical-path`), to
+    /// keep them from being read as wall-clock numbers.
+    parallel_timing: &'static str,
+    /// Parallel scaling lanes at [`PARALLEL_WIDTHS`] workers.
+    parallel_lanes: Vec<ParallelLaneReport>,
+    /// 4-worker lane throughput over the 1-worker lane — the scaling
+    /// headline `PARALLEL_FLOOR` gates in CI.
     parallel_scaling_4_over_1: f64,
 }
 
@@ -232,16 +232,16 @@ fn main() {
         "profiling must not perturb results"
     );
     assert_eq!(profiled.report, pooled.report);
-    // The steal lanes share the engine lane's spec; a real-threaded
-    // 4-worker stolen sweep must be bit-identical to the pooled engine
-    // before any lane is timed.
-    let steal_spec = spec.clone().trace_mode(TraceMode::Off);
-    let stolen = StealSweep::new(steal_spec.clone(), 4).run(&family);
+    // The parallel lanes share the engine lane's spec at their own
+    // widths; a real-threaded 4-worker sweep must be bit-identical to the
+    // pooled engine before any lane is timed.
+    let parallel_spec = spec.clone().trace_mode(TraceMode::Off);
+    let parallel = SweepEngine::new(parallel_spec.clone().threads(4)).run(&family);
     assert_eq!(
-        stolen.runs, pooled.runs,
-        "work stealing must not perturb results"
+        parallel.runs, pooled.runs,
+        "the worker count must not perturb results"
     );
-    assert_eq!(stolen.report, pooled.report);
+    assert_eq!(parallel.report, pooled.report);
     for s in 0..spec.schedulers.len() {
         let legacy = legacy_sweep_family_parallel(&family, &spec, s, threads);
         assert!(legacy.iter().all(|r| r.stats.is_complete()));
@@ -260,11 +260,11 @@ fn main() {
     let mut traced_reps = Vec::with_capacity(reps);
     let mut unarmed_reps = Vec::with_capacity(reps);
     let mut profiled_reps = Vec::with_capacity(reps);
-    let steal_sweeps: Vec<StealSweep> = STEAL_WIDTHS
+    let parallel_engines: Vec<SweepEngine> = PARALLEL_WIDTHS
         .iter()
-        .map(|&w| StealSweep::new(steal_spec.clone(), w))
+        .map(|&w| SweepEngine::new(parallel_spec.clone().threads(w)))
         .collect();
-    let mut steal_reps: Vec<Vec<f64>> = STEAL_WIDTHS.iter().map(|_| Vec::new()).collect();
+    let mut parallel_reps: Vec<Vec<f64>> = PARALLEL_WIDTHS.iter().map(|_| Vec::new()).collect();
     for _ in 0..reps {
         let t = Instant::now();
         let mut total = 0;
@@ -299,10 +299,10 @@ fn main() {
         profiled_reps.push(t.elapsed().as_secs_f64());
         assert_eq!(out.len(), runs_per_sweep);
 
-        // Steal lanes time each worker's busy loop in isolation, so the
-        // recorded critical path is theft-free and core-count honest.
-        for (sweep, lane_reps) in steal_sweeps.iter().zip(&mut steal_reps) {
-            let report = sweep.run_isolated(&family);
+        // Parallel lanes time each worker's busy loop in isolation, so
+        // the recorded critical path is core-count honest.
+        for (engine, lane_reps) in parallel_engines.iter().zip(&mut parallel_reps) {
+            let report = engine.run_isolated(&family);
             assert_eq!(report.outcome.len(), runs_per_sweep);
             lane_reps.push(report.critical_path_secs());
         }
@@ -322,41 +322,41 @@ fn main() {
     let traced_overhead = traced_secs / engine_secs - 1.0;
     let unarmed_overhead = unarmed_secs / engine_secs - 1.0;
     let prof_overhead = profiled_secs / engine_secs - 1.0;
-    let steal_lanes: Vec<StealLaneReport> = STEAL_WIDTHS
+    let parallel_lanes: Vec<ParallelLaneReport> = PARALLEL_WIDTHS
         .iter()
-        .zip(&steal_reps)
+        .zip(&parallel_reps)
         .map(|(&workers, lane_reps)| {
             let critical_path_secs = fastest(lane_reps);
-            StealLaneReport {
+            ParallelLaneReport {
                 workers,
                 critical_path_secs,
                 runs_per_sec: sweep_runs / critical_path_secs,
             }
         })
         .collect();
-    // Scaling is judged against the 1-worker steal lane — serial
+    // Scaling is judged against the 1-worker lane — serial
     // execution over the same pooled machinery — so the ratio isolates
     // the partition quality rather than executor constant factors.
-    let steal_rps = |w: usize| {
-        steal_lanes
+    let lane_rps = |w: usize| {
+        parallel_lanes
             .iter()
             .find(|l| l.workers == w)
             .map(|l| l.runs_per_sec)
             .expect("lane present")
     };
-    let parallel_scaling_4_over_1 = steal_rps(4) / steal_rps(1);
-    let parallel_scaling_8_over_1 = steal_rps(8) / steal_rps(1);
+    let parallel_scaling_4_over_1 = lane_rps(4) / lane_rps(1);
+    let parallel_scaling_8_over_1 = lane_rps(8) / lane_rps(1);
     let (host_cores_effective, host_cores_present) = host::host_parallelism();
-    // Wall-clock lanes all ran at the configured thread count; the steal
-    // lanes record their own widths inline in `steal_lanes`.
+    // Wall-clock lanes all ran at the configured thread count; the
+    // parallel lanes record their own widths inline in `parallel_lanes`.
     let mut lane_threads = BTreeMap::new();
     for lane in [
         "legacy", "engine", "probed", "traced", "unarmed", "profiled",
     ] {
         lane_threads.insert(lane.to_string(), threads);
     }
-    for &w in &STEAL_WIDTHS {
-        lane_threads.insert(format!("steal_{w}"), w);
+    for &w in &PARALLEL_WIDTHS {
+        lane_threads.insert(format!("parallel_{w}"), w);
     }
     let report = SweepBenchReport {
         grid: format!("E1: tight-dup m={m} x {{dup-storm, reorder-max, random-0.5}} x 8 seeds"),
@@ -382,8 +382,8 @@ fn main() {
         profiled_secs,
         profiled_runs_per_sec: sweep_runs / profiled_secs,
         prof_overhead,
-        steal_timing: "critical-path",
-        steal_lanes,
+        parallel_timing: "critical-path",
+        parallel_lanes,
         parallel_scaling_4_over_1,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -408,7 +408,7 @@ fn main() {
         .metric("parallel_scaling_4_over_1", parallel_scaling_4_over_1)
         .metric("parallel_scaling_8_over_1", parallel_scaling_8_over_1)
         .phases_from(&prof_record);
-    for lane in &report.steal_lanes {
+    for lane in &report.parallel_lanes {
         record = record.metric(
             &format!("parallel_runs_per_sec_{}", lane.workers),
             lane.runs_per_sec,

@@ -26,7 +26,7 @@ use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::event::TraceMode;
 use stp_prof::CountingAlloc;
 use stp_protocols::{FamilySpec, ResendPolicy, TightFamily};
-use stp_sim::sessions::{run_churn_profiled_isolated, ChurnSpec, ServerSpec, SessionTemplate};
+use stp_sim::sessions::{run_churn, ChurnRun, ChurnSpec, ServerSpec, SessionTemplate};
 use stp_sim::{folded, PhaseProfiler, ProfRecord, SweepEngine, SweepSpec, NO_SAMPLES};
 
 #[global_allocator]
@@ -148,7 +148,14 @@ fn profile_churn(sessions: u64, period: u64) -> ProfRecord {
         ],
     };
     let prof = Arc::new(PhaseProfiler::new(period));
-    let report = run_churn_profiled_isolated(&spec, None, &prof);
+    let report = run_churn(
+        &spec,
+        &ChurnRun {
+            profiler: Some(&prof),
+            isolated: true,
+            ..ChurnRun::default()
+        },
+    );
     assert_eq!(report.submitted, sessions);
     prof.report("prof_report", "churn")
 }

@@ -32,7 +32,7 @@ use stp_protocols::{FamilySpec, ResendPolicy};
 use stp_sim::fleet::{
     prometheus_text, FleetDelta, FleetRegistry, FleetSnapshot, ShardDelta, WatchdogSpec, NO_SAMPLES,
 };
-use stp_sim::sessions::{run_churn_fleet_profiled, ChurnSpec, ServerSpec, SessionTemplate};
+use stp_sim::sessions::{run_churn, ChurnRun, ChurnSpec, ServerSpec, SessionTemplate};
 use stp_sim::{prometheus_prof_text, PhaseProfiler, ProfRecord};
 
 struct Args {
@@ -222,7 +222,14 @@ fn main() {
     };
 
     let report = if args.once {
-        run_churn_fleet_profiled(&spec, None, &fleet, &prof)
+        run_churn(
+            &spec,
+            &ChurnRun {
+                fleet: Some(&fleet),
+                profiler: Some(&prof),
+                ..ChurnRun::default()
+            },
+        )
     } else {
         // Live view: the workload runs on its own thread (which spawns
         // one worker per shard); this thread samples and redraws.
@@ -231,7 +238,14 @@ fn main() {
             let spec = spec.clone();
             let fleet = fleet.clone();
             let prof = Arc::clone(&prof);
-            std::thread::spawn(move || run_churn_fleet_profiled(&spec, None, &fleet, &prof))
+            std::thread::spawn(move || {
+                let run = ChurnRun {
+                    fleet: Some(&fleet),
+                    profiler: Some(&prof),
+                    ..ChurnRun::default()
+                };
+                run_churn(&spec, &run)
+            })
         };
         while !worker.is_finished() {
             std::thread::sleep(args.interval);

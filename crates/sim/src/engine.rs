@@ -16,12 +16,19 @@
 //!   allocates no events at all and statistics come from the world's
 //!   incremental counters.
 //! * **Lock-free merge** — workers pull cells off a shared
-//!   [`AtomicUsize`] cursor and keep their results in a private vector;
-//!   the merge is a post-join sort, so no lock is ever contended.
+//!   [`AtomicUsize`] cursor and keep `(cell index, run)` pairs in a
+//!   private vector; after the join each run is scattered into its grid
+//!   slot, so no lock is ever contended and the outcome is in grid order
+//!   however the cells interleaved.
 //!
 //! The grid itself is the cartesian product *schedulers × claimed
 //! sequences × seeds*, flattened scheduler-major so a single-scheduler
 //! spec reproduces the legacy sweep order bit-for-bit.
+//!
+//! For scaling measurements on oversubscribed or single-core hosts,
+//! [`SweepEngine::run_isolated`] runs each worker's share of a static
+//! deal in turn on the calling thread and times it, so throughput can be
+//! judged from the critical path rather than from wall-clock.
 
 use crate::metrics::{MetricsProbe, RunStats};
 use crate::prof::{delivery_phase, expiry_phase, PhaseProfiler};
@@ -31,6 +38,7 @@ use crate::telemetry::ProgressMeter;
 use crate::world::World;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::data::DataSeq;
 use stp_core::event::{Step, TraceMode};
@@ -175,7 +183,42 @@ pub struct SweepEngine {
 /// One grid cell: scheduler index, index into the family's claimed
 /// sequences, adversary seed. Indices rather than owned sequences keep
 /// the work list allocation-free however large the grid.
-pub(crate) type Cell = (usize, usize, u64);
+type Cell = (usize, usize, u64);
+
+/// Cells per chunk of [`SweepEngine::run_isolated`]'s static deal.
+const DEAL_CHUNK: usize = 16;
+
+/// A timed [`SweepEngine::run_isolated`] result: the merged outcome plus
+/// per-worker busy seconds, from which the critical-path throughput is
+/// derived.
+#[derive(Debug, Clone)]
+pub struct IsolatedReport {
+    /// The merged sweep outcome, identical to [`SweepEngine::run`].
+    pub outcome: SweepOutcome,
+    /// Busy seconds per worker, indexed by worker id.
+    pub worker_busy_secs: Vec<f64>,
+    /// Wall-clock seconds for the whole isolated pass (the sum of the
+    /// busy times, plus merge overhead).
+    pub wall_secs: f64,
+}
+
+impl IsolatedReport {
+    /// The slowest worker's busy time — the wall-clock a perfectly
+    /// parallel host would need for this partition.
+    pub fn critical_path_secs(&self) -> f64 {
+        self.worker_busy_secs.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Aggregate runs per second over the critical path.
+    pub fn runs_per_sec(&self) -> f64 {
+        let cp = self.critical_path_secs();
+        if cp > 0.0 {
+            self.outcome.len() as f64 / cp
+        } else {
+            0.0
+        }
+    }
+}
 
 impl SweepEngine {
     /// Wraps a spec.
@@ -190,7 +233,7 @@ impl SweepEngine {
 
     /// Flattens the grid scheduler-major, then sequence, then seed — the
     /// legacy sweep order within each scheduler block.
-    pub(crate) fn work_list(&self, claimed: &[DataSeq]) -> Vec<Cell> {
+    fn work_list(&self, claimed: &[DataSeq]) -> Vec<Cell> {
         let mut work =
             Vec::with_capacity(self.spec.schedulers.len() * claimed.len() * self.spec.seeds.len());
         for sched in 0..self.spec.schedulers.len() {
@@ -389,11 +432,59 @@ impl SweepEngine {
         }
         outcome
     }
+
+    /// Runs every worker's share of a static deal sequentially on the
+    /// calling thread, timing each worker's busy loop. The worker count
+    /// is the spec's `threads`; the grid is cut into 16-cell chunks and
+    /// chunk `c` goes to worker `c % threads`. The merged outcome is
+    /// bit-identical to [`SweepEngine::run`], and
+    /// [`IsolatedReport::runs_per_sec`] measures the partition's critical
+    /// path: what that many real cores would achieve, judged from one.
+    pub fn run_isolated(&self, family: &dyn ProtocolFamily) -> IsolatedReport {
+        let wall = Instant::now();
+        let workers = self.spec.resolved_threads();
+        let claimed = family.claimed_family();
+        let work = self.work_list(claimed.seqs());
+        let mut buckets = Vec::with_capacity(workers);
+        let mut busy = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let t = Instant::now();
+            let mut worlds: Vec<Option<World>> =
+                (0..self.spec.schedulers.len()).map(|_| None).collect();
+            let out: Vec<(usize, MemberRun)> = dealt(work.len(), workers, w)
+                .map(|i| {
+                    let (sched, xi, seed) = work[i];
+                    let x = &claimed.seqs()[xi];
+                    (
+                        i,
+                        run_cell(&mut worlds, family, &self.spec, sched, x, seed, None),
+                    )
+                })
+                .collect();
+            busy.push(t.elapsed().as_secs_f64());
+            buckets.push(out);
+        }
+        IsolatedReport {
+            outcome: merge(work.len(), buckets),
+            worker_busy_secs: busy,
+            wall_secs: wall.elapsed().as_secs_f64(),
+        }
+    }
+}
+
+/// The cell indices worker `w` owns in [`SweepEngine::run_isolated`]'s
+/// deal of `cells` cells over `workers` workers. Round-robin chunks
+/// (rather than contiguous blocks) keep the deal balanced even when cell
+/// cost drifts across the grid.
+fn dealt(cells: usize, workers: usize, w: usize) -> impl Iterator<Item = usize> {
+    (w * DEAL_CHUNK..cells)
+        .step_by(workers * DEAL_CHUNK)
+        .flat_map(move |start| start..(start + DEAL_CHUNK).min(cells))
 }
 
 /// Restores grid order from per-worker `(cell index, run)` buckets by
 /// scattering each run into its slot.
-pub(crate) fn merge(cells: usize, buckets: Vec<Vec<(usize, MemberRun)>>) -> SweepOutcome {
+fn merge(cells: usize, buckets: Vec<Vec<(usize, MemberRun)>>) -> SweepOutcome {
     let mut slots: Vec<Option<MemberRun>> = std::iter::repeat_with(|| None).take(cells).collect();
     for (i, run) in buckets.into_iter().flatten() {
         slots[i] = Some(run);
@@ -410,7 +501,7 @@ pub(crate) fn merge(cells: usize, buckets: Vec<Vec<(usize, MemberRun)>>) -> Swee
 /// resetting it otherwise. The reset path and the fresh-build path are
 /// behaviourally identical by the component reset contract — the parity
 /// test in `tests/parity.rs` pins this down against the legacy runner.
-pub(crate) fn run_cell(
+fn run_cell(
     worlds: &mut [Option<World>],
     family: &dyn ProtocolFamily,
     spec: &SweepSpec,
@@ -710,5 +801,38 @@ mod tests {
             assert!(b.trace.is_none());
             assert_eq!(a.stats, b.stats, "tracing must not change behaviour");
         }
+    }
+
+    #[test]
+    fn deal_covers_the_grid_without_overlap() {
+        for (cells, workers) in [(29, 3), (100, 4), (20, 8), (0, 2)] {
+            let mut seen = vec![false; cells];
+            for w in 0..workers {
+                for i in dealt(cells, workers, w) {
+                    assert!(!seen[i], "{cells}/{workers}: cell {i} dealt twice");
+                    assert_eq!((i / DEAL_CHUNK) % workers, w, "chunk on the wrong worker");
+                    seen[i] = true;
+                }
+            }
+            assert!(
+                seen.iter().all(|&b| b),
+                "{cells}/{workers}: cell never dealt"
+            );
+        }
+    }
+
+    #[test]
+    fn more_workers_than_chunks_still_completes() {
+        // A 2-item grid of a few dozen cells fills fewer 16-cell chunks
+        // than there are workers: the idle workers time an empty share.
+        let family = TightFamily::new(2, ResendPolicy::Once);
+        let spec = storm_spec().seeds(0..6).trace_mode(TraceMode::Off);
+        let serial = SweepEngine::new(spec.clone()).run_serial(&family);
+        assert!(serial.len() < 8 * DEAL_CHUNK);
+        let engine = SweepEngine::new(spec.threads(8));
+        assert_eq!(engine.run(&family).runs, serial.runs);
+        let report = engine.run_isolated(&family);
+        assert_eq!(report.outcome.runs, serial.runs);
+        assert_eq!(report.worker_busy_secs.len(), 8);
     }
 }

@@ -1,19 +1,10 @@
 //! Simulator-level errors.
 
 use std::fmt;
-use stp_core::event::Step;
 
 /// Errors the executor can surface instead of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A worker thread of the threaded harness died (panicked or hung up)
-    /// mid-run.
-    WorkerDied {
-        /// Which worker: `"sender"` or `"receiver"`.
-        role: &'static str,
-        /// The step the coordinator had reached when the death surfaced.
-        step: Step,
-    },
     /// A [`WorldBuilder`](crate::world::WorldBuilder) was finalized without
     /// one of its required parts.
     MissingComponent {
@@ -26,9 +17,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::WorkerDied { role, step } => {
-                write!(f, "{role} worker thread died at step {step}")
-            }
             SimError::MissingComponent { component } => {
                 write!(f, "world builder is missing its {component}")
             }
@@ -41,15 +29,6 @@ impl std::error::Error for SimError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_names_the_role_and_step() {
-        let e = SimError::WorkerDied {
-            role: "sender",
-            step: 17,
-        };
-        assert_eq!(e.to_string(), "sender worker thread died at step 17");
-    }
 
     #[test]
     fn display_names_the_missing_component() {

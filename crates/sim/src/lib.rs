@@ -34,6 +34,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod fleet;
+mod kernel;
 pub mod metrics;
 pub mod prelude;
 pub mod prof;
@@ -42,13 +43,11 @@ pub mod runner;
 pub mod sessions;
 pub mod shrink;
 pub mod slo;
-pub mod steal;
 pub mod telemetry;
-pub mod threaded;
 pub mod trace;
 pub mod world;
 
-pub use engine::{SweepEngine, SweepSpec};
+pub use engine::{IsolatedReport, SweepEngine, SweepSpec};
 pub use error::SimError;
 pub use fault::burst_plan;
 pub use fleet::{
@@ -67,9 +66,8 @@ pub use runner::{
     MemberRun, SweepOutcome,
 };
 pub use sessions::{
-    run_churn, run_churn_fleet, run_churn_fleet_isolated, run_churn_isolated, ChurnReport,
-    ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId, SessionOutcome, SessionServer,
-    SessionSpec, SessionStatus, SessionTemplate,
+    run_churn, ChurnReport, ChurnRun, ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId,
+    SessionOutcome, SessionServer, SessionSpec, SessionStatus, SessionTemplate,
 };
 pub use shrink::{
     classify, is_one_minimal, shrink_plan, shrink_to_witness, CampaignJudge, Violation, Witness,
@@ -80,7 +78,6 @@ pub use slo::{
     stabilization_point, RecoveryEnvelope, RecoveryProbe, SloConfig, StabilizationEnvelope,
     StabilizationProbe,
 };
-pub use steal::{StealReport, StealSweep, DEFAULT_CHUNK};
 pub use telemetry::{
     ExperimentSummary, FrontierRecord, LocalProgress, MemorySink, ProgressMeter, ProgressSnapshot,
     RunRecord, SessionsRecord, Sink, SpanRecord, StabilizationRecord, TelemetryLine,

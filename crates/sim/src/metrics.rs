@@ -45,6 +45,34 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The statistics of a run on an `input_len`-item input that has not
+    /// taken a step yet.
+    pub fn empty(input_len: usize) -> RunStats {
+        RunStats {
+            steps: 0,
+            sends_s: 0,
+            sends_r: 0,
+            deliveries_r: 0,
+            deliveries_s: 0,
+            drops: 0,
+            written: 0,
+            input_len,
+            safe: true,
+            write_steps: Vec::new(),
+        }
+    }
+
+    // Rewinds to `RunStats::empty(input_len)`, keeping the write-step
+    // buffer's capacity for the next run.
+    pub(crate) fn reset(&mut self, input_len: usize) {
+        let mut write_steps = std::mem::take(&mut self.write_steps);
+        write_steps.clear();
+        *self = RunStats {
+            write_steps,
+            ..RunStats::empty(input_len)
+        };
+    }
+
     /// Computes the statistics of `trace` in a single pass over its
     /// events.
     ///
@@ -57,15 +85,7 @@ impl RunStats {
         let input = trace.input();
         let mut s = RunStats {
             steps: trace.steps(),
-            sends_s: 0,
-            sends_r: 0,
-            deliveries_r: 0,
-            deliveries_s: 0,
-            drops: 0,
-            written: 0,
-            input_len: input.len(),
-            safe: true,
-            write_steps: Vec::new(),
+            ..RunStats::empty(input.len())
         };
         for e in trace.events() {
             match e.event {

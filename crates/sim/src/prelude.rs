@@ -12,7 +12,7 @@
 //! assert!(outcome.all_complete());
 //! ```
 
-pub use crate::engine::{SweepEngine, SweepSpec};
+pub use crate::engine::{IsolatedReport, SweepEngine, SweepSpec};
 pub use crate::fleet::{
     healthy_step_bound, prometheus_text, FleetDelta, FleetRecord, FleetRegistry, FleetSnapshot,
     FleetStats, FleetWatch, ShardMetrics, ShardSnapshot, StallRecord, WatchdogSpec, NO_SAMPLES,
@@ -23,16 +23,14 @@ pub use crate::runner::{
     MemberRun, SweepOutcome,
 };
 pub use crate::sessions::{
-    run_churn, run_churn_fleet, run_churn_fleet_isolated, run_churn_isolated, ChurnReport,
-    ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId, SessionOutcome, SessionServer,
-    SessionSpec, SessionStatus, SessionTemplate,
+    run_churn, ChurnReport, ChurnRun, ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId,
+    SessionOutcome, SessionServer, SessionSpec, SessionStatus, SessionTemplate,
 };
 pub use crate::shrink::{shrink_plan, shrink_to_witness, CampaignJudge, Violation, Witness};
 pub use crate::slo::{
     probe_recovery, recovery_envelope, recovery_envelope_observed, RecoveryEnvelope, RecoveryProbe,
     SloConfig,
 };
-pub use crate::steal::{StealReport, StealSweep, DEFAULT_CHUNK};
 pub use crate::telemetry::{
     ExperimentSummary, FrontierRecord, LocalProgress, MemorySink, ProgressMeter, ProgressSnapshot,
     RunRecord, SessionsRecord, Sink, SpanRecord, TelemetryLine, TelemetryWriter,

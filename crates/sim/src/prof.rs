@@ -6,10 +6,10 @@
 //!
 //! # Design
 //!
-//! The hot path (`World::step`, `SessionEngine::step_slot_once`) runs in
-//! ~tens of nanoseconds; a [`std::time::Instant`] read costs about half
-//! that, so timing every phase of every step would multiply the cost of
-//! the thing being measured. The profiler therefore *samples*: every
+//! The hot path — the step kernel that `World::step` and the session
+//! store share — runs in ~tens of nanoseconds; a [`std::time::Instant`]
+//! read costs about half that, so timing every phase of every step
+//! would multiply the cost of the thing being measured. The profiler therefore *samples*: every
 //! [`period`](PhaseProfiler::period)-th unit of work (a slot quantum in
 //! the session engine, a whole run in the sweep engine) becomes a
 //! **window**. Inside a window a `ProfObs` takes one timestamp per
@@ -43,8 +43,8 @@ use stp_channel::ChannelSpec;
 
 /// An engine phase the profiler can charge time (and allocations) to.
 ///
-/// The taxonomy follows the step structure shared by
-/// [`World::step`](crate::world::World::step) and `SessionEngine::step_slot_once`:
+/// The taxonomy follows the structure of the step kernel that
+/// [`World::step`](crate::world::World::step) and the session store share:
 /// scheduler decision, channel work split by kind and by direction of
 /// cost (delivery vs expiry), the two protocol half-steps, then the
 /// engine-side phases that only some drivers have (probe dispatch,
@@ -422,7 +422,7 @@ impl Default for PhaseProfiler {
 // ---------------------------------------------------------------------
 // The per-window observer.
 
-/// The zero-cost hook the generic step bodies call at phase boundaries:
+/// The zero-cost hook the step kernel calls at phase boundaries:
 /// [`NoObs`] compiles marks away entirely (the unprofiled hot path),
 /// [`ProfObs`] timestamps them (one sampled window).
 pub(crate) trait StepObs {

@@ -9,12 +9,12 @@
 //! queues and per-session adversary RNG — the same columnar layout
 //! [`crate::trace`] uses for spans — and steps every active session a
 //! quantum of protocol steps per *round* in one tight, allocation-free
-//! loop. The loop is the [`TraceMode::Off`](stp_core::event::TraceMode)
-//! semantics of [`World::step`](crate::World::step) with every
-//! event-construction and probe branch deleted outright, so a session's
-//! [`RunStats`] are bit-identical to a pooled single-world run of the
-//! same [`SessionSpec`] (the `sessions_parity` suite proves this over the
-//! full seed × channel × family grid).
+//! loop. Each step is the kernel [`World::step`](crate::World::step)
+//! runs, with a sink that observes nothing, so a session's [`RunStats`]
+//! are bit-identical to a pooled single-world run of the same
+//! [`SessionSpec`] (the `sessions_parity` suite checks the stopping rule
+//! and slot recycling around the kernel over the full seed × channel ×
+//! family grid).
 //!
 //! Slots are recycled under churn through the spec-driven provisioning
 //! trio — [`FamilySpec::provision`], [`ChannelSpec::provision`],
@@ -37,6 +37,7 @@ use crate::fleet::{
     healthy_step_bound, FleetRegistry, FleetSnapshot, FleetWatch, ShardMetrics, StallRecord,
     WatchdogSpec,
 };
+use crate::kernel::{self, Components, Quiet, Scratch};
 use crate::metrics::{Histogram, RunStats};
 use crate::prof::{delivery_phase, expiry_phase, NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
 use crate::telemetry::{ProgressMeter, SessionsRecord};
@@ -51,10 +52,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stp_channel::{Channel, ChannelSpec, Scheduler, SchedulerSpec};
-use stp_core::alphabet::{RMsg, SMsg};
 use stp_core::data::DataSeq;
-use stp_core::event::{CorruptionKind, Step, TraceMode};
-use stp_core::proto::{Receiver, ReceiverEvent, Sender, SenderEvent};
+use stp_core::event::{Step, TraceMode};
+use stp_core::proto::{Receiver, Sender};
 use stp_protocols::FamilySpec;
 
 /// Everything needed to run one STP session: the protocol family, the
@@ -305,15 +305,7 @@ pub struct SessionEngine {
     slot_recipe: Vec<u32>,
     inputs: Vec<DataSeq>,
     serials: Vec<u64>,
-    steps: Vec<Step>,
-    written: Vec<usize>,
-    safe: Vec<bool>,
-    sends_s: Vec<usize>,
-    sends_r: Vec<usize>,
-    deliveries_r: Vec<usize>,
-    deliveries_s: Vec<usize>,
-    drops: Vec<usize>,
-    write_steps: Vec<Vec<Step>>,
+    stats: Vec<RunStats>,
     deadline: Vec<Step>,
     expires: Vec<u64>,
     submitted: Vec<u64>,
@@ -333,16 +325,15 @@ pub struct SessionEngine {
     next_serial: u64,
     recycled: u64,
     // Shared expiry scratch, reused across every slot in the shard.
-    scratch_r: Vec<SMsg>,
-    scratch_s: Vec<RMsg>,
+    scratch: Scratch,
     // Fleet observability: both default off and cost nothing until
     // attached/armed.
     metrics: Option<Arc<ShardMetrics>>,
     watchdog: Option<WatchdogSpec>,
     stalls: Vec<StallRecord>,
     // Phase profiler: off by default; when attached, every
-    // `prof.period()`-th slot quantum becomes a profiled window. The
-    // unprofiled path is untouched (see `step_slot_once`).
+    // `prof.period()`-th slot quantum becomes a profiled window; the
+    // other quanta step with marks compiled away.
     prof: Option<Arc<PhaseProfiler>>,
     prof_tick: u64,
 }
@@ -386,15 +377,7 @@ impl SessionEngine {
             slot_recipe: vec![NO_RECIPE; capacity],
             inputs: vec![DataSeq::from_indices([]); capacity],
             serials: vec![0; capacity],
-            steps: vec![0; capacity],
-            written: vec![0; capacity],
-            safe: vec![true; capacity],
-            sends_s: vec![0; capacity],
-            sends_r: vec![0; capacity],
-            deliveries_r: vec![0; capacity],
-            deliveries_s: vec![0; capacity],
-            drops: vec![0; capacity],
-            write_steps: vec![Vec::new(); capacity],
+            stats: vec![RunStats::empty(0); capacity],
             deadline: vec![0; capacity],
             expires: vec![u64::MAX; capacity],
             submitted: vec![0; capacity],
@@ -408,8 +391,7 @@ impl SessionEngine {
             completed: Vec::new(),
             next_serial: 0,
             recycled: 0,
-            scratch_r: Vec::new(),
-            scratch_s: Vec::new(),
+            scratch: Scratch::default(),
             metrics: None,
             watchdog: None,
             stalls: Vec::new(),
@@ -525,7 +507,7 @@ impl SessionEngine {
             None => SessionStatus::Unknown,
             Some(SlotState::Queued { .. }) => SessionStatus::Queued,
             Some(&SlotState::Running { slot }) => SessionStatus::Running {
-                steps: self.steps[slot as usize],
+                steps: self.stats[slot as usize].steps,
             },
             Some(&SlotState::Done { at }) => SessionStatus::Done {
                 outcome: Box::new(self.completed[at].clone()),
@@ -558,18 +540,7 @@ impl SessionEngine {
                 let outcome = SessionOutcome {
                     id: SessionId::new(self.shard, serial),
                     fate: SessionFate::Disconnected,
-                    stats: RunStats {
-                        steps: 0,
-                        sends_s: 0,
-                        sends_r: 0,
-                        deliveries_r: 0,
-                        deliveries_s: 0,
-                        drops: 0,
-                        written: 0,
-                        input_len: q.input.len(),
-                        safe: true,
-                        write_steps: Vec::new(),
-                    },
+                    stats: RunStats::empty(q.input.len()),
                     submitted_round: submitted,
                     retired_round: self.round,
                 };
@@ -636,7 +607,7 @@ impl SessionEngine {
             if self.round >= self.stall_at[slot] {
                 self.flag_stall(slot);
             }
-            let before = self.steps[slot];
+            let before = self.stats[slot].steps;
             let (fate, sampled) = match prof {
                 Some(p) => {
                     self.prof_tick += 1;
@@ -648,7 +619,7 @@ impl SessionEngine {
                 }
                 None => (self.step_slot(slot), false),
             };
-            round_steps += self.steps[slot] - before;
+            round_steps += self.stats[slot].steps - before;
             match fate {
                 Some(fate) => match prof {
                     // Retirement cost is only visible for the sampled
@@ -806,17 +777,9 @@ impl SessionEngine {
             )),
             None => u64::MAX,
         };
+        self.stats[slot].reset(input.len());
         self.inputs[slot] = input;
         self.serials[slot] = serial;
-        self.steps[slot] = 0;
-        self.written[slot] = 0;
-        self.safe[slot] = true;
-        self.sends_s[slot] = 0;
-        self.sends_r[slot] = 0;
-        self.deliveries_r[slot] = 0;
-        self.deliveries_s[slot] = 0;
-        self.drops[slot] = 0;
-        self.write_steps[slot].clear();
         self.deadline[slot] = max_steps;
         self.expires[slot] = ttl_rounds.map_or(u64::MAX, |ttl| self.round.saturating_add(ttl));
         self.submitted[slot] = submitted;
@@ -841,18 +804,7 @@ impl SessionEngine {
         let outcome = SessionOutcome {
             id: SessionId::new(self.shard, serial),
             fate,
-            stats: RunStats {
-                steps: self.steps[slot],
-                sends_s: self.sends_s[slot],
-                sends_r: self.sends_r[slot],
-                deliveries_r: self.deliveries_r[slot],
-                deliveries_s: self.deliveries_s[slot],
-                drops: self.drops[slot],
-                written: self.written[slot],
-                input_len: self.inputs[slot].len(),
-                safe: self.safe[slot],
-                write_steps: self.write_steps[slot].clone(),
-            },
+            stats: self.stats[slot].clone(),
             submitted_round: self.submitted[slot],
             retired_round: self.round,
         };
@@ -900,7 +852,7 @@ impl SessionEngine {
             age_rounds: self.round.saturating_sub(self.admitted_round[slot]),
             threshold_rounds: threshold,
             expected_steps: expected,
-            steps: self.steps[slot],
+            steps: self.stats[slot].steps,
             spec,
         });
         if let Some(m) = &self.metrics {
@@ -912,193 +864,88 @@ impl SessionEngine {
     // completion is checked before each step, the budget caps the count.
     fn slot_fate(&self, slot: usize) -> Option<SessionFate> {
         let sender = self.senders[slot].as_ref().expect("active slot has sender");
-        if sender.is_done() && self.written[slot] >= self.inputs[slot].len() {
+        let stats = &self.stats[slot];
+        if sender.is_done() && stats.written >= stats.input_len {
             return Some(SessionFate::Completed);
         }
-        if self.steps[slot] >= self.deadline[slot] {
+        if stats.steps >= self.deadline[slot] {
             return Some(SessionFate::Exhausted);
         }
         None
     }
 
     fn step_slot(&mut self, slot: usize) -> Option<SessionFate> {
-        for _ in 0..self.quantum {
-            if let Some(fate) = self.slot_fate(slot) {
-                return Some(fate);
-            }
-            self.step_slot_once(slot);
-        }
-        self.slot_fate(slot)
-    }
-
-    // `step_slot` as one profiled window: the same quantum loop, with
-    // each protocol step marking phase boundaries into `obs`. Stopping
-    // rule and stepping are byte-for-byte the unprofiled logic — the
-    // prof_parity suite holds the digests equal.
-    fn step_slot_profiled(&mut self, slot: usize, prof: &PhaseProfiler) -> Option<SessionFate> {
-        let recipe = &self.recipes[self.slot_recipe[slot] as usize];
-        let deliver = delivery_phase(&recipe.channel);
-        let expire = expiry_phase(&recipe.channel);
-        let mut obs = ProfObs::begin();
-        let fate = 'quantum: {
-            for _ in 0..self.quantum {
-                if let Some(fate) = self.slot_fate(slot) {
-                    break 'quantum Some(fate);
-                }
-                self.step_slot_once_impl(slot, &mut obs, deliver, expire);
-            }
-            self.slot_fate(slot)
-        };
-        obs.finish(prof);
-        fate
-    }
-
-    // One protocol step — `World::step` under `TraceMode::Off` with the
-    // event construction, probe fan-out and provenance branches removed.
-    // Any behavioural divergence from the world loop is a bug the parity
-    // suite exists to catch.
-    fn step_slot_once(&mut self, slot: usize) {
-        // Phases are irrelevant under `NoObs` (marks compile away), so
-        // the unprofiled hot path is unchanged.
-        self.step_slot_once_impl(
+        // Phases are irrelevant under `NoObs` (marks compile away).
+        self.step_quantum(
             slot,
             &mut NoObs,
             Phase::DeliverPerfect,
             Phase::ExpirePerfect,
-        );
+        )
     }
 
-    fn step_slot_once_impl<O: StepObs>(
+    // `step_slot` as one profiled window, each protocol step marking
+    // phase boundaries into `obs`; the prof_parity suite holds the
+    // digests equal to unprofiled runs.
+    fn step_slot_profiled(&mut self, slot: usize, prof: &PhaseProfiler) -> Option<SessionFate> {
+        let channel = &self.recipes[self.slot_recipe[slot] as usize].channel;
+        let (deliver, expire) = (delivery_phase(channel), expiry_phase(channel));
+        let mut obs = ProfObs::begin();
+        let fate = self.step_quantum(slot, &mut obs, deliver, expire);
+        obs.finish(prof);
+        fate
+    }
+
+    // Steps the session in `slot` up to one quantum.
+    fn step_quantum<O: StepObs>(
+        &mut self,
+        slot: usize,
+        obs: &mut O,
+        deliver: Phase,
+        expire: Phase,
+    ) -> Option<SessionFate> {
+        for _ in 0..self.quantum {
+            if let Some(fate) = self.slot_fate(slot) {
+                return Some(fate);
+            }
+            self.step_slot_once(slot, obs, deliver, expire);
+        }
+        self.slot_fate(slot)
+    }
+
+    // One protocol step: the shared kernel with the `Quiet` sink, so no
+    // event is built and no provenance is tracked.
+    fn step_slot_once<O: StepObs>(
         &mut self,
         slot: usize,
         obs: &mut O,
         deliver: Phase,
         expire: Phase,
     ) {
-        obs.mark(Phase::SchedulerDecide);
-        let t = self.steps[slot];
-        let sender = self.senders[slot].as_mut().expect("active slot has sender");
-        let receiver = self.receivers[slot]
-            .as_mut()
-            .expect("active slot has receiver");
-        let channel = self.channels[slot]
-            .as_mut()
-            .expect("active slot has channel");
-        let scheduler = self.schedulers[slot]
-            .as_mut()
-            .expect("active slot has scheduler");
-
-        scheduler.note_progress(t, self.written[slot]);
-        let decision = scheduler.decide(t, &**channel);
-
-        // Adversarial deletions first (they model in-transit loss).
-        obs.mark(deliver);
-        for i in 0..decision.delete_to_r.len() {
-            if channel.delete_to_r(decision.delete_to_r[i]).is_ok() {
-                self.drops[slot] += 1;
-            }
-        }
-        for i in 0..decision.delete_to_s.len() {
-            if channel.delete_to_s(decision.delete_to_s[i]).is_ok() {
-                self.drops[slot] += 1;
-            }
-        }
-
-        // Transient corruption strikes land between loss and delivery.
-        for cmd in &decision.corruptions {
-            match cmd.kind {
-                CorruptionKind::ScrambleSender => {
-                    sender.scramble(cmd.draw);
-                }
-                CorruptionKind::ScrambleReceiver => {
-                    receiver.scramble(cmd.draw);
-                }
-                CorruptionKind::DesyncSender => {
-                    sender.desync(cmd.draw);
-                }
-                CorruptionKind::DesyncReceiver => {
-                    receiver.desync(cmd.draw);
-                }
-                CorruptionKind::InjectToR => {
-                    let size = sender.alphabet().size();
-                    if size != 0 {
-                        channel.send_s(SMsg((cmd.draw % u64::from(size)) as u16));
-                    }
-                }
-                CorruptionKind::InjectToS => {
-                    let size = receiver.alphabet().size();
-                    if size != 0 {
-                        channel.send_r(RMsg((cmd.draw % u64::from(size)) as u16));
-                    }
-                }
-            }
-        }
-
-        // Deliveries (against the post-deletion state; infeasible choices
-        // are ignored).
-        let delivered_to_s = decision
-            .deliver_to_s
-            .filter(|m| channel.deliver_to_s(*m).is_ok());
-        if delivered_to_s.is_some() {
-            self.deliveries_s[slot] += 1;
-        }
-        let delivered_to_r = decision
-            .deliver_to_r
-            .filter(|m| channel.deliver_to_r(*m).is_ok());
-        if delivered_to_r.is_some() {
-            self.deliveries_r[slot] += 1;
-        }
-
-        // Processor steps.
-        obs.mark(Phase::SenderStep);
-        let s_event = if t == 0 {
-            SenderEvent::Init
-        } else {
-            match delivered_to_s {
-                Some(m) => SenderEvent::Deliver(m),
-                None => SenderEvent::Tick,
-            }
+        let components = Components {
+            sender: &mut **self.senders[slot].as_mut().expect("active slot has sender"),
+            receiver: &mut **self.receivers[slot]
+                .as_mut()
+                .expect("active slot has receiver"),
+            channel: &mut **self.channels[slot]
+                .as_mut()
+                .expect("active slot has channel"),
+            scheduler: &mut **self.schedulers[slot]
+                .as_mut()
+                .expect("active slot has scheduler"),
         };
-        let r_event = if t == 0 {
-            ReceiverEvent::Init
-        } else {
-            match delivered_to_r {
-                Some(m) => ReceiverEvent::Deliver(m),
-                None => ReceiverEvent::Tick,
-            }
+        let mut sink = Quiet {
+            input: &self.inputs[slot],
         };
-        let s_out = sender.on_event(s_event);
-        obs.mark(Phase::ReceiverStep);
-        let r_out = receiver.on_event(r_event);
-
-        // Apply outputs after deliveries: sends become deliverable next
-        // step at the earliest.
-        for &item in r_out.write.iter() {
-            self.safe[slot] &= self.inputs[slot].get(self.written[slot]) == Some(item);
-            self.write_steps[slot].push(t);
-            self.written[slot] += 1;
-        }
-        obs.mark(deliver);
-        for &m in s_out.send.iter() {
-            channel.send_s(m);
-            self.sends_s[slot] += 1;
-        }
-        for &m in r_out.send.iter() {
-            channel.send_r(m);
-            self.sends_r[slot] += 1;
-        }
-
-        // Channel clock, then the expiry drain: channel-destroyed copies
-        // count as drops exactly like adversarial loss.
-        obs.mark(expire);
-        channel.tick();
-        channel.take_expirations(&mut self.scratch_r, &mut self.scratch_s);
-        self.drops[slot] += self.scratch_r.len() + self.scratch_s.len();
-        self.scratch_r.clear();
-        self.scratch_s.clear();
-
-        obs.mark(Phase::Bookkeeping);
-        self.steps[slot] = t + 1;
+        kernel::step(
+            components,
+            &mut self.stats[slot],
+            &mut self.scratch,
+            obs,
+            &mut sink,
+            deliver,
+            expire,
+        );
     }
 }
 
@@ -1610,13 +1457,49 @@ fn fold_shards(spec: &ChurnSpec, outs: Vec<ShardOutcome>, wall_secs: f64) -> Chu
     report
 }
 
-fn churn(
-    spec: &ChurnSpec,
-    meter: Option<&ProgressMeter>,
-    isolated: bool,
-    fleet: Option<&FleetRegistry>,
-    prof: Option<&Arc<PhaseProfiler>>,
-) -> ChurnReport {
+/// How [`run_churn`] runs a workload: what observes it, and whether
+/// the shards run on their own threads or one after another. The
+/// default runs one thread per shard with nothing attached.
+///
+/// Observation never changes results: per-session outcomes and the
+/// report's digest are identical under every combination, and only the
+/// timing fields differ between threaded and isolated runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChurnRun<'a> {
+    /// Live progress, ticked once per drained outcome; shard threads
+    /// announce themselves so liveness shows in every snapshot.
+    pub meter: Option<&'a ProgressMeter>,
+    /// A registry each shard reports into (the metered lane). Another
+    /// thread holding a clone can sample [`FleetRegistry::snapshot`] /
+    /// [`FleetRegistry::watch`] while the workload runs. Its shard count
+    /// must equal `spec.server.shards`.
+    pub fleet: Option<&'a FleetRegistry>,
+    /// A phase profiler every shard engine shares: each
+    /// `period()`-th slot quantum becomes a profiled window, so the
+    /// per-phase cost table covers the whole fleet.
+    pub profiler: Option<&'a Arc<PhaseProfiler>>,
+    /// Step each shard in isolation, sequentially on the calling thread,
+    /// so [`ChurnReport::shard_busy_secs`] is each shard's exact
+    /// single-threaded cost with no core contention. This is the bench
+    /// timing mode: on a host with a core per shard, wall time converges
+    /// to the critical path these numbers bound.
+    pub isolated: bool,
+}
+
+/// Runs the churn workload as `run` says.
+///
+/// # Panics
+///
+/// Panics if the spec has no session mix, its disconnect rate is outside
+/// `0..=1`, or `run.fleet`'s shard count differs from
+/// `spec.server.shards`.
+pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
+    let ChurnRun {
+        meter,
+        fleet,
+        profiler: prof,
+        isolated,
+    } = *run;
     assert!(!spec.mix.is_empty(), "a churn workload needs a session mix");
     assert!(
         (0.0..=1.0).contains(&spec.disconnect_rate),
@@ -1668,98 +1551,6 @@ fn churn(
         m.finish();
     }
     fold_shards(spec, outs, wall_secs)
-}
-
-/// Runs the churn workload with one thread per shard (live progress via
-/// the meter's merge-on-join counters). Per-session outcomes — and the
-/// report's digest — are identical to [`run_churn_isolated`]; only the
-/// timing fields differ.
-pub fn run_churn(spec: &ChurnSpec, meter: Option<&ProgressMeter>) -> ChurnReport {
-    churn(spec, meter, false, None, None)
-}
-
-/// Runs the churn workload stepping each shard *in isolation*,
-/// sequentially, so [`ChurnReport::shard_busy_secs`] is each shard's
-/// exact single-threaded cost with no core contention. This is the bench
-/// timing mode: on a host with a core per shard, wall time converges to
-/// the critical path these numbers bound.
-pub fn run_churn_isolated(spec: &ChurnSpec, meter: Option<&ProgressMeter>) -> ChurnReport {
-    churn(spec, meter, true, None, None)
-}
-
-/// [`run_churn`] with each shard reporting into its slice of `fleet` —
-/// the metered lane. Another thread holding a clone of the registry can
-/// sample [`FleetRegistry::snapshot`] / [`FleetRegistry::watch`] while
-/// the workload runs; per-session outcomes and the report's digest are
-/// identical to the unmetered lanes.
-///
-/// # Panics
-///
-/// Panics if the registry's shard count differs from
-/// `spec.server.shards`.
-pub fn run_churn_fleet(
-    spec: &ChurnSpec,
-    meter: Option<&ProgressMeter>,
-    fleet: &FleetRegistry,
-) -> ChurnReport {
-    churn(spec, meter, false, Some(fleet), None)
-}
-
-/// [`run_churn_isolated`] with fleet metrics attached — the metered
-/// bench lane the `METERED_BUDGET` overhead gate compares against its
-/// unmetered sibling.
-///
-/// # Panics
-///
-/// Panics if the registry's shard count differs from
-/// `spec.server.shards`.
-pub fn run_churn_fleet_isolated(
-    spec: &ChurnSpec,
-    meter: Option<&ProgressMeter>,
-    fleet: &FleetRegistry,
-) -> ChurnReport {
-    churn(spec, meter, true, Some(fleet), None)
-}
-
-/// [`run_churn`] with every shard engine sharing `prof`: each
-/// `prof.period()`-th slot quantum becomes a profiled window, so the
-/// per-phase cost table covers the whole fleet. Per-session outcomes and
-/// the report's digest are identical to the unprofiled lanes — the
-/// profiler only observes.
-pub fn run_churn_profiled(
-    spec: &ChurnSpec,
-    meter: Option<&ProgressMeter>,
-    prof: &Arc<PhaseProfiler>,
-) -> ChurnReport {
-    churn(spec, meter, false, None, Some(prof))
-}
-
-/// [`run_churn_isolated`] with phase profiling attached — the profiled
-/// bench lane the `PROF_BUDGET` overhead gate compares against its
-/// unprofiled sibling.
-pub fn run_churn_profiled_isolated(
-    spec: &ChurnSpec,
-    meter: Option<&ProgressMeter>,
-    prof: &Arc<PhaseProfiler>,
-) -> ChurnReport {
-    churn(spec, meter, true, None, Some(prof))
-}
-
-/// [`run_churn_fleet`] with phase profiling attached as well — the
-/// fully-instrumented lane `sessions_top` runs so its Prometheus
-/// exposition can include per-phase cost alongside the fleet gauges.
-///
-/// # Panics
-///
-/// Panics if the registry's shard count differs from
-/// `spec.server.shards`.
-pub fn run_churn_fleet_profiled(
-    spec: &ChurnSpec,
-    meter: Option<&ProgressMeter>,
-    fleet: &FleetRegistry,
-    prof: &Arc<PhaseProfiler>,
-) -> ChurnReport {
-    churn(spec, meter, false, Some(fleet), Some(prof))
 }
 
 #[cfg(test)]
@@ -2056,7 +1847,7 @@ mod tests {
 
     #[test]
     fn churn_outcomes_are_shard_count_invariant() {
-        let base = run_churn(&small_churn(400, 1), None);
+        let base = run_churn(&small_churn(400, 1), &ChurnRun::default());
         assert_eq!(base.submitted, 400);
         assert_eq!(
             base.completed + base.exhausted + base.disconnected,
@@ -2065,7 +1856,7 @@ mod tests {
         assert!(base.completed > 0);
         assert!(base.disconnected > 0, "10% walk-away rate must show up");
         for shards in [2u16, 4] {
-            let sharded = run_churn(&small_churn(400, shards), None);
+            let sharded = run_churn(&small_churn(400, shards), &ChurnRun::default());
             assert_eq!(sharded.completed, base.completed, "shards={shards}");
             assert_eq!(sharded.exhausted, base.exhausted, "shards={shards}");
             assert_eq!(sharded.disconnected, base.disconnected, "shards={shards}");
@@ -2077,8 +1868,14 @@ mod tests {
     #[test]
     fn churn_threaded_and_isolated_agree() {
         let spec = small_churn(300, 3);
-        let threaded = run_churn(&spec, None);
-        let isolated = run_churn_isolated(&spec, None);
+        let threaded = run_churn(&spec, &ChurnRun::default());
+        let isolated = run_churn(
+            &spec,
+            &ChurnRun {
+                isolated: true,
+                ..ChurnRun::default()
+            },
+        );
         assert_eq!(threaded.digest, isolated.digest);
         assert_eq!(threaded.completed, isolated.completed);
         assert_eq!(threaded.latency_rounds, isolated.latency_rounds);
@@ -2089,19 +1886,25 @@ mod tests {
 
     #[test]
     fn churn_is_deterministic_per_seed() {
-        let a = run_churn(&small_churn(200, 2), None);
-        let b = run_churn(&small_churn(200, 2), None);
+        let a = run_churn(&small_churn(200, 2), &ChurnRun::default());
+        let b = run_churn(&small_churn(200, 2), &ChurnRun::default());
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.completed, b.completed);
         let mut other = small_churn(200, 2);
         other.seed = 43;
-        let c = run_churn(&other, None);
+        let c = run_churn(&other, &ChurnRun::default());
         assert_ne!(a.digest, c.digest, "seed must matter");
     }
 
     #[test]
     fn churn_report_flattens_to_a_sessions_record() {
-        let report = run_churn_isolated(&small_churn(120, 2), None);
+        let report = run_churn(
+            &small_churn(120, 2),
+            &ChurnRun {
+                isolated: true,
+                ..ChurnRun::default()
+            },
+        );
         let record = report.record("bench_sessions");
         assert_eq!(record.shards, 2);
         assert_eq!(record.completed, report.completed);
@@ -2174,7 +1977,7 @@ mod tests {
             let mut spec = small_churn(100, 2);
             spec.seed = seed;
             spec.server.watchdog = Some(WatchdogSpec::default());
-            let report = run_churn(&spec, None);
+            let report = run_churn(&spec, &ChurnRun::default());
             assert_eq!(report.exhausted, 0, "seed={seed}: clean workload");
             assert!(
                 report.stalls.is_empty(),
@@ -2187,9 +1990,15 @@ mod tests {
     #[test]
     fn metered_churn_is_outcome_identical_and_fleet_counts_reconcile() {
         let spec = small_churn(300, 2);
-        let unmetered = run_churn(&spec, None);
+        let unmetered = run_churn(&spec, &ChurnRun::default());
         let fleet = FleetRegistry::new(2);
-        let metered = run_churn_fleet(&spec, None, &fleet);
+        let metered = run_churn(
+            &spec,
+            &ChurnRun {
+                fleet: Some(&fleet),
+                ..ChurnRun::default()
+            },
+        );
         assert_eq!(metered.digest, unmetered.digest);
         assert_eq!(metered.completed, unmetered.completed);
         assert_eq!(metered.latency_rounds, unmetered.latency_rounds);

@@ -1,15 +1,14 @@
 //! The lock-step world executor.
 
 use crate::error::SimError;
+use crate::kernel::{self, Components, Scratch, StepSink};
 use crate::metrics::RunStats;
 use crate::prof::{NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
-use stp_channel::{Channel, CorruptionCommand, DelChannel, DupChannel, EagerScheduler, Scheduler};
+use stp_channel::{Channel, DelChannel, DupChannel, EagerScheduler, Scheduler};
 use stp_core::alphabet::{RMsg, SMsg};
 use stp_core::data::DataSeq;
-use stp_core::event::{
-    CorruptionKind, Event, MsgEvent, MsgId, Probe, ProcessId, Step, Trace, TraceMode,
-};
-use stp_core::proto::{Receiver, ReceiverEvent, Sender, SenderEvent};
+use stp_core::event::{Event, MsgEvent, MsgId, Probe, ProcessId, Step, Trace, TraceMode};
+use stp_core::proto::{Receiver, Sender};
 use stp_core::require;
 use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 
@@ -27,6 +26,17 @@ pub struct World {
     receiver: Box<dyn Receiver>,
     channel: Box<dyn Channel>,
     scheduler: Box<dyn Scheduler>,
+    // Aggregate counters, maintained in every trace mode so stats-only
+    // sweeps can skip event recording entirely.
+    stats: RunStats,
+    scratch: Scratch,
+    rec: Recorder,
+}
+
+// The world's step sink: the trace, the probes, and the per-message
+// provenance state the kernel reports into.
+#[derive(Debug)]
+struct Recorder {
     trace: Trace,
     mode: TraceMode,
     probes: Vec<Box<dyn Probe>>,
@@ -40,38 +50,194 @@ pub struct World {
     prov_probes: Vec<usize>,
     event_probes: Vec<usize>,
     // Fast-path flag: every attached probe wants plain events (the common
-    // case), so `record` can fan out with a direct slice walk instead of
+    // case), so `event` can fan out with a direct slice walk instead of
     // the indexed one.
     all_want_events: bool,
-    // Provenance is on AND the channel can actually lose copies (delete
-    // or expire) — the only case the per-step loss-id bookkeeping has
-    // anything to track.
-    prov_loss: bool,
     // Ids are assigned densely from 0 per run, so `(seed, MsgId)` is
     // stable across pooled resets and re-runs of the same cell.
     next_msg_id: u64,
-    step: Step,
-    written: usize,
     reads_seen: usize,
-    // Aggregate counters, maintained in every trace mode so stats-only
-    // sweeps can skip event recording entirely.
-    sends_s: usize,
-    sends_r: usize,
-    deliveries_r: usize,
-    deliveries_s: usize,
-    drops: usize,
-    write_steps: Vec<Step>,
-    safe: bool,
-    // Scratch buffers for draining channel-initiated expiries once per
-    // step without allocating.
-    expiry_scratch_r: Vec<SMsg>,
-    expiry_scratch_s: Vec<RMsg>,
-    expiry_id_scratch_r: Vec<Option<MsgId>>,
-    expiry_id_scratch_s: Vec<Option<MsgId>>,
+    // Scratch for the expiry drain's provenance ids.
+    expiry_ids_r: Vec<Option<MsgId>>,
+    expiry_ids_s: Vec<Option<MsgId>>,
     // Ids the adversary deleted during the current step, kept (under
     // provenance) to assert that the expiry drain never re-surfaces a copy
     // already reported dropped in the same step.
-    deleted_ids_step: Vec<MsgId>,
+    deleted_ids: Vec<MsgId>,
+}
+
+impl Recorder {
+    fn new(input: DataSeq, mode: TraceMode, probes: Vec<Box<dyn Probe>>) -> Recorder {
+        let subscribers = |want: fn(&dyn Probe) -> bool| -> Vec<usize> {
+            (0..probes.len()).filter(|&i| want(&*probes[i])).collect()
+        };
+        let prov_probes = subscribers(|p| p.wants_provenance());
+        let event_probes = subscribers(|p| p.wants_events());
+        let mut rec = Recorder {
+            trace: Trace::new(input),
+            mode,
+            provenance: !prov_probes.is_empty(),
+            all_want_events: event_probes.len() == probes.len(),
+            prov_probes,
+            event_probes,
+            probes,
+            next_msg_id: 0,
+            reads_seen: 0,
+            expiry_ids_r: Vec::new(),
+            expiry_ids_s: Vec::new(),
+            deleted_ids: Vec::new(),
+        };
+        rec.start_run();
+        rec
+    }
+
+    fn reset(&mut self, input: &DataSeq) {
+        self.trace.reset(input);
+        self.next_msg_id = 0;
+        self.reads_seen = 0;
+        self.deleted_ids.clear();
+        self.start_run();
+    }
+
+    fn start_run(&mut self) {
+        for p in &mut self.probes {
+            p.on_run_start(self.trace.input());
+        }
+    }
+
+    fn emit(&mut self, t: Step, event: MsgEvent) {
+        for &i in &self.prov_probes {
+            self.probes[i].on_msg_event(t, &event);
+        }
+    }
+
+    fn expire_one(&mut self, t: Step, to: ProcessId, msg: u16, id: Option<MsgId>) {
+        self.event(t, Event::ChannelExpire { to, msg });
+        if self.provenance {
+            self.emit(t, MsgEvent::Expired { id, to, msg });
+        }
+    }
+}
+
+impl StepSink for Recorder {
+    #[inline]
+    fn input(&self) -> &DataSeq {
+        self.trace.input()
+    }
+
+    #[inline]
+    fn provenance(&self) -> bool {
+        self.provenance
+    }
+
+    #[inline]
+    fn event(&mut self, t: Step, event: Event) {
+        // Subscribed probes see every event, in execution order,
+        // regardless of what the trace mode keeps.
+        if self.all_want_events {
+            for p in &mut self.probes {
+                p.on_event(t, &event);
+            }
+        } else {
+            for &i in &self.event_probes {
+                self.probes[i].on_event(t, &event);
+            }
+        }
+        if self.mode.records(&event) {
+            self.trace.record(t, event);
+        }
+    }
+
+    #[inline]
+    fn sender_stepped(&mut self, t: Step, sender: &dyn Sender) {
+        let reads_now = sender.reads();
+        for pos in self.reads_seen..reads_now {
+            if let Some(item) = self.trace.input().get(pos) {
+                self.event(t, Event::Read { item, pos });
+            }
+        }
+        self.reads_seen = reads_now;
+    }
+
+    fn sent(&mut self, t: Step, channel: &mut dyn Channel, to: ProcessId, msg: u16) {
+        let id = MsgId(self.next_msg_id);
+        self.next_msg_id += 1;
+        let filed = match to {
+            ProcessId::Receiver => channel.note_send_s(SMsg(msg), id),
+            ProcessId::Sender => channel.note_send_r(RMsg(msg), id),
+        };
+        let coalesced_into = (filed != id).then_some(filed);
+        self.emit(
+            t,
+            MsgEvent::Sent {
+                id,
+                to,
+                msg,
+                coalesced_into,
+            },
+        );
+    }
+
+    fn dropped(&mut self, t: Step, channel: &mut dyn Channel, to: ProcessId, msg: u16) {
+        let id = match to {
+            ProcessId::Receiver => channel.take_deleted_id_to_r(),
+            ProcessId::Sender => channel.take_deleted_id_to_s(),
+        };
+        self.deleted_ids.extend(id);
+        self.emit(t, MsgEvent::Dropped { id, to, msg });
+    }
+
+    fn delivered(&mut self, t: Step, channel: &mut dyn Channel, to: ProcessId, msg: u16) {
+        let id = match to {
+            ProcessId::Receiver => channel.take_delivered_id_to_r(),
+            ProcessId::Sender => channel.take_delivered_id_to_s(),
+        };
+        self.emit(t, MsgEvent::Delivered { id, to, msg });
+    }
+
+    // Expiries are counted and evented exactly like adversarial loss,
+    // except as `ChannelExpire` so replay does not re-inject them.
+    fn expired(&mut self, t: Step, channel: &mut dyn Channel, to_r: &[SMsg], to_s: &[RMsg]) {
+        if self.provenance {
+            channel.take_expiration_ids(&mut self.expiry_ids_r, &mut self.expiry_ids_s);
+            // A copy the adversary already deleted this step left the
+            // channel then — it must never re-surface through the expiry
+            // drain, or drops would be double-counted.
+            debug_assert!(
+                self.expiry_ids_r
+                    .iter()
+                    .chain(&self.expiry_ids_s)
+                    .flatten()
+                    .all(|id| !self.deleted_ids.contains(id)),
+                "take_expirations yielded a copy already reported dropped this step"
+            );
+        }
+        for (i, m) in to_r.iter().enumerate() {
+            let id = self.expiry_ids_r.get(i).copied().flatten();
+            self.expire_one(t, ProcessId::Receiver, m.0, id);
+        }
+        for (i, m) in to_s.iter().enumerate() {
+            let id = self.expiry_ids_s.get(i).copied().flatten();
+            self.expire_one(t, ProcessId::Sender, m.0, id);
+        }
+        self.expiry_ids_r.clear();
+        self.expiry_ids_s.clear();
+    }
+
+    #[inline]
+    fn step_end<O: StepObs>(&mut self, t: Step, obs: &mut O) {
+        self.trace.set_steps(t + 1);
+        self.deleted_ids.clear();
+        // Without probes there is nothing to dispatch, and no clock
+        // reads are spent on an empty phase.
+        if !self.probes.is_empty() {
+            obs.mark(Phase::ProbeDispatch);
+            for p in &mut self.probes {
+                p.on_step_end(t);
+            }
+            obs.mark(Phase::Bookkeeping);
+        }
+    }
 }
 
 /// Fluent assembly of a [`World`].
@@ -156,40 +322,24 @@ impl WorldBuilder {
     /// that was never supplied.
     pub fn build(self) -> Result<World, SimError> {
         let missing = |component| SimError::MissingComponent { component };
-        let mut world = World::assemble(
-            self.input,
-            self.sender.ok_or_else(|| missing("sender"))?,
-            self.receiver.ok_or_else(|| missing("receiver"))?,
-            self.channel.ok_or_else(|| missing("channel"))?,
-            self.scheduler.ok_or_else(|| missing("scheduler"))?,
-            self.mode,
-        );
-        world.probes = self.probes;
-        world.prov_probes = world
-            .probes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.wants_provenance())
-            .map(|(i, _)| i)
-            .collect();
-        world.provenance = !world.prov_probes.is_empty();
-        world.event_probes = world
-            .probes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.wants_events())
-            .map(|(i, _)| i)
-            .collect();
-        world.all_want_events = world.event_probes.len() == world.probes.len();
+        let sender = self.sender.ok_or_else(|| missing("sender"))?;
+        let receiver = self.receiver.ok_or_else(|| missing("receiver"))?;
+        let mut channel = self.channel.ok_or_else(|| missing("channel"))?;
+        let scheduler = self.scheduler.ok_or_else(|| missing("scheduler"))?;
+        let stats = RunStats::empty(self.input.len());
+        let rec = Recorder::new(self.input, self.mode, self.probes);
         // Provenance must be switched on before the first send of the run;
         // the flag survives channel resets, so this is a build-time choice.
-        world.channel.set_provenance(world.provenance);
-        world.prov_loss =
-            world.provenance && (world.channel.can_delete() || world.channel.can_expire());
-        for p in &mut world.probes {
-            p.on_run_start(world.trace.input());
-        }
-        Ok(world)
+        channel.set_provenance(rec.provenance);
+        Ok(World {
+            sender,
+            receiver,
+            channel,
+            scheduler,
+            stats,
+            scratch: Scratch::default(),
+            rec,
+        })
     }
 }
 
@@ -204,46 +354,6 @@ impl World {
             scheduler: None,
             mode: TraceMode::default(),
             probes: Vec::new(),
-        }
-    }
-
-    fn assemble(
-        input: DataSeq,
-        sender: Box<dyn Sender>,
-        receiver: Box<dyn Receiver>,
-        channel: Box<dyn Channel>,
-        scheduler: Box<dyn Scheduler>,
-        mode: TraceMode,
-    ) -> Self {
-        World {
-            sender,
-            receiver,
-            channel,
-            scheduler,
-            trace: Trace::new(input),
-            mode,
-            probes: Vec::new(),
-            provenance: false,
-            prov_probes: Vec::new(),
-            event_probes: Vec::new(),
-            all_want_events: true,
-            prov_loss: false,
-            next_msg_id: 0,
-            step: 0,
-            written: 0,
-            reads_seen: 0,
-            sends_s: 0,
-            sends_r: 0,
-            deliveries_r: 0,
-            deliveries_s: 0,
-            drops: 0,
-            write_steps: Vec::new(),
-            safe: true,
-            expiry_scratch_r: Vec::new(),
-            expiry_scratch_s: Vec::new(),
-            expiry_id_scratch_r: Vec::new(),
-            expiry_id_scratch_s: Vec::new(),
-            deleted_ids_step: Vec::new(),
         }
     }
 
@@ -287,61 +397,32 @@ impl World {
         self.receiver.reset();
         self.channel.reset();
         self.scheduler.reset(seed);
-        self.trace.reset(input);
-        self.next_msg_id = 0;
-        self.step = 0;
-        self.written = 0;
-        self.reads_seen = 0;
-        self.sends_s = 0;
-        self.sends_r = 0;
-        self.deliveries_r = 0;
-        self.deliveries_s = 0;
-        self.drops = 0;
-        self.write_steps.clear();
-        self.safe = true;
-        self.expiry_scratch_r.clear();
-        self.expiry_scratch_s.clear();
-        self.expiry_id_scratch_r.clear();
-        self.expiry_id_scratch_s.clear();
-        self.deleted_ids_step.clear();
-        for p in &mut self.probes {
-            p.on_run_start(self.trace.input());
-        }
+        self.stats.reset(input.len());
+        self.rec.reset(input);
     }
 
     /// The trace-recording mode this world was assembled with.
     pub fn mode(&self) -> TraceMode {
-        self.mode
+        self.rec.mode
     }
 
     /// The current global step (number of steps executed so far).
     pub fn step_count(&self) -> Step {
-        self.step
+        self.stats.steps
     }
 
     /// The trace recorded so far. Under [`TraceMode::WritesOnly`] it holds
     /// only `Write` events; under [`TraceMode::Off`] it holds no events at
     /// all — use [`World::stats`] for the aggregates in those modes.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.rec.trace
     }
 
     /// Aggregate statistics of the run so far, maintained incrementally in
     /// every trace mode. Under [`TraceMode::Full`] this equals
     /// [`RunStats::of`] on the recorded trace.
     pub fn stats(&self) -> RunStats {
-        RunStats {
-            steps: self.step,
-            sends_s: self.sends_s,
-            sends_r: self.sends_r,
-            deliveries_r: self.deliveries_r,
-            deliveries_s: self.deliveries_s,
-            drops: self.drops,
-            written: self.written,
-            input_len: self.trace.input().len(),
-            safe: self.safe,
-            write_steps: self.write_steps.clone(),
-        }
+        self.stats.clone()
     }
 
     /// The channel, for inspection.
@@ -361,7 +442,7 @@ impl World {
 
     /// Number of items written so far.
     pub fn written(&self) -> usize {
-        self.written
+        self.stats.written
     }
 
     /// A hash of the live system state — sender and receiver fingerprints,
@@ -376,7 +457,7 @@ impl World {
         self.sender.fingerprint().hash(&mut h);
         self.receiver.fingerprint().hash(&mut h);
         self.channel.state_key().hash(&mut h);
-        self.written.hash(&mut h);
+        self.stats.written.hash(&mut h);
         h.finish()
     }
 
@@ -390,27 +471,31 @@ impl World {
             self.sender.box_clone(),
             self.receiver.box_clone(),
             self.channel.box_clone(),
-            self.written,
+            self.stats.written,
         )
     }
 
     /// Whether the sender reports completion and the output covers the
     /// whole input.
     pub fn is_complete(&self) -> bool {
-        self.sender.is_done() && self.written >= self.trace.input().len()
+        self.sender.is_done() && self.stats.written >= self.stats.input_len
     }
 
     /// The first attached probe of concrete type `P`, if one is attached —
     /// how a harness reads a `MetricsProbe`'s statistics back out of a
     /// pooled world.
     pub fn probe_of<P: Probe + 'static>(&self) -> Option<&P> {
-        self.probes.iter().find_map(|p| p.as_any().downcast_ref())
+        self.rec
+            .probes
+            .iter()
+            .find_map(|p| p.as_any().downcast_ref())
     }
 
     /// Mutable access to the first attached probe of concrete type `P`;
     /// see [`World::probe_of`].
     pub fn probe_of_mut<P: Probe + 'static>(&mut self) -> Option<&mut P> {
-        self.probes
+        self.rec
+            .probes
             .iter_mut()
             .find_map(|p| p.as_any_mut().downcast_mut())
     }
@@ -418,411 +503,31 @@ impl World {
     /// Whether per-message provenance tracking is active for this world
     /// (at least one attached probe asked for it).
     pub fn provenance_enabled(&self) -> bool {
-        self.provenance
-    }
-
-    fn record(&mut self, step: Step, event: Event) {
-        // Subscribed probes see every event, in execution order,
-        // regardless of what the trace mode keeps.
-        if self.all_want_events {
-            for p in &mut self.probes {
-                p.on_event(step, &event);
-            }
-        } else {
-            for &i in &self.event_probes {
-                self.probes[i].on_event(step, &event);
-            }
-        }
-        if self.mode.records(&event) {
-            self.trace.record(step, event);
-        }
-    }
-
-    fn emit_msg(&mut self, step: Step, event: MsgEvent) {
-        for &i in &self.prov_probes {
-            self.probes[i].on_msg_event(step, &event);
-        }
-    }
-
-    /// Applies one step's corruption commands. Scramble/desync strikes
-    /// call the processors' opt-in hooks (a protocol that does not
-    /// implement them absorbs the strike silently); injections forge a
-    /// message onto the channel as if the peer had sent it, with the
-    /// payload reduced modulo the victim's alphabet. Forged copies are
-    /// *not* recorded as `SendS`/`SendR` — that would misattribute them
-    /// to a processor in the local-history projections and double-send
-    /// on replay — but they do get provenance ids so message-lifecycle
-    /// probes can follow them.
-    fn apply_corruptions(&mut self, t: Step, commands: &[CorruptionCommand]) {
-        for cmd in commands {
-            let applied = match cmd.kind {
-                CorruptionKind::ScrambleSender => self.sender.scramble(cmd.draw),
-                CorruptionKind::ScrambleReceiver => self.receiver.scramble(cmd.draw),
-                CorruptionKind::DesyncSender => self.sender.desync(cmd.draw),
-                CorruptionKind::DesyncReceiver => self.receiver.desync(cmd.draw),
-                CorruptionKind::InjectToR => {
-                    let size = self.sender.alphabet().size();
-                    if size == 0 {
-                        false
-                    } else {
-                        let m = SMsg((cmd.draw % u64::from(size)) as u16);
-                        self.channel.send_s(m);
-                        if self.provenance {
-                            let id = MsgId(self.next_msg_id);
-                            self.next_msg_id += 1;
-                            let filed = self.channel.note_send_s(m, id);
-                            self.emit_msg(
-                                t,
-                                MsgEvent::Sent {
-                                    id,
-                                    to: ProcessId::Receiver,
-                                    msg: m.0,
-                                    coalesced_into: (filed != id).then_some(filed),
-                                },
-                            );
-                        }
-                        true
-                    }
-                }
-                CorruptionKind::InjectToS => {
-                    let size = self.receiver.alphabet().size();
-                    if size == 0 {
-                        false
-                    } else {
-                        let m = RMsg((cmd.draw % u64::from(size)) as u16);
-                        self.channel.send_r(m);
-                        if self.provenance {
-                            let id = MsgId(self.next_msg_id);
-                            self.next_msg_id += 1;
-                            let filed = self.channel.note_send_r(m, id);
-                            self.emit_msg(
-                                t,
-                                MsgEvent::Sent {
-                                    id,
-                                    to: ProcessId::Sender,
-                                    msg: m.0,
-                                    coalesced_into: (filed != id).then_some(filed),
-                                },
-                            );
-                        }
-                        true
-                    }
-                }
-            };
-            if applied {
-                self.record(
-                    t,
-                    Event::Corruption {
-                        kind: cmd.kind,
-                        draw: cmd.draw,
-                    },
-                );
-            }
-        }
+        self.rec.provenance
     }
 
     /// Executes one global step.
     pub fn step(&mut self) {
-        // The phases are irrelevant under `NoObs` (marks compile away);
-        // any pair works.
-        self.step_impl(&mut NoObs, Phase::DeliverPerfect, Phase::ExpirePerfect);
+        // The phases are irrelevant under `NoObs`; any pair works.
+        self.step_with(&mut NoObs, Phase::DeliverPerfect, Phase::ExpirePerfect);
     }
 
-    // One global step observed through an open profiling window (the
-    // threaded runner drives this directly when profiled).
-    pub(crate) fn step_observed(&mut self, obs: &mut ProfObs, deliver: Phase, expire: Phase) {
-        self.step_impl(obs, deliver, expire);
-    }
-
-    // The single source of truth for the step body. `O = NoObs`
-    // monomorphizes every `obs.mark` to nothing, so the unprofiled
-    // `step()` compiles to the same code as before the profiler existed;
-    // `O = ProfObs` timestamps each phase boundary. `deliver`/`expire`
-    // carry the channel kind so cost splits per kind.
-    fn step_impl<O: StepObs>(&mut self, obs: &mut O, deliver: Phase, expire: Phase) {
-        obs.mark(Phase::SchedulerDecide);
-        let t = self.step;
-        self.scheduler.note_progress(t, self.written);
-        let decision = self.scheduler.decide(t, &*self.channel);
-        if self.prov_loss {
-            self.deleted_ids_step.clear();
-        }
-
-        // Adversarial deletions first (they model in-transit loss).
-        obs.mark(deliver);
-        for i in 0..decision.delete_to_r.len() {
-            let msg = decision.delete_to_r[i];
-            if self.channel.delete_to_r(msg).is_ok() {
-                self.drops += 1;
-                self.record(
-                    t,
-                    Event::ChannelDrop {
-                        to: ProcessId::Receiver,
-                        msg: msg.0,
-                    },
-                );
-                if self.provenance {
-                    let id = self.channel.take_deleted_id_to_r();
-                    self.deleted_ids_step.extend(id);
-                    self.emit_msg(
-                        t,
-                        MsgEvent::Dropped {
-                            id,
-                            to: ProcessId::Receiver,
-                            msg: msg.0,
-                        },
-                    );
-                }
-            }
-        }
-        for i in 0..decision.delete_to_s.len() {
-            let msg = decision.delete_to_s[i];
-            if self.channel.delete_to_s(msg).is_ok() {
-                self.drops += 1;
-                self.record(
-                    t,
-                    Event::ChannelDrop {
-                        to: ProcessId::Sender,
-                        msg: msg.0,
-                    },
-                );
-                if self.provenance {
-                    let id = self.channel.take_deleted_id_to_s();
-                    self.deleted_ids_step.extend(id);
-                    self.emit_msg(
-                        t,
-                        MsgEvent::Dropped {
-                            id,
-                            to: ProcessId::Sender,
-                            msg: msg.0,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Transient corruption strikes land between loss and delivery:
-        // state scrambles and counter desyncs call the processors' opt-in
-        // hooks, injections forge messages onto the channel. A strike is
-        // recorded (as `Event::Corruption`) only when it took effect, so
-        // a scripted replay re-applies exactly the strikes that mattered.
-        if !decision.corruptions.is_empty() {
-            self.apply_corruptions(t, &decision.corruptions);
-        }
-
-        // Deliveries (against the post-deletion state; infeasible choices
-        // are ignored, which keeps adversaries honest without crashing).
-        let delivered_to_s = decision
-            .deliver_to_s
-            .filter(|m| self.channel.deliver_to_s(*m).is_ok());
-        if let Some(m) = delivered_to_s {
-            self.deliveries_s += 1;
-            self.record(t, Event::DeliverToS { msg: m });
-            if self.provenance {
-                let id = self.channel.take_delivered_id_to_s();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Delivered {
-                        id,
-                        to: ProcessId::Sender,
-                        msg: m.0,
-                    },
-                );
-            }
-        }
-        let delivered_to_r = decision
-            .deliver_to_r
-            .filter(|m| self.channel.deliver_to_r(*m).is_ok());
-        if let Some(m) = delivered_to_r {
-            self.deliveries_r += 1;
-            self.record(t, Event::DeliverToR { msg: m });
-            if self.provenance {
-                let id = self.channel.take_delivered_id_to_r();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Delivered {
-                        id,
-                        to: ProcessId::Receiver,
-                        msg: m.0,
-                    },
-                );
-            }
-        }
-
-        // Processor steps.
-        obs.mark(Phase::SenderStep);
-        let s_event = if t == 0 {
-            SenderEvent::Init
-        } else {
-            match delivered_to_s {
-                Some(m) => SenderEvent::Deliver(m),
-                None => SenderEvent::Tick,
-            }
+    fn step_with<O: StepObs>(&mut self, obs: &mut O, deliver: Phase, expire: Phase) {
+        let components = Components {
+            sender: &mut *self.sender,
+            receiver: &mut *self.receiver,
+            channel: &mut *self.channel,
+            scheduler: &mut *self.scheduler,
         };
-        let r_event = if t == 0 {
-            ReceiverEvent::Init
-        } else {
-            match delivered_to_r {
-                Some(m) => ReceiverEvent::Deliver(m),
-                None => ReceiverEvent::Tick,
-            }
-        };
-        let s_out = self.sender.on_event(s_event);
-        // Record tape reads the sender performed during this step. The
-        // receiver's step emits no events, so recording them before it
-        // keeps the trace order and saves a pair of phase marks.
-        let reads_now = self.sender.reads();
-        for pos in self.reads_seen..reads_now {
-            if let Some(item) = self.trace.input().get(pos) {
-                self.record(t, Event::Read { item, pos });
-            }
-        }
-        self.reads_seen = reads_now;
-
-        obs.mark(Phase::ReceiverStep);
-        let r_out = self.receiver.on_event(r_event);
-
-        // Apply outputs after deliveries: sends become deliverable next
-        // step at the earliest.
-        for &item in r_out.write.iter() {
-            // Positions are assigned consecutively, so safety reduces to
-            // "each written item matches the input at its position" —
-            // exactly what `require::check_safety` verifies on full traces.
-            self.safe &= self.trace.input().get(self.written) == Some(item);
-            self.write_steps.push(t);
-            self.record(
-                t,
-                Event::Write {
-                    item,
-                    pos: self.written,
-                },
-            );
-            self.written += 1;
-        }
-        obs.mark(deliver);
-        for &m in s_out.send.iter() {
-            self.channel.send_s(m);
-            self.sends_s += 1;
-            self.record(t, Event::SendS { msg: m });
-            if self.provenance {
-                let id = MsgId(self.next_msg_id);
-                self.next_msg_id += 1;
-                let filed = self.channel.note_send_s(m, id);
-                self.emit_msg(
-                    t,
-                    MsgEvent::Sent {
-                        id,
-                        to: ProcessId::Receiver,
-                        msg: m.0,
-                        coalesced_into: (filed != id).then_some(filed),
-                    },
-                );
-            }
-        }
-        for &m in r_out.send.iter() {
-            self.channel.send_r(m);
-            self.sends_r += 1;
-            self.record(t, Event::SendR { msg: m });
-            if self.provenance {
-                let id = MsgId(self.next_msg_id);
-                self.next_msg_id += 1;
-                let filed = self.channel.note_send_r(m, id);
-                self.emit_msg(
-                    t,
-                    MsgEvent::Sent {
-                        id,
-                        to: ProcessId::Sender,
-                        msg: m.0,
-                        coalesced_into: (filed != id).then_some(filed),
-                    },
-                );
-            }
-        }
-
-        // Channel clock (timed channels expire messages here), then the
-        // expiry drain: copies the channel itself destroyed this step are
-        // counted — and evented — exactly like adversarial loss, except as
-        // `ChannelExpire` so replay does not re-inject them.
-        obs.mark(expire);
-        self.channel.tick();
-        self.channel
-            .take_expirations(&mut self.expiry_scratch_r, &mut self.expiry_scratch_s);
-        if self.prov_loss {
-            self.channel
-                .take_expiration_ids(&mut self.expiry_id_scratch_r, &mut self.expiry_id_scratch_s);
-            // A copy the adversary already deleted this step left the
-            // channel then — it must never re-surface through the expiry
-            // drain, or drops would be double-counted.
-            debug_assert!(
-                self.expiry_id_scratch_r
-                    .iter()
-                    .chain(self.expiry_id_scratch_s.iter())
-                    .flatten()
-                    .all(|id| !self.deleted_ids_step.contains(id)),
-                "take_expirations yielded a copy already reported dropped this step"
-            );
-        }
-        for i in 0..self.expiry_scratch_r.len() {
-            let msg = self.expiry_scratch_r[i];
-            self.drops += 1;
-            self.record(
-                t,
-                Event::ChannelExpire {
-                    to: ProcessId::Receiver,
-                    msg: msg.0,
-                },
-            );
-            if self.provenance {
-                let id = self.expiry_id_scratch_r.get(i).copied().flatten();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Expired {
-                        id,
-                        to: ProcessId::Receiver,
-                        msg: msg.0,
-                    },
-                );
-            }
-        }
-        for i in 0..self.expiry_scratch_s.len() {
-            let msg = self.expiry_scratch_s[i];
-            self.drops += 1;
-            self.record(
-                t,
-                Event::ChannelExpire {
-                    to: ProcessId::Sender,
-                    msg: msg.0,
-                },
-            );
-            if self.provenance {
-                let id = self.expiry_id_scratch_s.get(i).copied().flatten();
-                self.emit_msg(
-                    t,
-                    MsgEvent::Expired {
-                        id,
-                        to: ProcessId::Sender,
-                        msg: msg.0,
-                    },
-                );
-            }
-        }
-        self.expiry_scratch_r.clear();
-        self.expiry_scratch_s.clear();
-        self.expiry_id_scratch_r.clear();
-        self.expiry_id_scratch_s.clear();
-
-        obs.mark(Phase::Bookkeeping);
-        self.step += 1;
-        self.trace.set_steps(self.step);
-        // Without probes there is nothing to dispatch, and no clock
-        // reads are spent on an empty phase.
-        if !self.probes.is_empty() {
-            obs.mark(Phase::ProbeDispatch);
-            for p in &mut self.probes {
-                p.on_step_end(t);
-            }
-            obs.mark(Phase::Bookkeeping);
-        }
+        kernel::step(
+            components,
+            &mut self.stats,
+            &mut self.scratch,
+            obs,
+            &mut self.rec,
+            deliver,
+            expire,
+        );
     }
 
     /// Runs exactly `steps` global steps and returns the trace.
@@ -830,7 +535,7 @@ impl World {
         for _ in 0..steps {
             self.step();
         }
-        &self.trace
+        &self.rec.trace
     }
 
     /// Runs until [`World::is_complete`] or `max_steps`, whichever first.
@@ -840,23 +545,19 @@ impl World {
     /// Returns the safety/liveness error if the run ended incomplete or
     /// unsafe (see [`require::check_complete`]).
     pub fn run_to_completion(&mut self, max_steps: Step) -> stp_core::Result<Trace> {
-        while self.step < max_steps && !self.is_complete() {
+        while self.stats.steps < max_steps && !self.is_complete() {
             self.step();
         }
-        require::check_complete(&self.trace)?;
-        Ok(self.trace.clone())
+        require::check_complete(&self.rec.trace)?;
+        Ok(self.rec.trace.clone())
     }
 
     /// Runs until `cond` holds or `max_steps` elapsed; reports whether the
     /// condition was reached.
-    pub fn run_until<F: FnMut(&World) -> bool>(&mut self, max_steps: Step, mut cond: F) -> bool {
-        while self.step < max_steps {
-            if cond(self) {
-                return true;
-            }
-            self.step();
-        }
-        cond(self)
+    pub fn run_until<F: FnMut(&World) -> bool>(&mut self, max_steps: Step, cond: F) -> bool {
+        // The phases are irrelevant under `NoObs`; any pair works.
+        let (deliver, expire) = (Phase::DeliverPerfect, Phase::ExpirePerfect);
+        self.run_until_with(max_steps, cond, &mut NoObs, deliver, expire)
     }
 
     /// Like [`World::run_until`], but the whole run is one profiling
@@ -867,28 +568,37 @@ impl World {
     pub fn run_until_profiled<F: FnMut(&World) -> bool>(
         &mut self,
         max_steps: Step,
-        mut cond: F,
+        cond: F,
         prof: &PhaseProfiler,
         deliver: Phase,
         expire: Phase,
     ) -> bool {
         let mut obs = ProfObs::begin();
-        let reached = loop {
-            if self.step >= max_steps {
-                break cond(self);
-            }
-            if cond(self) {
-                break true;
-            }
-            self.step_impl(&mut obs, deliver, expire);
-        };
+        let reached = self.run_until_with(max_steps, cond, &mut obs, deliver, expire);
         obs.finish(prof);
         reached
     }
 
+    fn run_until_with<F: FnMut(&World) -> bool, O: StepObs>(
+        &mut self,
+        max_steps: Step,
+        mut cond: F,
+        obs: &mut O,
+        deliver: Phase,
+        expire: Phase,
+    ) -> bool {
+        while self.stats.steps < max_steps {
+            if cond(self) {
+                return true;
+            }
+            self.step_with(obs, deliver, expire);
+        }
+        cond(self)
+    }
+
     /// Consumes the world and returns the recorded trace.
     pub fn into_trace(self) -> Trace {
-        self.trace
+        self.rec.trace
     }
 }
 

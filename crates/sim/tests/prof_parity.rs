@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use stp_protocols::ResendPolicy;
 use stp_sim::prelude::*;
-use stp_sim::sessions::{run_churn, run_churn_profiled, ChurnSpec, SessionTemplate};
+use stp_sim::sessions::{run_churn, ChurnRun, ChurnSpec, SessionTemplate};
 use stp_sim::PhaseProfiler;
 
 const SEEDS: u64 = 32;
@@ -85,24 +85,23 @@ fn profiled_sweep_is_bit_identical_to_unprofiled() {
 }
 
 #[test]
-fn profiled_steal_lane_keeps_coverage_and_parity() {
-    // The parallel lane must not dilute attribution: each steal worker
-    // samples every period-th of its own cells, so aggregate coverage
-    // stays ≥95% however many workers split the grid — and profiling a
-    // stolen sweep changes nothing about its results.
+fn profiled_parallel_lane_keeps_coverage_and_parity() {
+    // The parallel lane must not dilute attribution: each worker samples
+    // every period-th of its own cells, so aggregate coverage stays ≥95%
+    // however many workers split the grid — and profiling a parallel
+    // sweep changes nothing about its results.
     for (fname, family) in families() {
         for (cname, channel) in channels() {
-            let spec = sweep_spec(channel);
+            let engine = SweepEngine::new(sweep_spec(channel).threads(4));
             let built = family.build_sync();
-            let sweep = StealSweep::new(spec, 4).chunk(4);
-            let plain = sweep.run(&*built);
+            let plain = engine.run(&*built);
             let prof = PhaseProfiler::new(1);
-            let profiled = sweep.run_profiled(&*built, &prof);
+            let profiled = engine.run_profiled(&*built, &prof);
             assert_eq!(
                 plain.runs, profiled.runs,
-                "{fname}/{cname}: profiled steal lane must be bit-identical"
+                "{fname}/{cname}: profiled parallel lane must be bit-identical"
             );
-            let record = prof.report("prof_parity", "steal");
+            let record = prof.report("prof_parity", "parallel");
             assert!(record.windows > 0, "{fname}/{cname}: windows recorded");
             assert!(
                 record.coverage >= 0.95,
@@ -185,9 +184,15 @@ fn churn_spec() -> ChurnSpec {
 #[test]
 fn profiled_churn_digest_matches_unprofiled() {
     let spec = churn_spec();
-    let plain = run_churn(&spec, None);
+    let plain = run_churn(&spec, &ChurnRun::default());
     let prof = Arc::new(PhaseProfiler::new(PhaseProfiler::DEFAULT_PERIOD));
-    let profiled = run_churn_profiled(&spec, None, &prof);
+    let profiled = run_churn(
+        &spec,
+        &ChurnRun {
+            profiler: Some(&prof),
+            ..ChurnRun::default()
+        },
+    );
     assert_eq!(
         plain.digest, profiled.digest,
         "profiling must not change any session's outcome"
@@ -221,11 +226,17 @@ fn sampled_profiling_overhead_stays_loosely_bounded() {
     let prof = Arc::new(PhaseProfiler::new(PhaseProfiler::DEFAULT_PERIOD));
     for _ in 0..LAPS {
         let t = Instant::now();
-        let plain = run_churn(&spec, None);
+        let plain = run_churn(&spec, &ChurnRun::default());
         plain_secs = plain_secs.min(t.elapsed().as_secs_f64());
 
         let t = Instant::now();
-        let profiled = run_churn_profiled(&spec, None, &prof);
+        let profiled = run_churn(
+            &spec,
+            &ChurnRun {
+                profiler: Some(&prof),
+                ..ChurnRun::default()
+            },
+        );
         profiled_secs = profiled_secs.min(t.elapsed().as_secs_f64());
 
         assert_eq!(plain.digest, profiled.digest);

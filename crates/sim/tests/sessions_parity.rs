@@ -1,15 +1,22 @@
-//! Parity: the session store's tight loop against the legacy sweep path.
+//! Parity: the session store against the pooled-world sweep engine.
 //!
-//! The contract the tentpole rests on: a [`SessionEngine`] stepping a
-//! session to retirement produces [`RunStats`] *bit-identical* to the
-//! pooled-world [`SweepEngine`] running the same (family, input, channel,
-//! scheduler, seed) cell. The grid here is 32 seeds × {dup, del, timed}
-//! × {tight, abp, stabilizing} under two adversaries, and every cell is
-//! compared twice: once on virgin slots, and again on a second lap
-//! through the same (deliberately small) engine so every slot has been
-//! recycled — reset-in-place provisioning must not leak any state from
-//! the first lap.
+//! Both run the same step kernel. This suite pins what the session
+//! store adds around it, which no other test covers: the quantum-sliced
+//! stopping rule (completion checked before each step, the budget
+//! capping the count, exactly as `World::run_until(max_steps,
+//! is_complete)`) and recipe-keyed slot provisioning. A
+//! [`SessionEngine`] stepping a session to retirement must produce
+//! [`RunStats`] *bit-identical* to the [`SweepEngine`] running the same
+//! (family, input, channel, scheduler, seed) cell. The grid is 32 seeds
+//! × {dup, del, timed} × {tight, abp, stabilizing} under three
+//! adversaries — the third a fault campaign whose state scrambles and
+//! injected noise take the kernel's corruption path through both sinks —
+//! and every cell is compared twice: once on virgin slots, and again on
+//! a second lap through the same (deliberately small) engine so every
+//! slot has been recycled — reset-in-place provisioning must not leak
+//! any state from the first lap.
 
+use stp_core::event::{CorruptionKind, Event};
 use stp_protocols::ResendPolicy;
 use stp_sim::prelude::*;
 
@@ -44,9 +51,40 @@ fn channels() -> Vec<(&'static str, ChannelSpec)> {
     ]
 }
 
+// A duplication storm struck by processor state scrambles and by forged
+// messages injected in both directions.
+fn campaign() -> SchedulerSpec {
+    let plan = FaultPlan::new(13)
+        .with(
+            FaultClause::new(
+                FaultAction::StateScramble,
+                Trigger::EveryK {
+                    period: 11,
+                    offset: 4,
+                },
+            )
+            .repeats(2),
+        )
+        .with(
+            FaultClause::new(
+                FaultAction::InjectNoise,
+                Trigger::EveryK {
+                    period: 5,
+                    offset: 1,
+                },
+            )
+            .repeats(3),
+        );
+    SchedulerSpec::Campaign {
+        inner: Box::new(SchedulerSpec::DupStorm { p_deliver: 0.9 }),
+        plan,
+    }
+}
+
 fn sweep_spec(channel: ChannelSpec) -> SweepSpec {
     SweepSpec::new(channel, SchedulerSpec::DupStorm { p_deliver: 0.9 })
         .also_scheduler(SchedulerSpec::Random { p_deliver: 0.7 })
+        .also_scheduler(campaign())
         .max_steps(MAX_STEPS)
         .seeds(0..SEEDS)
         .trace_mode(TraceMode::Off)
@@ -105,6 +143,44 @@ fn session_store_matches_sweep_engine_bit_for_bit() {
             assert_eq!(
                 first, second,
                 "{fname}/{cname}: recycled slots replay identically"
+            );
+        }
+    }
+}
+
+#[test]
+fn campaign_cells_take_the_corruption_path() {
+    // The campaign adversary must actually strike — both kinds — or its
+    // cells above guard nothing. The recorded trace lists the strikes
+    // that took effect.
+    for (fname, family) in families() {
+        for (cname, channel) in channels() {
+            let spec = SweepSpec::new(channel, campaign())
+                .max_steps(MAX_STEPS)
+                .seeds(0..SEEDS)
+                .threads(1);
+            let outcome = SweepEngine::new(spec).run_serial(&*family.build());
+            let strikes: Vec<CorruptionKind> = outcome
+                .runs
+                .iter()
+                .filter_map(|r| r.trace.as_ref())
+                .flat_map(|t| t.events())
+                .filter_map(|e| match e.event {
+                    Event::Corruption { kind, .. } => Some(kind),
+                    _ => None,
+                })
+                .collect();
+            let fired = |want: &[CorruptionKind]| strikes.iter().any(|k| want.contains(k));
+            assert!(
+                fired(&[
+                    CorruptionKind::ScrambleSender,
+                    CorruptionKind::ScrambleReceiver
+                ]),
+                "{fname}/{cname}: no scramble took effect"
+            );
+            assert!(
+                fired(&[CorruptionKind::InjectToR, CorruptionKind::InjectToS]),
+                "{fname}/{cname}: no injection took effect"
             );
         }
     }
