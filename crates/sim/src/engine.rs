@@ -15,11 +15,13 @@
 //!   [`TraceMode`]; under [`TraceMode::Off`] the run
 //!   allocates no events at all and statistics come from the world's
 //!   incremental counters.
-//! * **Lock-free merge** — workers pull cells off a shared
-//!   [`AtomicUsize`] cursor and keep `(cell index, run)` pairs in a
-//!   private vector; after the join each run is scattered into its grid
-//!   slot, so no lock is ever contended and the outcome is in grid order
-//!   however the cells interleaved.
+//! * **In-place fill** — the grid's result slots are allocated once, in
+//!   grid order, and dealt out in 16-cell chunks from a shared
+//!   [`Mutex`]; each worker writes every run straight into its slot, so
+//!   the outcome is in grid order however the chunks interleaved, with
+//!   no per-worker buckets and no scatter after the join. The serial
+//!   path is the same fill loop on the calling thread, and
+//!   [`SweepEngine::run_isolated`] is the same loop over a static deal.
 //!
 //! The grid itself is the cartesian product *schedulers × claimed
 //! sequences × seeds*, flattened scheduler-major so a single-scheduler
@@ -37,7 +39,8 @@ use crate::slo::SloConfig;
 use crate::telemetry::ProgressMeter;
 use crate::world::World;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::iter;
+use std::sync::Mutex;
 use std::time::Instant;
 use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::data::DataSeq;
@@ -180,12 +183,9 @@ pub struct SweepEngine {
     spec: SweepSpec,
 }
 
-/// One grid cell: scheduler index, index into the family's claimed
-/// sequences, adversary seed. Indices rather than owned sequences keep
-/// the work list allocation-free however large the grid.
-type Cell = (usize, usize, u64);
-
-/// Cells per chunk of [`SweepEngine::run_isolated`]'s static deal.
+/// Grid cells per chunk: the unit in which workers take slots to fill,
+/// from the shared deal of [`SweepEngine::run`] or the static one of
+/// [`SweepEngine::run_isolated`].
 const DEAL_CHUNK: usize = 16;
 
 /// A timed [`SweepEngine::run_isolated`] result: the merged outcome plus
@@ -197,8 +197,9 @@ pub struct IsolatedReport {
     pub outcome: SweepOutcome,
     /// Busy seconds per worker, indexed by worker id.
     pub worker_busy_secs: Vec<f64>,
-    /// Wall-clock seconds for the whole isolated pass (the sum of the
-    /// busy times, plus merge overhead).
+    /// Wall-clock seconds for the whole isolated pass: the sum of the
+    /// busy times, plus building the claimed family and the slots before
+    /// them and packaging the outcome after.
     pub wall_secs: f64,
 }
 
@@ -229,21 +230,6 @@ impl SweepEngine {
     /// The spec this engine runs.
     pub fn spec(&self) -> &SweepSpec {
         &self.spec
-    }
-
-    /// Flattens the grid scheduler-major, then sequence, then seed — the
-    /// legacy sweep order within each scheduler block.
-    fn work_list(&self, claimed: &[DataSeq]) -> Vec<Cell> {
-        let mut work =
-            Vec::with_capacity(self.spec.schedulers.len() * claimed.len() * self.spec.seeds.len());
-        for sched in 0..self.spec.schedulers.len() {
-            for xi in 0..claimed.len() {
-                for &seed in &self.spec.seeds {
-                    work.push((sched, xi, seed));
-                }
-            }
-        }
-        work
     }
 
     /// Runs the whole grid across the spec's worker threads, pooling one
@@ -288,79 +274,26 @@ impl SweepEngine {
         if threads <= 1 {
             return self.run_serial_inner(family, meter, prof);
         }
-        let claimed = family.claimed_family();
-        let work = self.work_list(claimed.seqs());
-        if let Some(m) = meter {
-            m.begin(work.len());
-        }
-        let cursor = AtomicUsize::new(0);
-        let spec = &self.spec;
-        let claimed = &claimed;
-        let work = &work;
-        let cursor = &cursor;
-        // One worker's loop; it captures only shared references, so it
-        // is `Copy` and runs both on spawned threads and on this one.
-        let worker = move || {
-            // The pool: one lazily built world per scheduler recipe,
-            // reset between cells. Worlds never cross threads, so no
-            // Send bound is needed on the boxed components.
-            if let Some(m) = meter {
-                m.worker_started();
-            }
-            let mut worlds: Vec<Option<World>> = (0..spec.schedulers.len()).map(|_| None).collect();
-            let mut out = Vec::new();
-            // Per-worker sampling tick: each worker profiles every
-            // `period`-th of *its own* cells, so the sampled share is
-            // period-independent of the thread count.
-            let mut tick: u64 = 0;
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= work.len() {
-                    break;
+        self.run_grid(family, meter, |claimed, slots| {
+            let deal = Mutex::new(slots.chunks_mut(DEAL_CHUNK).enumerate());
+            // One worker: it captures only shared references, so it is
+            // `Copy` and runs both on spawned threads and on this one.
+            let worker = || {
+                let next = || {
+                    deal.lock()
+                        .expect("no worker panics holding the deal")
+                        .next()
+                };
+                self.fill(family, claimed, prof, meter, iter::from_fn(next));
+            };
+            // The calling thread is worker 0; `threads - 1` more are spawned.
+            std::thread::scope(|scope| {
+                for _ in 1..threads {
+                    scope.spawn(worker);
                 }
-                let cell_prof = prof.filter(|p| {
-                    tick += 1;
-                    p.sample(tick)
-                });
-                let (sched, xi, seed) = work[i];
-                out.push((
-                    i,
-                    run_cell(
-                        &mut worlds,
-                        family,
-                        spec,
-                        sched,
-                        &claimed.seqs()[xi],
-                        seed,
-                        cell_prof,
-                    ),
-                ));
-                if let Some(m) = meter {
-                    m.record_done(1);
-                }
-            }
-            if let Some(m) = meter {
-                m.worker_finished();
-            }
-            out
-        };
-        // The calling thread is worker 0; `threads - 1` more are spawned.
-        let buckets: Vec<Vec<(usize, MemberRun)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-            let mut buckets = Vec::with_capacity(threads);
-            buckets.push(worker());
-            buckets.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked")),
-            );
-            buckets
-        });
-        let outcome = merge(work.len(), buckets);
-        if let Some(m) = meter {
-            m.finish();
-        }
-        outcome
+                worker();
+            });
+        })
     }
 
     /// Runs the whole grid on the calling thread with one pooled world
@@ -388,49 +321,17 @@ impl SweepEngine {
         self.run_serial_inner(family, None, Some(prof))
     }
 
+    /// One worker on the calling thread, taking every chunk in order.
     fn run_serial_inner(
         &self,
         family: &dyn ProtocolFamily,
         meter: Option<&ProgressMeter>,
         prof: Option<&PhaseProfiler>,
     ) -> SweepOutcome {
-        let mut worlds: Vec<Option<World>> =
-            (0..self.spec.schedulers.len()).map(|_| None).collect();
-        let claimed = family.claimed_family();
-        let work = self.work_list(claimed.seqs());
-        if let Some(m) = meter {
-            m.begin(work.len());
-            m.worker_started();
-        }
-        let mut tick: u64 = 0;
-        let runs = work
-            .into_iter()
-            .map(|(sched, xi, seed)| {
-                let cell_prof = prof.filter(|p| {
-                    tick += 1;
-                    p.sample(tick)
-                });
-                let run = run_cell(
-                    &mut worlds,
-                    family,
-                    &self.spec,
-                    sched,
-                    &claimed.seqs()[xi],
-                    seed,
-                    cell_prof,
-                );
-                if let Some(m) = meter {
-                    m.record_done(1);
-                }
-                run
-            })
-            .collect();
-        let outcome = SweepOutcome::from_runs(runs);
-        if let Some(m) = meter {
-            m.worker_finished();
-            m.finish();
-        }
-        outcome
+        self.run_grid(family, meter, |claimed, slots| {
+            let chunks = slots.chunks_mut(DEAL_CHUNK).enumerate();
+            self.fill(family, claimed, prof, meter, chunks);
+        })
     }
 
     /// Runs every worker's share of a static deal sequentially on the
@@ -443,58 +344,108 @@ impl SweepEngine {
     pub fn run_isolated(&self, family: &dyn ProtocolFamily) -> IsolatedReport {
         let wall = Instant::now();
         let workers = self.spec.resolved_threads();
-        let claimed = family.claimed_family();
-        let work = self.work_list(claimed.seqs());
-        let mut buckets = Vec::with_capacity(workers);
         let mut busy = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let t = Instant::now();
-            let mut worlds: Vec<Option<World>> =
-                (0..self.spec.schedulers.len()).map(|_| None).collect();
-            let out: Vec<(usize, MemberRun)> = dealt(work.len(), workers, w)
-                .map(|i| {
-                    let (sched, xi, seed) = work[i];
-                    let x = &claimed.seqs()[xi];
-                    (
-                        i,
-                        run_cell(&mut worlds, family, &self.spec, sched, x, seed, None),
-                    )
-                })
-                .collect();
-            busy.push(t.elapsed().as_secs_f64());
-            buckets.push(out);
-        }
+        let outcome = self.run_grid(family, None, |claimed, slots| {
+            for w in 0..workers {
+                let t = Instant::now();
+                self.fill(family, claimed, None, None, dealt(slots, workers, w));
+                busy.push(t.elapsed().as_secs_f64());
+            }
+        });
         IsolatedReport {
-            outcome: merge(work.len(), buckets),
+            outcome,
             worker_busy_secs: busy,
             wall_secs: wall.elapsed().as_secs_f64(),
         }
     }
-}
 
-/// The cell indices worker `w` owns in [`SweepEngine::run_isolated`]'s
-/// deal of `cells` cells over `workers` workers. Round-robin chunks
-/// (rather than contiguous blocks) keep the deal balanced even when cell
-/// cost drifts across the grid.
-fn dealt(cells: usize, workers: usize, w: usize) -> impl Iterator<Item = usize> {
-    (w * DEAL_CHUNK..cells)
-        .step_by(workers * DEAL_CHUNK)
-        .flat_map(move |start| start..(start + DEAL_CHUNK).min(cells))
-}
-
-/// Restores grid order from per-worker `(cell index, run)` buckets by
-/// scattering each run into its slot.
-fn merge(cells: usize, buckets: Vec<Vec<(usize, MemberRun)>>) -> SweepOutcome {
-    let mut slots: Vec<Option<MemberRun>> = std::iter::repeat_with(|| None).take(cells).collect();
-    for (i, run) in buckets.into_iter().flatten() {
-        slots[i] = Some(run);
-    }
-    SweepOutcome::from_runs(
-        slots
+    /// Allocates the grid's slots once, in grid order, lets `deal` hand
+    /// them to workers that fill them in place, and packages the runs.
+    fn run_grid(
+        &self,
+        family: &dyn ProtocolFamily,
+        meter: Option<&ProgressMeter>,
+        deal: impl FnOnce(&[DataSeq], &mut [Option<MemberRun>]),
+    ) -> SweepOutcome {
+        let claimed = family.claimed_family();
+        let cells = self.spec.schedulers.len() * claimed.len() * self.spec.seeds.len();
+        let mut slots = vec![None; cells];
+        if let Some(m) = meter {
+            m.begin(slots.len());
+        }
+        deal(claimed.seqs(), &mut slots);
+        // `Option<MemberRun>` and `MemberRun` share a layout, so this
+        // collect reuses the slot vector's buffer.
+        let runs = slots
             .into_iter()
             .map(|run| run.expect("every grid cell ran exactly once"))
-            .collect(),
-    )
+            .collect();
+        let outcome = SweepOutcome::from_runs(runs);
+        if let Some(m) = meter {
+            m.finish();
+        }
+        outcome
+    }
+
+    /// One worker's fill loop: runs every cell of every `(chunk index,
+    /// chunk)` it is handed on its own pool of worlds (one per scheduler
+    /// recipe, built lazily and reset between cells; worlds never cross
+    /// threads, so the boxed components need no `Send` bound) and writes
+    /// each run into its grid slot. A cell's `(scheduler, sequence, seed)`
+    /// follows from its grid index, scheduler-major, then sequence, then
+    /// seed — the legacy sweep order within each scheduler block.
+    fn fill<'s>(
+        &self,
+        family: &dyn ProtocolFamily,
+        claimed: &[DataSeq],
+        prof: Option<&PhaseProfiler>,
+        meter: Option<&ProgressMeter>,
+        chunks: impl Iterator<Item = (usize, &'s mut [Option<MemberRun>])>,
+    ) {
+        if let Some(m) = meter {
+            m.worker_started();
+        }
+        let spec = &self.spec;
+        let mut worlds: Vec<Option<World>> = (0..spec.schedulers.len()).map(|_| None).collect();
+        let seeds = spec.seeds.len();
+        let per_scheduler = claimed.len() * seeds;
+        // Per-worker sampling tick: each worker profiles every
+        // `period`-th of *its own* cells, so the sampled share is
+        // independent of the thread count.
+        let mut tick: u64 = 0;
+        for (c, chunk) in chunks {
+            for (i, slot) in (c * DEAL_CHUNK..).zip(chunk) {
+                let cell_prof = prof.filter(|p| {
+                    tick += 1;
+                    p.sample(tick)
+                });
+                let (sched, rest) = (i / per_scheduler, i % per_scheduler);
+                let x = &claimed[rest / seeds];
+                let seed = spec.seeds[rest % seeds];
+                let run = run_cell(&mut worlds, family, spec, sched, x, seed, cell_prof);
+                *slot = Some(run);
+                if let Some(m) = meter {
+                    m.record_done(1);
+                }
+            }
+        }
+        if let Some(m) = meter {
+            m.worker_finished();
+        }
+    }
+}
+
+/// Worker `w`'s share of [`SweepEngine::run_isolated`]'s static deal of
+/// `slots` over `workers` workers: every `workers`-th chunk from chunk
+/// `w`, with its chunk index. Round-robin chunks (rather than contiguous
+/// blocks) keep the deal balanced even when cell cost drifts across the
+/// grid.
+fn dealt<T>(slots: &mut [T], workers: usize, w: usize) -> impl Iterator<Item = (usize, &mut [T])> {
+    slots
+        .chunks_mut(DEAL_CHUNK)
+        .enumerate()
+        .skip(w)
+        .step_by(workers)
 }
 
 /// Executes one grid cell on a pooled world, building it on first use and
@@ -674,7 +625,7 @@ mod tests {
     #[test]
     fn observed_run_reports_progress_without_changing_results() {
         use crate::telemetry::ProgressMeter;
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
         let family = TightFamily::new(3, ResendPolicy::Once);
         let engine = SweepEngine::new(storm_spec().threads(2));
@@ -806,12 +757,16 @@ mod tests {
     #[test]
     fn deal_covers_the_grid_without_overlap() {
         for (cells, workers) in [(29, 3), (100, 4), (20, 8), (0, 2)] {
+            let mut grid: Vec<usize> = (0..cells).collect();
             let mut seen = vec![false; cells];
             for w in 0..workers {
-                for i in dealt(cells, workers, w) {
-                    assert!(!seen[i], "{cells}/{workers}: cell {i} dealt twice");
-                    assert_eq!((i / DEAL_CHUNK) % workers, w, "chunk on the wrong worker");
-                    seen[i] = true;
+                for (c, chunk) in dealt(&mut grid, workers, w) {
+                    assert_eq!(c % workers, w, "chunk on the wrong worker");
+                    for (&mut i, k) in chunk.iter_mut().zip(c * DEAL_CHUNK..) {
+                        assert_eq!(i, k, "{cells}/{workers}: chunk {c} misindexed");
+                        assert!(!seen[i], "{cells}/{workers}: cell {i} dealt twice");
+                        seen[i] = true;
+                    }
                 }
             }
             assert!(
@@ -819,20 +774,5 @@ mod tests {
                 "{cells}/{workers}: cell never dealt"
             );
         }
-    }
-
-    #[test]
-    fn more_workers_than_chunks_still_completes() {
-        // A 2-item grid of a few dozen cells fills fewer 16-cell chunks
-        // than there are workers: the idle workers time an empty share.
-        let family = TightFamily::new(2, ResendPolicy::Once);
-        let spec = storm_spec().seeds(0..6).trace_mode(TraceMode::Off);
-        let serial = SweepEngine::new(spec.clone()).run_serial(&family);
-        assert!(serial.len() < 8 * DEAL_CHUNK);
-        let engine = SweepEngine::new(spec.threads(8));
-        assert_eq!(engine.run(&family).runs, serial.runs);
-        let report = engine.run_isolated(&family);
-        assert_eq!(report.outcome.runs, serial.runs);
-        assert_eq!(report.worker_busy_secs.len(), 8);
     }
 }

@@ -2,13 +2,20 @@
 //!
 //! [`SweepEngine::run`]'s contract is that its outcome is
 //! **bit-identical** to the serial engine's, whatever the worker count
-//! and however the workers interleave on the shared cursor. The grid
+//! and however the workers interleave on the shared deal. The grid
 //! discipline mirrors `prof_parity`: 32 seeds × {dup, del, timed} ×
 //! {tight, abp, stabilizing} under two adversaries, checked at 1/2/8
 //! workers, plus a second lap over recycled pooled worlds and the timed
-//! isolated mode the scaling bench lanes are built on.
+//! isolated mode the scaling bench lanes are built on. The edge grids —
+//! empty, a single cell, sizes that are not a multiple of the 16-cell
+//! deal chunk, more workers than chunks, and mostly failing runs — check
+//! `failures` and the progress meter's count as well.
 
-use stp_protocols::ResendPolicy;
+use std::time::Duration;
+use stp_core::data::DataSeq;
+use stp_core::proto::{Receiver, Sender};
+use stp_core::sequence::SequenceFamily;
+use stp_protocols::{ProtocolFamily, ResendPolicy, TightFamily};
 use stp_sim::prelude::*;
 
 const SEEDS: u64 = 32;
@@ -136,4 +143,142 @@ fn isolated_mode_matches_real_threads_and_times_every_worker() {
         assert!(report.runs_per_sec() > 0.0);
         assert!(report.critical_path_secs() <= report.wall_secs);
     }
+}
+
+/// The tight family, claiming only the last `count` of its sequences (the
+/// longest ones), so a grid can have any size.
+#[derive(Debug)]
+struct LastClaimed {
+    inner: TightFamily,
+    count: usize,
+}
+
+impl ProtocolFamily for LastClaimed {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn claimed_family(&self) -> SequenceFamily {
+        let all = self.inner.claimed_family();
+        let skip = all.len() - self.count;
+        SequenceFamily::from_seqs(all.seqs()[skip..].iter().cloned()).expect("distinct sequences")
+    }
+
+    fn sender_alphabet_size(&self) -> u16 {
+        self.inner.sender_alphabet_size()
+    }
+
+    fn sender_for(&self, x: &DataSeq) -> Box<dyn Sender> {
+        self.inner.sender_for(x)
+    }
+
+    fn receiver(&self) -> Box<dyn Receiver> {
+        self.inner.receiver()
+    }
+}
+
+fn last_claimed(count: usize) -> LastClaimed {
+    LastClaimed {
+        inner: TightFamily::new(3, ResendPolicy::Once),
+        count,
+    }
+}
+
+/// The three E1 adversaries on the dup channel.
+fn e1_spec() -> SweepSpec {
+    SweepSpec::new(ChannelSpec::Dup, SchedulerSpec::DupStorm { p_deliver: 0.9 })
+        .also_scheduler(SchedulerSpec::Reorder)
+        .also_scheduler(SchedulerSpec::Random { p_deliver: 0.5 })
+        .max_steps(MAX_STEPS)
+        .seeds([0])
+        .trace_mode(TraceMode::Off)
+        .probe(true)
+}
+
+/// Runs `spec` observed at 1, 2 and 8 workers and isolated at the same
+/// widths, checks each outcome's runs, report and failures against the
+/// serial engine's and the meter's count against the grid size, and
+/// returns the serial outcome.
+fn assert_every_executor_matches_serial(
+    label: &str,
+    family: &(dyn ProtocolFamily + Sync),
+    spec: &SweepSpec,
+    cells: usize,
+) -> SweepOutcome {
+    assert_eq!(spec.grid_size(family), cells, "{label}: grid size");
+    let serial = SweepEngine::new(spec.clone()).run_serial(family);
+    assert_eq!(serial.len(), cells, "{label}: serial run count");
+    for workers in [1, 2, 8] {
+        let engine = SweepEngine::new(spec.clone().threads(workers));
+        let meter = ProgressMeter::new(Duration::ZERO, |_| {});
+        let observed = engine.run_observed(family, Some(&meter));
+        let snap = meter.snapshot();
+        assert_eq!(snap.done, cells, "{label}, {workers} workers: meter ticks");
+        assert_eq!(snap.total, cells, "{label}, {workers} workers: meter total");
+        assert_eq!(
+            snap.workers_alive, 0,
+            "{label}, {workers} workers: workers left"
+        );
+        let isolated = engine.run_isolated(family);
+        assert_eq!(isolated.worker_busy_secs.len(), workers);
+        for (mode, outcome) in [("run", observed), ("isolated", isolated.outcome)] {
+            let at = format!("{label}, {workers} workers, {mode}");
+            assert_eq!(serial.runs, outcome.runs, "{at}: runs");
+            assert_eq!(serial.report, outcome.report, "{at}: report");
+            assert_eq!(serial.failures, outcome.failures, "{at}: failures");
+        }
+    }
+    serial
+}
+
+#[test]
+fn an_empty_grid_runs_nothing_at_every_width() {
+    let family = last_claimed(16);
+    let outcome =
+        assert_every_executor_matches_serial("no seeds", &family, &e1_spec().seeds([]), 0);
+    assert!(outcome.is_empty() && outcome.all_complete());
+}
+
+#[test]
+fn a_single_cell_grid_runs_once_at_every_width() {
+    let spec = SweepSpec::new(ChannelSpec::Dup, SchedulerSpec::DupStorm { p_deliver: 0.9 })
+        .max_steps(MAX_STEPS)
+        .seeds([5]);
+    let outcome = assert_every_executor_matches_serial("one cell", &last_claimed(1), &spec, 1);
+    assert_eq!(outcome.runs[0].seed, 5);
+    assert!(outcome.runs[0].trace.is_some());
+    assert!(outcome.all_complete(), "failures: {:?}", outcome.failures);
+}
+
+#[test]
+fn a_ragged_grid_keeps_every_cell_in_grid_order() {
+    // 11 sequences × 3 adversaries = 33 cells: two full chunks and a
+    // one-cell tail, with both scheduler boundaries inside a chunk, and
+    // fewer chunks than the widest run has workers.
+    let family = last_claimed(11);
+    let outcome = assert_every_executor_matches_serial("33 cells", &family, &e1_spec(), 33);
+    let claimed = family.claimed_family();
+    for (i, run) in outcome.runs.iter().enumerate() {
+        assert_eq!(run.scheduler, i / 11, "cell {i}: scheduler");
+        assert_eq!(run.input, claimed.seqs()[i % 11], "cell {i}: input");
+    }
+    assert!(outcome.all_complete(), "failures: {:?}", outcome.failures);
+}
+
+#[test]
+fn mostly_failing_grids_list_failures_in_grid_order() {
+    // Three steps complete only the shortest inputs, so most cells fail
+    // and `failures` must list them in the serial engine's order.
+    let family = last_claimed(13);
+    let spec = e1_spec()
+        .max_steps(3)
+        .seeds(0..3)
+        .trace_mode(TraceMode::Full);
+    let outcome = assert_every_executor_matches_serial("max_steps 3", &family, &spec, 117);
+    assert!(
+        outcome.failures.len() > outcome.len() / 2,
+        "only {} of {} cells failed",
+        outcome.failures.len(),
+        outcome.len()
+    );
 }
