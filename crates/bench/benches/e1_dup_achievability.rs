@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::event::TraceMode;
 use stp_protocols::{ResendPolicy, TightFamily};
-use stp_sim::{sweep_family, SweepSpec};
+use stp_sim::{SweepEngine, SweepSpec};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e1_dup_achievability");
@@ -14,9 +14,11 @@ fn bench(c: &mut Criterion) {
             let spec = SweepSpec::new(ChannelSpec::Dup, SchedulerSpec::DupStorm { p_deliver: 0.9 })
                 .max_steps(4_000)
                 .seeds([0])
-                .trace_mode(TraceMode::Off);
+                .trace_mode(TraceMode::Off)
+                .threads(1);
+            let engine = SweepEngine::new(spec);
             b.iter(|| {
-                let out = sweep_family(&family, &spec);
+                let out = engine.run(&family);
                 assert!(out.all_complete());
                 out.len()
             })

@@ -61,7 +61,7 @@ use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_protocols::{FamilySpec, ResendPolicy};
 use stp_sim::fleet::{FleetRegistry, WatchdogSpec};
 use stp_sim::sessions::{run_churn, ChurnReport, ChurnRun, ChurnSpec, ServerSpec, SessionTemplate};
-use stp_sim::{PhaseProfiler, SessionsRecord};
+use stp_sim::{PhaseProfiler, SessionsRecord, TelemetryLine};
 
 /// One shard-count lane of the benchmark.
 #[derive(Debug, Serialize)]
@@ -371,16 +371,18 @@ fn main() {
     if let Err(e) = history::append(Path::new(HISTORY_FILE), &history_record) {
         eprintln!("bench_sessions: cannot append {HISTORY_FILE}: {e}");
     }
-    stp_bench::telemetry::export_profs("bench_sessions", &[prof_record]);
+    stp_bench::telemetry::export("bench_sessions", [TelemetryLine::Prof(prof_record)]);
 
-    stp_bench::telemetry::export_sessions("bench_sessions", &records);
-    let mut fleet_records: Vec<_> = snapshot
+    stp_bench::telemetry::export(
+        "bench_sessions",
+        records.iter().cloned().map(TelemetryLine::Sessions),
+    );
+    let fleet_records = snapshot
         .shards
         .iter()
         .map(|s| s.record("bench_sessions"))
-        .collect();
-    fleet_records.push(stats.record("bench_sessions"));
-    stp_bench::telemetry::export_fleet("bench_sessions", &fleet_records);
+        .chain([stats.record("bench_sessions")]);
+    stp_bench::telemetry::export("bench_sessions", fleet_records.map(TelemetryLine::Fleet));
     // Headline gates, re-checked (with reviewed budgets) by CI's
     // bench_gate step: a million completed sessions in one churn run,
     // 4-way sharding at least 2.5× the single shard on the critical

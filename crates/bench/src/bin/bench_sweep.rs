@@ -1,18 +1,11 @@
-//! Sweep-engine throughput benchmark: the pooled
-//! [`SweepEngine`] with tracing off versus the
-//! sweep path this repository shipped before the engine existed.
-//!
-//! The baseline below is the pre-engine `sweep_family_parallel`
-//! transcribed verbatim: a crossbeam work queue and result channel, a
-//! brand-new world (four boxed components) per grid cell, a full event
-//! trace per run, per-run statistics derived by walking that trace, and
-//! a final index sort. The engine runs the identical E1 grid — same
-//! family, same adversaries, same seeds, same thread count — with pooled
-//! worlds and [`TraceMode::Off`]. Writes `BENCH_sweep.json` in the
-//! current directory, and appends one schema-versioned record — lane
-//! metrics plus the profiled lane's per-phase cost breakdown — to
-//! `BENCH_history.jsonl`, the durable trajectory `bench_gate` compares
-//! fresh runs against.
+//! Sweep-engine throughput benchmark: the pooled [`SweepEngine`] with
+//! tracing off on the E1 grid, and what each observability layer
+//! (streaming metrics, causal tracing, an unarmed fault campaign, phase
+//! profiling) costs on top of it, plus critical-path scaling lanes at
+//! 1/2/4/8 workers. Writes `BENCH_sweep.json` in the current directory,
+//! and appends one schema-versioned record — lane metrics plus the
+//! profiled lane's per-phase cost breakdown — to `BENCH_history.jsonl`,
+//! the durable trajectory `bench_gate` compares fresh runs against.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -22,10 +15,9 @@ use stp_bench::history::{self, HistoryRecord, HISTORY_FILE};
 use stp_bench::{e1, host};
 use stp_channel::campaign::FaultPlan;
 use stp_channel::{ChannelSpec, SchedulerSpec};
-use stp_core::data::DataSeq;
 use stp_core::event::TraceMode;
-use stp_protocols::{ProtocolFamily, ResendPolicy, TightFamily};
-use stp_sim::{run_family_member, PhaseProfiler, RunStats, SweepEngine, SweepSpec};
+use stp_protocols::{ResendPolicy, TightFamily};
+use stp_sim::{PhaseProfiler, SweepEngine, SweepSpec, TelemetryLine};
 
 /// Worker widths for the parallel scaling lanes.
 const PARALLEL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -38,69 +30,6 @@ const PARALLEL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// per rep, and reps accumulate) while keeping the lane inside the same
 /// ≤5% budget the session engines meet at their default period.
 const PROF_PERIOD: u64 = 128;
-
-/// One baseline result row (the old `MemberRun` shape).
-struct LegacyRun {
-    #[allow(dead_code)]
-    input: DataSeq,
-    #[allow(dead_code)]
-    seed: u64,
-    stats: RunStats,
-}
-
-/// The pre-engine `sweep_family_parallel`, kept bit-for-bit: fresh boxes
-/// per cell, full tracing, trace-derived stats, channel-based fan-out.
-fn legacy_sweep_family_parallel(
-    family: &(dyn ProtocolFamily + Sync),
-    spec: &SweepSpec,
-    scheduler: usize,
-    threads: usize,
-) -> Vec<LegacyRun> {
-    let claimed = family.claimed_family();
-    let work: Vec<(usize, DataSeq, u64)> = claimed
-        .iter()
-        .flat_map(|x| spec.seeds.iter().map(move |&s| (x.clone(), s)))
-        .enumerate()
-        .map(|(i, (x, s))| (i, x, s))
-        .collect();
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, DataSeq, u64)>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, LegacyRun)>();
-    for item in work {
-        work_tx.send(item).expect("queue open");
-    }
-    drop(work_tx);
-    let max_steps = spec.max_steps;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let work_rx = work_rx.clone();
-            let res_tx = res_tx.clone();
-            let spec = &*spec;
-            scope.spawn(move || {
-                while let Ok((idx, x, seed)) = work_rx.recv() {
-                    let trace = run_family_member(
-                        family,
-                        &x,
-                        spec.channel.build(),
-                        spec.schedulers[scheduler].build(seed),
-                        max_steps,
-                    );
-                    let run = LegacyRun {
-                        input: x,
-                        seed,
-                        stats: RunStats::of(&trace),
-                    };
-                    if res_tx.send((idx, run)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-    });
-    let mut indexed: Vec<(usize, LegacyRun)> = res_rx.iter().collect();
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
 
 /// One parallel scaling lane, measured by `SweepEngine::run_isolated`:
 /// each worker's statically-dealt chunks run sequentially with a
@@ -134,11 +63,8 @@ struct SweepBenchReport {
     host_cores_effective: usize,
     /// CPUs the kernel reports as present, `>= host_cores_effective`.
     host_cores_present: usize,
-    legacy_secs: f64,
-    legacy_runs_per_sec: f64,
     engine_secs: f64,
     engine_runs_per_sec: f64,
-    speedup: f64,
     probed_secs: f64,
     probed_runs_per_sec: f64,
     probe_overhead: f64,
@@ -169,7 +95,7 @@ fn main() {
         .unwrap_or(1);
     let seeds: Vec<u64> = (0..8).collect();
 
-    // The E1 adversary panel, shared by both sides.
+    // The E1 adversary panel.
     let adversaries = e1::adversaries();
     let mut spec = SweepSpec::new(ChannelSpec::Dup, adversaries[0].1.clone())
         .max_steps(4_000 * m as u64)
@@ -208,7 +134,7 @@ fn main() {
     // minimum estimator below only sharpens with more samples.
     let reps = 100usize;
 
-    // Warm-up and sanity: all sides agree on completion, and the probed
+    // Warm-up and sanity: the engine completes every cell, and the probed
     // lane's runs are bit-identical to the bare engine's (same stats,
     // collected streamingly instead of from counters).
     let pooled = engine.run(&family);
@@ -242,19 +168,14 @@ fn main() {
         "the worker count must not perturb results"
     );
     assert_eq!(parallel.report, pooled.report);
-    for s in 0..spec.schedulers.len() {
-        let legacy = legacy_sweep_family_parallel(&family, &spec, s, threads);
-        assert!(legacy.iter().all(|r| r.stats.is_complete()));
-    }
 
-    // Interleave the four lanes rep by rep so slow clock / thermal drift
+    // Interleave the lanes rep by rep so slow clock / thermal drift
     // lands on all equally instead of biasing whichever ran last, and keep
     // per-rep timings: overheads come from each lane's *fastest* rep.
     // Scheduler preemption on a shared box only ever adds time — a single
     // hiccup inflates a ~3ms lane by double digits — so the minimum is the
     // one estimator of the true cost that noise cannot push around (a sum
     // or median smears hiccups straight into the gate).
-    let mut legacy_reps = Vec::with_capacity(reps);
     let mut engine_reps = Vec::with_capacity(reps);
     let mut probed_reps = Vec::with_capacity(reps);
     let mut traced_reps = Vec::with_capacity(reps);
@@ -266,14 +187,6 @@ fn main() {
         .collect();
     let mut parallel_reps: Vec<Vec<f64>> = PARALLEL_WIDTHS.iter().map(|_| Vec::new()).collect();
     for _ in 0..reps {
-        let t = Instant::now();
-        let mut total = 0;
-        for s in 0..spec.schedulers.len() {
-            total += legacy_sweep_family_parallel(&family, &spec, s, threads).len();
-        }
-        legacy_reps.push(t.elapsed().as_secs_f64());
-        assert_eq!(total, runs_per_sweep);
-
         let t = Instant::now();
         let out = engine.run(&family);
         engine_reps.push(t.elapsed().as_secs_f64());
@@ -312,7 +225,6 @@ fn main() {
         samples.iter().copied().fold(f64::INFINITY, f64::min)
     }
     let sweep_runs = runs_per_sweep as f64;
-    let legacy_secs = fastest(&legacy_reps);
     let engine_secs = fastest(&engine_reps);
     let probed_secs = fastest(&probed_reps);
     let traced_secs = fastest(&traced_reps);
@@ -350,9 +262,7 @@ fn main() {
     // Wall-clock lanes all ran at the configured thread count; the
     // parallel lanes record their own widths inline in `parallel_lanes`.
     let mut lane_threads = BTreeMap::new();
-    for lane in [
-        "legacy", "engine", "probed", "traced", "unarmed", "profiled",
-    ] {
+    for lane in ["engine", "probed", "traced", "unarmed", "profiled"] {
         lane_threads.insert(lane.to_string(), threads);
     }
     for &w in &PARALLEL_WIDTHS {
@@ -365,11 +275,8 @@ fn main() {
         lane_threads,
         host_cores_effective,
         host_cores_present,
-        legacy_secs,
-        legacy_runs_per_sec: sweep_runs / legacy_secs,
         engine_secs,
         engine_runs_per_sec: sweep_runs / engine_secs,
-        speedup: legacy_secs / engine_secs,
         probed_secs,
         probed_runs_per_sec: sweep_runs / probed_secs,
         probe_overhead,
@@ -398,7 +305,6 @@ fn main() {
     // it out of the baseline direction inference means a *better* deal
     // (higher ratio) can never arm a median that later noise trips.
     let mut record = HistoryRecord::new("bench_sweep")
-        .metric("legacy_secs", legacy_secs)
         .metric("engine_secs", engine_secs)
         .metric("engine_runs_per_sec", sweep_runs / engine_secs)
         .metric("probe_overhead", probe_overhead)
@@ -417,7 +323,7 @@ fn main() {
     if let Err(e) = history::append(Path::new(HISTORY_FILE), &record) {
         eprintln!("bench_sweep: cannot append {HISTORY_FILE}: {e}");
     }
-    stp_bench::telemetry::export_profs("bench_sweep", &[prof_record]);
+    stp_bench::telemetry::export("bench_sweep", [TelemetryLine::Prof(prof_record)]);
 
     // Budget gates: streaming metrics stay within 10% of the bare engine,
     // full causal tracing within 25%, an unarmed fault campaign —

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use stp_bench::conformance::{judge, run_grid};
 use stp_sim::telemetry::FileSink;
-use stp_sim::TelemetryWriter;
+use stp_sim::{TelemetryLine, TelemetryWriter};
 
 fn main() -> ExitCode {
     let out_dir = PathBuf::from(
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
             None => String::new(),
         };
         let record = judge(&outcome, &cert_file);
-        if let Err(e) = writer.emit_verdict(&record) {
+        if let Err(e) = writer.emit(&TelemetryLine::Verdict(record.clone())) {
             eprintln!("conformance: ledger write failed: {e}");
             return ExitCode::FAILURE;
         }

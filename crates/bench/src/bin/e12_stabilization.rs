@@ -1,5 +1,8 @@
 //! E12 — transient state corruption: classical-protocol fragility and
 //! certified stabilization bounds for the self-stabilizing variant.
+
+use stp_sim::TelemetryLine;
+
 fn main() {
     let fragility = stp_bench::e12::run_fragility(4);
     println!("E12a — classical protocols under a single transient state corruption");
@@ -7,10 +10,9 @@ fn main() {
     let grid = stp_bench::e12::run_stabilization_grid();
     println!("E12b — certified stabilization bounds (d × corruption kind × channel)");
     println!("{}", stp_bench::e12::render_stabilization(&grid));
-    stp_bench::telemetry::export_stabilizations(
-        "e12",
-        &stp_bench::e12::stabilization_records(&grid),
-    );
+    let records = stp_bench::e12::stabilization_records(&grid);
+    let lines = records.into_iter().map(TelemetryLine::Stabilization);
+    stp_bench::telemetry::export("e12", lines);
     let diverged = fragility.iter().any(|r| !r.reconverged);
     let all_certified = grid.iter().all(|r| r.cert_ok);
     let ok = diverged && all_certified;

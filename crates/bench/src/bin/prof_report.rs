@@ -259,7 +259,10 @@ fn main() -> ExitCode {
         );
     }
 
-    stp_bench::telemetry::export_profs("prof_report", &[grid.clone(), churn.clone()]);
+    stp_bench::telemetry::export(
+        "prof_report",
+        [grid.clone(), churn.clone()].map(stp_sim::TelemetryLine::Prof),
+    );
 
     let mut failed = false;
     for rec in [&grid, &churn] {

@@ -12,6 +12,7 @@
 
 use std::process::ExitCode;
 use stp_bench::telemetry::export_summary;
+use stp_sim::TelemetryLine;
 
 fn main() -> ExitCode {
     let mut failed: Vec<&'static str> = Vec::new();
@@ -138,10 +139,9 @@ fn main() -> ExitCode {
     println!("E12b — certified stabilization bounds");
     let e12b = stp_bench::e12::run_stabilization_grid();
     println!("{}", stp_bench::e12::render_stabilization(&e12b));
-    stp_bench::telemetry::export_stabilizations(
-        "e12",
-        &stp_bench::e12::stabilization_records(&e12b),
-    );
+    let records = stp_bench::e12::stabilization_records(&e12b);
+    let lines = records.into_iter().map(TelemetryLine::Stabilization);
+    stp_bench::telemetry::export("e12", lines);
     let e12_ok = e12a.iter().any(|r| !r.reconverged) && e12b.iter().all(|r| r.cert_ok);
     export_summary("e12", e12a.len() + e12b.len(), check("e12", e12_ok));
     if failed.is_empty() {

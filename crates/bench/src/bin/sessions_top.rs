@@ -33,7 +33,7 @@ use stp_sim::fleet::{
     prometheus_text, FleetDelta, FleetRegistry, FleetSnapshot, ShardDelta, WatchdogSpec, NO_SAMPLES,
 };
 use stp_sim::sessions::{run_churn, ChurnRun, ChurnSpec, ServerSpec, SessionTemplate};
-use stp_sim::{prometheus_prof_text, PhaseProfiler, ProfRecord};
+use stp_sim::{prometheus_prof_text, PhaseProfiler, ProfRecord, TelemetryLine};
 
 struct Args {
     once: bool,
@@ -213,10 +213,10 @@ fn main() {
     // --prometheus page and the {"prof": …} telemetry line.
     let prof = Arc::new(PhaseProfiler::new(PhaseProfiler::DEFAULT_PERIOD));
     let mut telemetry = stp_bench::telemetry::writer();
-    let mut emit = |record: &stp_sim::FleetRecord| {
+    let mut emit = |line: TelemetryLine| {
         if let Some(w) = telemetry.as_mut() {
-            if let Err(e) = w.emit_fleet(record) {
-                eprintln!("sessions_top: fleet telemetry failed: {e}");
+            if let Err(e) = w.emit(&line) {
+                eprintln!("sessions_top: telemetry failed: {e}");
             }
         }
     };
@@ -250,7 +250,9 @@ fn main() {
         while !worker.is_finished() {
             std::thread::sleep(args.interval);
             let delta = watch.tick();
-            emit(&delta.snapshot.stats().record("sessions_top"));
+            emit(TelemetryLine::Fleet(
+                delta.snapshot.stats().record("sessions_top"),
+            ));
             // Clear screen + home, then the table — plain ANSI, no TUI
             // dependency.
             print!(
@@ -278,28 +280,19 @@ fn main() {
         report.wall_secs,
     );
     for shard in &snapshot.shards {
-        emit(&shard.record("sessions_top"));
+        emit(TelemetryLine::Fleet(shard.record("sessions_top")));
     }
-    emit(&snapshot.stats().record("sessions_top"));
+    emit(TelemetryLine::Fleet(
+        snapshot.stats().record("sessions_top"),
+    ));
     let prof_record = prof.report("sessions_top", "churn");
-    if let Some(w) = telemetry.as_mut() {
-        if let Err(e) = w.emit_prof(&prof_record) {
-            eprintln!("sessions_top: prof telemetry failed: {e}");
-        }
+    emit(TelemetryLine::Prof(prof_record.clone()));
+    for mut stall in report.stalls.iter().cloned() {
+        stall.experiment = "sessions_top".to_string();
+        emit(TelemetryLine::Stall(stall));
     }
-    if let Some(w) = telemetry.as_mut() {
-        let result = report
-            .stalls
-            .iter()
-            .cloned()
-            .try_for_each(|mut stall| {
-                stall.experiment = "sessions_top".to_string();
-                w.emit_stall(&stall)
-            })
-            .and_then(|()| w.flush());
-        if let Err(e) = result {
-            eprintln!("sessions_top: stall telemetry failed: {e}");
-        }
+    if let Some(Err(e)) = telemetry.as_mut().map(|w| w.flush()) {
+        eprintln!("sessions_top: telemetry failed: {e}");
     }
 
     if args.prometheus {

@@ -113,19 +113,19 @@ fn record(dir: &str, seed: u64) -> Result<(), String> {
     let sink = FileSink::open(&spans_path).map_err(|e| format!("open {spans_path}: {e}"))?;
     let mut w = TelemetryWriter::new(Box::new(sink));
     let io = |e: std::io::Error| format!("write {spans_path}: {e}");
-    w.emit_run(&RunRecord {
+    w.emit(&TelemetryLine::Run(RunRecord {
         experiment: EXPERIMENT.to_string(),
         input,
         seed,
         scheduler: 0,
         stats: stats.clone(),
-    })
+    }))
     .map_err(io)?;
     for span in trace_probe.span_records(EXPERIMENT, seed) {
-        w.emit_span(&span).map_err(io)?;
+        w.emit(&TelemetryLine::Span(span)).map_err(io)?;
     }
     for rec in frontier.frontier_records(EXPERIMENT, seed) {
-        w.emit_frontier(&rec).map_err(io)?;
+        w.emit(&TelemetryLine::Frontier(rec)).map_err(io)?;
     }
     w.flush().map_err(io)?;
 

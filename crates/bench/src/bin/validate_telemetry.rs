@@ -9,10 +9,6 @@
 //! `telemetry.jsonl` in the current directory).
 
 use std::process::ExitCode;
-use stp_sim::telemetry::{
-    FleetLine, FrontierLine, ProfLine, ReportLine, RunLine, SessionsLine, SpanLine,
-    StabilizationLine, StallLine, SummaryLine, VerdictLine,
-};
 use stp_sim::TelemetryLine;
 
 /// The self-describing kind tag of a JSONL line — its first top-level
@@ -34,27 +30,7 @@ fn claimed_kind(line: &str) -> String {
 }
 
 fn round_trips(line: &TelemetryLine) -> Result<bool, serde_json::Error> {
-    let reserialized = match line {
-        TelemetryLine::Run(r) => serde_json::to_string(&RunLine { run: r.clone() })?,
-        TelemetryLine::Report(r) => serde_json::to_string(&ReportLine {
-            report: r.as_ref().clone(),
-        })?,
-        TelemetryLine::Summary(s) => serde_json::to_string(&SummaryLine { summary: s.clone() })?,
-        TelemetryLine::Span(s) => serde_json::to_string(&SpanLine { span: s.clone() })?,
-        TelemetryLine::Frontier(f) => serde_json::to_string(&FrontierLine {
-            frontier: f.clone(),
-        })?,
-        TelemetryLine::Verdict(v) => serde_json::to_string(&VerdictLine { verdict: v.clone() })?,
-        TelemetryLine::Stabilization(s) => serde_json::to_string(&StabilizationLine {
-            stabilization: s.clone(),
-        })?,
-        TelemetryLine::Sessions(s) => serde_json::to_string(&SessionsLine {
-            sessions: s.clone(),
-        })?,
-        TelemetryLine::Fleet(f) => serde_json::to_string(&FleetLine { fleet: f.clone() })?,
-        TelemetryLine::Stall(s) => serde_json::to_string(&StallLine { stall: s.clone() })?,
-        TelemetryLine::Prof(p) => serde_json::to_string(&ProfLine { prof: p.clone() })?,
-    };
+    let reserialized = serde_json::to_string(line)?;
     Ok(TelemetryLine::parse(&reserialized)? == *line)
 }
 

@@ -8,7 +8,7 @@ use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::alpha::alpha;
 use stp_core::event::TraceMode;
 use stp_protocols::{ResendPolicy, TightFamily};
-use stp_sim::{sweep_family, SweepSpec};
+use stp_sim::{SweepEngine, SweepSpec};
 
 /// One row of the E1 table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,7 +53,8 @@ pub fn run(max_m: u16, seeds_per_case: u64) -> Vec<E1Row> {
     for m in 1..=max_m {
         let family = TightFamily::new(m, ResendPolicy::Once);
         for (label, scheduler) in adversaries() {
-            let outcome = sweep_family(&family, &spec_for(m, seeds_per_case, scheduler));
+            let spec = spec_for(m, seeds_per_case, scheduler).threads(1);
+            let outcome = SweepEngine::new(spec).run(&family);
             crate::telemetry::export_sweep("e1", &outcome);
             rows.push(E1Row {
                 m,

@@ -13,7 +13,7 @@ use stp_channel::{CampaignScheduler, ChannelSpec, DelChannel, EagerScheduler, Sc
 use stp_core::data::DataSeq;
 use stp_core::event::{Step, TraceMode};
 use stp_protocols::{ResendPolicy, TightFamily, TightReceiver, TightSender};
-use stp_sim::{burst_plan, sweep_family, SweepSpec, World};
+use stp_sim::{burst_plan, SweepEngine, SweepSpec, World};
 
 /// One row of the E3 completeness table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,8 +54,9 @@ pub fn run_completeness(max_m: u16, seeds: u64) -> Vec<E3CompletenessRow> {
         .max_steps(30_000)
         .seeds(0..seeds)
         .trace_mode(TraceMode::Off)
-        .probe(true);
-        let outcome = sweep_family(&family, &spec);
+        .probe(true)
+        .threads(1);
+        let outcome = SweepEngine::new(spec).run(&family);
         crate::telemetry::export_sweep("e3", &outcome);
         rows.push(E3CompletenessRow {
             m,

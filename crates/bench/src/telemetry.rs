@@ -9,10 +9,7 @@
 //! is an observer, not a participant.
 
 use std::time::Duration;
-use stp_sim::{
-    ExperimentSummary, FleetRecord, ProfRecord, ProgressMeter, SessionsRecord, StabilizationRecord,
-    StallRecord, SweepOutcome, TelemetryWriter,
-};
+use stp_sim::{ExperimentSummary, ProgressMeter, SweepOutcome, TelemetryLine, TelemetryWriter};
 
 /// The writer configured by `STP_TELEMETRY`, or `None` when telemetry is
 /// off or the sink failed to open (reported on stderr).
@@ -39,83 +36,26 @@ pub fn export_sweep(experiment: &str, outcome: &SweepOutcome) {
 /// Exports an experiment digest — the one line every binary emits, even
 /// the ones whose output is a certificate rather than a sweep.
 pub fn export_summary(experiment: &str, rows: usize, ok: bool) {
-    if let Some(mut w) = writer() {
-        let summary = ExperimentSummary {
-            experiment: experiment.to_string(),
-            rows,
-            ok,
-        };
-        if let Err(e) = w.emit_summary(&summary).and_then(|()| w.flush()) {
-            eprintln!("telemetry: summary export failed for {experiment}: {e}");
-        }
-    }
+    let summary = ExperimentSummary {
+        experiment: experiment.to_string(),
+        rows,
+        ok,
+    };
+    export(experiment, [TelemetryLine::Summary(summary)]);
 }
 
-/// Exports stabilization probe records — one `{"stabilization": …}` line
-/// per certified grid cell.
-pub fn export_stabilizations(experiment: &str, records: &[StabilizationRecord]) {
+/// Exports telemetry lines (stabilization probes, churn-bench lanes,
+/// fleet snapshots, profiler reports, …) produced under an experiment
+/// tag, then flushes. A lazy iterator's lines are built only when
+/// telemetry is on.
+pub fn export(experiment: &str, lines: impl IntoIterator<Item = TelemetryLine>) {
     if let Some(mut w) = writer() {
-        let result = records
-            .iter()
-            .try_for_each(|r| w.emit_stabilization(r))
+        let result = lines
+            .into_iter()
+            .try_for_each(|line| w.emit(&line))
             .and_then(|()| w.flush());
         if let Err(e) = result {
-            eprintln!("telemetry: stabilization export failed for {experiment}: {e}");
-        }
-    }
-}
-
-/// Exports churn-bench records — one `{"sessions": …}` line per lane.
-pub fn export_sessions(experiment: &str, records: &[SessionsRecord]) {
-    if let Some(mut w) = writer() {
-        let result = records
-            .iter()
-            .try_for_each(|r| w.emit_sessions(r))
-            .and_then(|()| w.flush());
-        if let Err(e) = result {
-            eprintln!("telemetry: sessions export failed for {experiment}: {e}");
-        }
-    }
-}
-
-/// Exports fleet-metrics snapshots — one `{"fleet": …}` line per
-/// per-shard or aggregate sample.
-pub fn export_fleet(experiment: &str, records: &[FleetRecord]) {
-    if let Some(mut w) = writer() {
-        let result = records
-            .iter()
-            .try_for_each(|r| w.emit_fleet(r))
-            .and_then(|()| w.flush());
-        if let Err(e) = result {
-            eprintln!("telemetry: fleet export failed for {experiment}: {e}");
-        }
-    }
-}
-
-/// Exports profiler cost-attribution reports — one `{"prof": …}` line
-/// per profiled lane or workload.
-pub fn export_profs(experiment: &str, records: &[ProfRecord]) {
-    if let Some(mut w) = writer() {
-        let result = records
-            .iter()
-            .try_for_each(|r| w.emit_prof(r))
-            .and_then(|()| w.flush());
-        if let Err(e) = result {
-            eprintln!("telemetry: prof export failed for {experiment}: {e}");
-        }
-    }
-}
-
-/// Exports stall-watchdog flags — one `{"stall": …}` line per flagged
-/// session.
-pub fn export_stalls(experiment: &str, records: &[StallRecord]) {
-    if let Some(mut w) = writer() {
-        let result = records
-            .iter()
-            .try_for_each(|r| w.emit_stall(r))
-            .and_then(|()| w.flush());
-        if let Err(e) = result {
-            eprintln!("telemetry: stall export failed for {experiment}: {e}");
+            eprintln!("telemetry: export failed for {experiment}: {e}");
         }
     }
 }

@@ -19,7 +19,10 @@ use stp_core::proto::{Receiver, Sender};
 use stp_core::sequence::SequenceFamily;
 
 /// A family of protocols plus the sequence family it claims to solve.
-pub trait ProtocolFamily: fmt::Debug {
+///
+/// `Sync` is a supertrait so a sweep can share one family across its
+/// worker threads; every family is plain data, so this costs nothing.
+pub trait ProtocolFamily: fmt::Debug + Sync {
     /// Human-readable name for experiment tables.
     fn name(&self) -> &'static str;
 
@@ -377,13 +380,6 @@ pub enum FamilySpec {
 impl FamilySpec {
     /// Instantiates the family the spec describes.
     pub fn build(&self) -> Box<dyn ProtocolFamily> {
-        self.build_sync()
-    }
-
-    /// [`FamilySpec::build`] with the `Sync` bound surfaced in the trait
-    /// object, for executors that share the family across worker threads
-    /// (every concrete family is plain data, so this is free).
-    pub fn build_sync(&self) -> Box<dyn ProtocolFamily + Sync> {
         match *self {
             FamilySpec::Tight { d, policy } => Box::new(TightFamily::new(d, policy)),
             FamilySpec::Naive { d, max_len, policy } => {

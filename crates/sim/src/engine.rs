@@ -19,9 +19,10 @@
 //!   grid order, and dealt out in 16-cell chunks from a shared
 //!   [`Mutex`]; each worker writes every run straight into its slot, so
 //!   the outcome is in grid order however the chunks interleaved, with
-//!   no per-worker buckets and no scatter after the join. The serial
-//!   path is the same fill loop on the calling thread, and
-//!   [`SweepEngine::run_isolated`] is the same loop over a static deal.
+//!   no per-worker buckets and no scatter after the join. The calling
+//!   thread is always one of the workers, so at `threads(1)` the grid runs
+//!   serially with nothing spawned, and [`SweepEngine::run_isolated`] is
+//!   the same loop over a static deal.
 //!
 //! The grid itself is the cartesian product *schedulers × claimed
 //! sequences × seeds*, flattened scheduler-major so a single-scheduler
@@ -62,7 +63,7 @@ pub struct SweepSpec {
     #[serde(default)]
     pub trace_mode: TraceMode,
     /// Worker threads. `0` (the default) means one per available core;
-    /// `1` forces the serial path.
+    /// `1` runs the grid on the calling thread.
     #[serde(default)]
     pub threads: usize,
     /// Attach a streaming [`MetricsProbe`] to every pooled world and
@@ -234,8 +235,9 @@ impl SweepEngine {
 
     /// Runs the whole grid across the spec's worker threads, pooling one
     /// world per (worker, scheduler recipe). Results are returned in grid
-    /// order, identical to [`SweepEngine::run_serial`].
-    pub fn run(&self, family: &(dyn ProtocolFamily + Sync)) -> SweepOutcome {
+    /// order, identical for every thread count; at `threads(1)` the one
+    /// worker is the calling thread and nothing is spawned.
+    pub fn run(&self, family: &dyn ProtocolFamily) -> SweepOutcome {
         self.run_observed(family, None)
     }
 
@@ -245,7 +247,7 @@ impl SweepEngine {
     /// observation never changes the results.
     pub fn run_observed(
         &self,
-        family: &(dyn ProtocolFamily + Sync),
+        family: &dyn ProtocolFamily,
         meter: Option<&ProgressMeter>,
     ) -> SweepOutcome {
         self.run_inner(family, meter, None)
@@ -256,24 +258,17 @@ impl SweepEngine {
     /// one profiled window, attributing time to [`Phase`](crate::prof::Phase)s
     /// split by the spec's channel kind. Results are bit-identical to an
     /// unprofiled run — profiling only observes (see `tests/prof_parity.rs`).
-    pub fn run_profiled(
-        &self,
-        family: &(dyn ProtocolFamily + Sync),
-        prof: &PhaseProfiler,
-    ) -> SweepOutcome {
+    pub fn run_profiled(&self, family: &dyn ProtocolFamily, prof: &PhaseProfiler) -> SweepOutcome {
         self.run_inner(family, None, Some(prof))
     }
 
     fn run_inner(
         &self,
-        family: &(dyn ProtocolFamily + Sync),
+        family: &dyn ProtocolFamily,
         meter: Option<&ProgressMeter>,
         prof: Option<&PhaseProfiler>,
     ) -> SweepOutcome {
         let threads = self.spec.resolved_threads();
-        if threads <= 1 {
-            return self.run_serial_inner(family, meter, prof);
-        }
         self.run_grid(family, meter, |claimed, slots| {
             let deal = Mutex::new(slots.chunks_mut(DEAL_CHUNK).enumerate());
             // One worker: it captures only shared references, so it is
@@ -293,44 +288,6 @@ impl SweepEngine {
                 }
                 worker();
             });
-        })
-    }
-
-    /// Runs the whole grid on the calling thread with one pooled world
-    /// per scheduler recipe.
-    pub fn run_serial(&self, family: &dyn ProtocolFamily) -> SweepOutcome {
-        self.run_serial_observed(family, None)
-    }
-
-    /// [`SweepEngine::run_serial`] with optional live progress.
-    pub fn run_serial_observed(
-        &self,
-        family: &dyn ProtocolFamily,
-        meter: Option<&ProgressMeter>,
-    ) -> SweepOutcome {
-        self.run_serial_inner(family, meter, None)
-    }
-
-    /// [`SweepEngine::run_serial`] with a phase profiler attached; see
-    /// [`SweepEngine::run_profiled`].
-    pub fn run_serial_profiled(
-        &self,
-        family: &dyn ProtocolFamily,
-        prof: &PhaseProfiler,
-    ) -> SweepOutcome {
-        self.run_serial_inner(family, None, Some(prof))
-    }
-
-    /// One worker on the calling thread, taking every chunk in order.
-    fn run_serial_inner(
-        &self,
-        family: &dyn ProtocolFamily,
-        meter: Option<&ProgressMeter>,
-        prof: Option<&PhaseProfiler>,
-    ) -> SweepOutcome {
-        self.run_grid(family, meter, |claimed, slots| {
-            let chunks = slots.chunks_mut(DEAL_CHUNK).enumerate();
-            self.fill(family, claimed, prof, meter, chunks);
         })
     }
 
@@ -565,13 +522,13 @@ mod tests {
     fn traced_sweeps_reconcile_and_change_no_stats() {
         use crate::trace::TraceProbe;
         let family = TightFamily::new(3, ResendPolicy::Once);
-        let plain = SweepEngine::new(storm_spec().threads(1)).run_serial(&family);
+        let plain = SweepEngine::new(storm_spec().threads(1)).run(&family);
         let traced_spec = storm_spec()
             .trace_mode(TraceMode::Off)
             .probe(true)
             .traced(true)
             .threads(1);
-        let traced = SweepEngine::new(traced_spec.clone()).run_serial(&family);
+        let traced = SweepEngine::new(traced_spec.clone()).run(&family);
         assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.runs.iter().zip(&traced.runs) {
             assert_eq!(a.stats, b.stats, "tracing must not change behaviour");
@@ -606,7 +563,7 @@ mod tests {
         // yields the same per-run stats and aggregate report as a fully
         // traced sweep.
         let family = TightFamily::new(3, ResendPolicy::Once);
-        let traced = SweepEngine::new(storm_spec().threads(1)).run_serial(&family);
+        let traced = SweepEngine::new(storm_spec().threads(1)).run(&family);
         let probed = SweepEngine::new(
             storm_spec()
                 .trace_mode(TraceMode::Off)
@@ -647,9 +604,8 @@ mod tests {
     #[test]
     fn parallel_run_matches_serial_run() {
         let family = TightFamily::new(3, ResendPolicy::Once);
-        let engine = SweepEngine::new(storm_spec().threads(4));
-        let serial = engine.run_serial(&family);
-        let parallel = engine.run(&family);
+        let serial = SweepEngine::new(storm_spec().threads(1)).run(&family);
+        let parallel = SweepEngine::new(storm_spec().threads(4)).run(&family);
         assert_eq!(serial.runs, parallel.runs);
         assert!(parallel.all_complete(), "failures: {:?}", parallel.failures);
     }
@@ -665,7 +621,7 @@ mod tests {
             .max_steps(20_000)
             .seeds([3])
             .threads(1);
-        let outcome = SweepEngine::new(spec).run_serial(&family);
+        let outcome = SweepEngine::new(spec).run(&family);
         let grid = family.claimed_family().len();
         assert_eq!(outcome.len(), grid * 2);
         assert!(outcome.runs[..grid].iter().all(|r| r.scheduler == 0));
@@ -709,8 +665,8 @@ mod tests {
         .seeds(0..32)
         .threads(1);
         let engine = SweepEngine::new(spec.clone());
-        let first = engine.run_serial(&family);
-        let second = engine.run_serial(&family);
+        let first = engine.run(&family);
+        let second = engine.run(&family);
         assert_eq!(first.runs, second.runs, "second lap diverged");
         // The scramble clause must actually have fired somewhere, or this
         // test guards nothing.
@@ -744,8 +700,8 @@ mod tests {
     fn off_mode_runs_carry_no_trace_but_full_stats() {
         let family = TightFamily::new(3, ResendPolicy::Once);
         let engine = SweepEngine::new(storm_spec().trace_mode(TraceMode::Off).threads(1));
-        let with_trace = SweepEngine::new(storm_spec().threads(1)).run_serial(&family);
-        let without = engine.run_serial(&family);
+        let with_trace = SweepEngine::new(storm_spec().threads(1)).run(&family);
+        let without = engine.run(&family);
         assert_eq!(with_trace.len(), without.len());
         for (a, b) in with_trace.runs.iter().zip(&without.runs) {
             assert!(a.trace.is_some());

@@ -61,10 +61,7 @@ pub use prof::{
     ProfPhase, ProfRecord,
 };
 pub use replay::{replay, script_from_trace, scripted_world};
-pub use runner::{
-    run_family_member, sweep_family, sweep_family_parallel, sweep_family_parallel_observed,
-    MemberRun, SweepOutcome,
-};
+pub use runner::{run_family_member, MemberRun, SweepOutcome};
 pub use sessions::{
     run_churn, ChurnReport, ChurnRun, ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId,
     SessionOutcome, SessionServer, SessionSpec, SessionStatus, SessionTemplate,

@@ -6,9 +6,10 @@
 //! let spec = SweepSpec::new(ChannelSpec::Dup, SchedulerSpec::DupStorm { p_deliver: 0.9 })
 //!     .max_steps(2_000)
 //!     .seeds([0])
-//!     .trace_mode(TraceMode::Off);
+//!     .trace_mode(TraceMode::Off)
+//!     .threads(1);
 //! let outcome = SweepEngine::new(spec)
-//!     .run_serial(&stp_protocols::TightFamily::new(2, stp_protocols::ResendPolicy::Once));
+//!     .run(&stp_protocols::TightFamily::new(2, stp_protocols::ResendPolicy::Once));
 //! assert!(outcome.all_complete());
 //! ```
 
@@ -18,10 +19,7 @@ pub use crate::fleet::{
     FleetStats, FleetWatch, ShardMetrics, ShardSnapshot, StallRecord, WatchdogSpec, NO_SAMPLES,
 };
 pub use crate::metrics::{Histogram, MetricsProbe, RunStats, SweepReport};
-pub use crate::runner::{
-    run_family_member, sweep_family, sweep_family_parallel, sweep_family_parallel_observed,
-    MemberRun, SweepOutcome,
-};
+pub use crate::runner::{run_family_member, MemberRun, SweepOutcome};
 pub use crate::sessions::{
     run_churn, ChurnReport, ChurnRun, ChurnSpec, ServerSpec, SessionEngine, SessionFate, SessionId,
     SessionOutcome, SessionServer, SessionSpec, SessionStatus, SessionTemplate,

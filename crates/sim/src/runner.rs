@@ -1,15 +1,11 @@
-//! Sweeping a protocol family over its claimed sequence set — the
-//! workhorse behind the achievability experiments (E1, E3).
-//!
-//! The sweeps here are thin fronts over the pooled
-//! [`SweepEngine`]: describe the grid with a
-//! [`SweepSpec`], then call [`sweep_family`]
-//! (serial) or [`sweep_family_parallel`] (worker pool). Both produce the
-//! same [`SweepOutcome`] in the same order.
+//! What a sweep of a protocol family over its claimed sequence set
+//! produces — the workhorse behind the achievability experiments (E1,
+//! E3). The sweep itself is [`SweepEngine`](crate::engine::SweepEngine):
+//! describe the grid with a [`SweepSpec`](crate::engine::SweepSpec) and
+//! call [`SweepEngine::run`](crate::engine::SweepEngine::run); every
+//! thread count produces the same [`SweepOutcome`] in the same order.
 
-use crate::engine::{SweepEngine, SweepSpec};
 use crate::metrics::{RunStats, SweepReport};
-use crate::telemetry::ProgressMeter;
 use crate::world::World;
 use stp_channel::{Channel, Scheduler};
 use stp_core::data::DataSeq;
@@ -118,37 +114,10 @@ pub fn run_family_member(
     world.into_trace()
 }
 
-/// Sweeps `family` over every sequence it claims, across the spec's
-/// schedulers and seeds, serially on the calling thread.
-pub fn sweep_family(family: &dyn ProtocolFamily, spec: &SweepSpec) -> SweepOutcome {
-    SweepEngine::new(spec.clone()).run_serial(family)
-}
-
-/// The multi-threaded variant of [`sweep_family`]: the same grid, fanned
-/// out over the spec's worker pool. Results are identical to the serial
-/// sweep (each run is independent and seeded) and arrive in the same
-/// order.
-pub fn sweep_family_parallel(
-    family: &(dyn ProtocolFamily + Sync),
-    spec: &SweepSpec,
-) -> SweepOutcome {
-    SweepEngine::new(spec.clone()).run(family)
-}
-
-/// [`sweep_family_parallel`] with live progress: the meter is armed for
-/// the grid size, fed one tick per finished run by every worker, and
-/// flushed with a final report when the merge completes.
-pub fn sweep_family_parallel_observed(
-    family: &(dyn ProtocolFamily + Sync),
-    spec: &SweepSpec,
-    meter: &ProgressMeter,
-) -> SweepOutcome {
-    SweepEngine::new(spec.clone()).run_observed(family, Some(meter))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SweepEngine, SweepSpec};
     use stp_channel::{ChannelSpec, SchedulerSpec};
     use stp_core::alpha::alpha;
     use stp_protocols::{NaiveFamily, ResendPolicy, TightFamily};
@@ -158,8 +127,9 @@ mod tests {
         let family = TightFamily::new(3, ResendPolicy::Once);
         let spec = SweepSpec::new(ChannelSpec::Dup, SchedulerSpec::DupStorm { p_deliver: 0.9 })
             .max_steps(5_000)
-            .seeds([0, 7, 42]);
-        let outcome = sweep_family(&family, &spec);
+            .seeds([0, 7, 42])
+            .threads(1);
+        let outcome = SweepEngine::new(spec).run(&family);
         assert!(outcome.all_complete(), "failures: {:?}", outcome.failures);
         assert_eq!(outcome.len() as u128, alpha(3).unwrap() * 3);
         assert!(outcome.mean_sends_per_item().unwrap() >= 1.0);
@@ -176,8 +146,9 @@ mod tests {
             },
         )
         .max_steps(20_000)
-        .seeds([3, 4]);
-        let outcome = sweep_family(&family, &spec);
+        .seeds([3, 4])
+        .threads(1);
+        let outcome = SweepEngine::new(spec).run(&family);
         assert!(outcome.all_complete(), "failures: {:?}", outcome.failures);
         assert!(outcome.worst_gap().is_some());
     }
@@ -189,8 +160,9 @@ mod tests {
         let family = NaiveFamily::new(2, 2);
         let spec = SweepSpec::new(ChannelSpec::Dup, SchedulerSpec::DupStorm { p_deliver: 0.9 })
             .max_steps(2_000)
-            .seeds([0]);
-        let outcome = sweep_family(&family, &spec);
+            .seeds([0])
+            .threads(1);
+        let outcome = SweepEngine::new(spec).run(&family);
         assert!(
             !outcome.all_complete(),
             "an over-capacity family cannot complete everywhere"
@@ -209,8 +181,8 @@ mod tests {
             .max_steps(5_000)
             .seeds([0, 1])
             .threads(4);
-        let serial = sweep_family(&family, &spec);
-        let parallel = sweep_family_parallel(&family, &spec);
+        let serial = SweepEngine::new(spec.clone().threads(1)).run(&family);
+        let parallel = SweepEngine::new(spec).run(&family);
         assert_eq!(serial.len(), parallel.len());
         assert!(parallel.all_complete());
         assert_eq!(serial.runs, parallel.runs);

@@ -2,12 +2,13 @@
 //!
 //! Two independent facilities:
 //!
-//! * **Export** — [`TelemetryWriter`] serializes per-run records
-//!   ([`RunRecord`]), per-message lifecycle spans ([`SpanRecord`]),
-//!   knowledge-frontier samples ([`FrontierRecord`]) and sweep-wide
-//!   [`SweepReport`]s as JSON Lines through a pluggable [`Sink`] (file,
-//!   stdout, in-memory). Each line is one self-describing object —
-//!   `{"run": …}`, `{"span": …}`, `{"frontier": …}` or `{"report": …}` —
+//! * **Export** — [`TelemetryWriter`] serializes [`TelemetryLine`]s —
+//!   per-run records ([`RunRecord`]), per-message lifecycle spans
+//!   ([`SpanRecord`]), knowledge-frontier samples ([`FrontierRecord`]),
+//!   sweep-wide [`SweepReport`]s and the other record kinds — as JSON
+//!   Lines through a pluggable [`Sink`] (file, stdout, in-memory). Each
+//!   line is one self-describing object with a single key —
+//!   `{"run": …}`, `{"span": …}`, `{"frontier": …}`, `{"report": …}`, … —
 //!   so a consumer can dispatch without a schema registry. The writer is
 //!   opt-in via the `STP_TELEMETRY` environment variable
 //!   ([`TelemetryWriter::from_env`]), which keeps the experiment
@@ -162,20 +163,6 @@ impl RunRecord {
     }
 }
 
-/// The wire form of a per-run line: `{"run": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunLine {
-    /// The record.
-    pub run: RunRecord,
-}
-
-/// The wire form of an aggregate line: `{"report": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReportLine {
-    /// The sweep-wide aggregation.
-    pub report: SweepReport,
-}
-
 /// A one-line digest of a whole experiment harness — the form every
 /// E-bin emits even when it has no sweep to export (impossibility
 /// certificates, exact-universe analyses, witness shrinking).
@@ -187,13 +174,6 @@ pub struct ExperimentSummary {
     pub rows: usize,
     /// Whether the harness's headline claim held on every row.
     pub ok: bool,
-}
-
-/// The wire form of a digest line: `{"summary": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SummaryLine {
-    /// The digest.
-    pub summary: ExperimentSummary,
 }
 
 /// The wire form of one per-message lifecycle span — the flattened
@@ -234,13 +214,6 @@ pub struct SpanRecord {
     pub fate: String,
 }
 
-/// The wire form of a span line: `{"span": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanLine {
-    /// The span.
-    pub span: SpanRecord,
-}
-
 /// One knowledge-frontier sample: how much each side knows at a step.
 /// The receiver's knowledge is the number of candidate continuations
 /// compatible with what it has seen (`candidates`, the α-style count);
@@ -262,13 +235,6 @@ pub struct FrontierRecord {
     pub candidates: u128,
     /// Items the sender knows the receiver has learned.
     pub s_ack_depth: usize,
-}
-
-/// The wire form of a frontier line: `{"frontier": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FrontierLine {
-    /// The sample.
-    pub frontier: FrontierRecord,
 }
 
 /// One stabilization probe, flattened for export: a corruption strike at
@@ -301,13 +267,6 @@ pub struct StabilizationRecord {
     /// `stabilized_at − fault_end`, when the run reconverged.
     #[serde(default)]
     pub steps_to_stabilize: Option<Step>,
-}
-
-/// The wire form of a stabilization line: `{"stabilization": {…}}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StabilizationLine {
-    /// The probe record.
-    pub stabilization: StabilizationRecord,
 }
 
 /// One churn-workload benchmark result, flattened for export: what a
@@ -348,48 +307,11 @@ pub struct SessionsRecord {
     pub p99_latency_rounds: f64,
 }
 
-/// The wire form of a churn-bench line: `{"sessions": {…}}`.
+/// One telemetry line. On the wire it is externally tagged by its
+/// lowercase kind — `{"run": {…}}`, `{"report": {…}}`, … — so a consumer
+/// dispatches on the line's single top-level key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionsLine {
-    /// The record.
-    pub sessions: SessionsRecord,
-}
-
-/// The wire form of a conformance-ledger line: `{"verdict": {…}}` — one
-/// grid cell of the certificate gate, carrying the cell's expected and
-/// observed verdicts plus the independent checker's judgement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VerdictLine {
-    /// The ledger record.
-    pub verdict: stp_core::schema::ConformanceVerdict,
-}
-
-/// The wire form of a fleet-snapshot line: `{"fleet": {…}}` — one
-/// per-shard or aggregate sample of the session-server metrics registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetLine {
-    /// The record.
-    pub fleet: FleetRecord,
-}
-
-/// The wire form of a stall-watchdog line: `{"stall": {…}}` — one
-/// flagged session with full replay provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StallLine {
-    /// The record.
-    pub stall: StallRecord,
-}
-
-/// The wire form of a profiler line: `{"prof": {…}}` — one per-phase
-/// cost-attribution report from the phase-scoped profiler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProfLine {
-    /// The record.
-    pub prof: ProfRecord,
-}
-
-/// A parsed telemetry line — what [`TelemetryLine::parse`] dispatches to.
-#[derive(Debug, Clone, PartialEq)]
+#[serde(rename_all = "lowercase")]
 pub enum TelemetryLine {
     /// A per-run record.
     Run(RunRecord),
@@ -402,7 +324,9 @@ pub enum TelemetryLine {
     Span(SpanRecord),
     /// A knowledge-frontier sample.
     Frontier(FrontierRecord),
-    /// A conformance-ledger verdict.
+    /// A conformance-ledger verdict: one grid cell of the certificate
+    /// gate, with its expected and observed verdicts plus the independent
+    /// checker's judgement.
     Verdict(stp_core::schema::ConformanceVerdict),
     /// A stabilization probe under state corruption.
     Stabilization(StabilizationRecord),
@@ -417,47 +341,15 @@ pub enum TelemetryLine {
 }
 
 impl TelemetryLine {
-    /// Parses one JSONL line, dispatching on its single top-level key.
+    /// Parses one JSONL line.
     ///
     /// # Errors
     ///
-    /// Returns the underlying JSON error when the line is none of the
-    /// `{"run": …}` / `{"span": …}` / `{"frontier": …}` / `{"summary": …}`
-    /// / `{"verdict": …}` / `{"stabilization": …}` / `{"sessions": …}` /
-    /// `{"fleet": …}` / `{"stall": …}` / `{"prof": …}` / `{"report": …}`
-    /// documents.
+    /// Returns the underlying JSON error when the line is not an object
+    /// with exactly one top-level key naming a known kind, or when that
+    /// key's value does not parse as the kind's record.
     pub fn parse(line: &str) -> Result<TelemetryLine, serde_json::Error> {
-        if let Ok(l) = serde_json::from_str::<RunLine>(line) {
-            return Ok(TelemetryLine::Run(l.run));
-        }
-        if let Ok(l) = serde_json::from_str::<VerdictLine>(line) {
-            return Ok(TelemetryLine::Verdict(l.verdict));
-        }
-        if let Ok(l) = serde_json::from_str::<StabilizationLine>(line) {
-            return Ok(TelemetryLine::Stabilization(l.stabilization));
-        }
-        if let Ok(l) = serde_json::from_str::<SessionsLine>(line) {
-            return Ok(TelemetryLine::Sessions(l.sessions));
-        }
-        if let Ok(l) = serde_json::from_str::<FleetLine>(line) {
-            return Ok(TelemetryLine::Fleet(l.fleet));
-        }
-        if let Ok(l) = serde_json::from_str::<StallLine>(line) {
-            return Ok(TelemetryLine::Stall(l.stall));
-        }
-        if let Ok(l) = serde_json::from_str::<ProfLine>(line) {
-            return Ok(TelemetryLine::Prof(l.prof));
-        }
-        if let Ok(l) = serde_json::from_str::<SpanLine>(line) {
-            return Ok(TelemetryLine::Span(l.span));
-        }
-        if let Ok(l) = serde_json::from_str::<FrontierLine>(line) {
-            return Ok(TelemetryLine::Frontier(l.frontier));
-        }
-        if let Ok(l) = serde_json::from_str::<SummaryLine>(line) {
-            return Ok(TelemetryLine::Summary(l.summary));
-        }
-        serde_json::from_str::<ReportLine>(line).map(|l| TelemetryLine::Report(Box::new(l.report)))
+        serde_json::from_str(line)
     }
 }
 
@@ -465,7 +357,7 @@ impl TelemetryLine {
 /// unset/empty = off, `-` = stdout, anything else = append to that file.
 pub const TELEMETRY_ENV: &str = "STP_TELEMETRY";
 
-/// Serializes runs and reports as JSON Lines into a [`Sink`].
+/// Serializes [`TelemetryLine`]s as JSON Lines into a [`Sink`].
 pub struct TelemetryWriter {
     sink: Box<dyn Sink>,
 }
@@ -497,147 +389,13 @@ impl TelemetryWriter {
         }
     }
 
-    /// Emits one per-run line.
+    /// Emits one line.
     ///
     /// # Errors
     ///
     /// Propagates serialization or sink I/O errors.
-    pub fn emit_run(&mut self, record: &RunRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&RunLine {
-            run: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one aggregate line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_report(&mut self, report: &SweepReport) -> io::Result<()> {
-        let line = serde_json::to_string(&ReportLine {
-            report: report.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one experiment digest line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_summary(&mut self, summary: &ExperimentSummary) -> io::Result<()> {
-        let line = serde_json::to_string(&SummaryLine {
-            summary: summary.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one message-lifecycle span line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_span(&mut self, span: &SpanRecord) -> io::Result<()> {
-        let line =
-            serde_json::to_string(&SpanLine { span: span.clone() }).map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one conformance-ledger verdict line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_verdict(
-        &mut self,
-        verdict: &stp_core::schema::ConformanceVerdict,
-    ) -> io::Result<()> {
-        let line = serde_json::to_string(&VerdictLine {
-            verdict: verdict.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one stabilization-probe line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_stabilization(&mut self, record: &StabilizationRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&StabilizationLine {
-            stabilization: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one churn-bench line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_sessions(&mut self, record: &SessionsRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&SessionsLine {
-            sessions: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one fleet-metrics snapshot line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_fleet(&mut self, record: &FleetRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&FleetLine {
-            fleet: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one stall-watchdog line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_stall(&mut self, record: &StallRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&StallLine {
-            stall: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one profiler cost-attribution line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_prof(&mut self, record: &ProfRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&ProfLine {
-            prof: record.clone(),
-        })
-        .map_err(io::Error::other)?;
-        self.sink.write_line(&line)
-    }
-
-    /// Emits one knowledge-frontier sample line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization or sink I/O errors.
-    pub fn emit_frontier(&mut self, frontier: &FrontierRecord) -> io::Result<()> {
-        let line = serde_json::to_string(&FrontierLine {
-            frontier: frontier.clone(),
-        })
-        .map_err(io::Error::other)?;
+    pub fn emit(&mut self, line: &TelemetryLine) -> io::Result<()> {
+        let line = serde_json::to_string(line).map_err(io::Error::other)?;
         self.sink.write_line(&line)
     }
 
@@ -649,9 +407,9 @@ impl TelemetryWriter {
     /// Propagates serialization or sink I/O errors.
     pub fn export_outcome(&mut self, experiment: &str, outcome: &SweepOutcome) -> io::Result<()> {
         for run in &outcome.runs {
-            self.emit_run(&RunRecord::of(experiment, run))?;
+            self.emit(&TelemetryLine::Run(RunRecord::of(experiment, run)))?;
         }
-        self.emit_report(&outcome.report)?;
+        self.emit(&TelemetryLine::Report(Box::new(outcome.report.clone())))?;
         self.flush()
     }
 
@@ -976,32 +734,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_lines_round_trip() {
-        let rec = RunRecord::of("e1", &member(3));
+    /// Emits `line`, checks that the wire form starts with the `kind`
+    /// tag — `{"<kind>":` — and that it parses back to `line`. The tag is
+    /// spelled out by each caller, so a drift in the derive's tag case
+    /// (which parse and emit would share) still fails here.
+    fn round_trip(line: TelemetryLine, kind: &str) {
         let sink = MemorySink::new();
         let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_run(&rec).unwrap();
+        w.emit(&line).unwrap();
         w.flush().unwrap();
         let lines = sink.lines();
         assert_eq!(lines.len(), 1);
-        match TelemetryLine::parse(&lines[0]).unwrap() {
-            TelemetryLine::Run(back) => assert_eq!(back, rec),
-            other => panic!("expected a run line, got {other:?}"),
-        }
+        let prefix = format!("{{\"{kind}\":");
+        assert!(lines[0].starts_with(&prefix), "{}", lines[0]);
+        assert_eq!(TelemetryLine::parse(&lines[0]).unwrap(), line);
+    }
+
+    #[test]
+    fn run_lines_round_trip() {
+        round_trip(TelemetryLine::Run(RunRecord::of("e1", &member(3))), "run");
     }
 
     #[test]
     fn report_lines_round_trip() {
         let mut report = SweepReport::new();
         report.observe(&stats(10, 2));
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_report(&report).unwrap();
-        match TelemetryLine::parse(&sink.lines()[0]).unwrap() {
-            TelemetryLine::Report(back) => assert_eq!(*back, report),
-            other => panic!("expected a report line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Report(Box::new(report)), "report");
     }
 
     #[test]
@@ -1031,13 +789,7 @@ mod tests {
             rows: 4,
             ok: true,
         };
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_summary(&summary).unwrap();
-        match TelemetryLine::parse(&sink.lines()[0]).unwrap() {
-            TelemetryLine::Summary(back) => assert_eq!(back, summary),
-            other => panic!("expected a summary line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Summary(summary), "summary");
     }
 
     #[test]
@@ -1055,15 +807,7 @@ mod tests {
             expired_at: None,
             fate: "coalesced".to_string(),
         };
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_span(&rec).unwrap();
-        let line = &sink.lines()[0];
-        assert!(line.contains("\"span\""), "{line}");
-        match TelemetryLine::parse(line).unwrap() {
-            TelemetryLine::Span(back) => assert_eq!(back, rec),
-            other => panic!("expected a span line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Span(rec), "span");
     }
 
     #[test]
@@ -1077,15 +821,7 @@ mod tests {
             candidates: u128::from(u64::MAX) + 17,
             s_ack_depth: 1,
         };
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_frontier(&rec).unwrap();
-        let line = &sink.lines()[0];
-        assert!(line.contains("\"frontier\""), "{line}");
-        match TelemetryLine::parse(line).unwrap() {
-            TelemetryLine::Frontier(back) => assert_eq!(back, rec),
-            other => panic!("expected a frontier line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Frontier(rec), "frontier");
     }
 
     #[test]
@@ -1103,15 +839,7 @@ mod tests {
             checker: "accepted".to_string(),
             ok: true,
         };
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_verdict(&rec).unwrap();
-        let line = &sink.lines()[0];
-        assert!(line.contains("\"verdict\""), "{line}");
-        match TelemetryLine::parse(line).unwrap() {
-            TelemetryLine::Verdict(back) => assert_eq!(back, rec),
-            other => panic!("expected a verdict line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Verdict(rec), "verdict");
     }
 
     #[test]
@@ -1128,26 +856,14 @@ mod tests {
             stabilized_at: Some(12),
             steps_to_stabilize: Some(2),
         };
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_stabilization(&rec).unwrap();
-        let line = &sink.lines()[0];
-        assert!(line.contains("\"stabilization\""), "{line}");
-        match TelemetryLine::parse(line).unwrap() {
-            TelemetryLine::Stabilization(back) => assert_eq!(back, rec),
-            other => panic!("expected a stabilization line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Stabilization(rec.clone()), "stabilization");
         // A divergent probe (no stabilization point) round-trips too.
         let divergent = StabilizationRecord {
             stabilized_at: None,
             steps_to_stabilize: None,
             ..rec
         };
-        w.emit_stabilization(&divergent).unwrap();
-        match TelemetryLine::parse(&sink.lines()[1]).unwrap() {
-            TelemetryLine::Stabilization(back) => assert_eq!(back, divergent),
-            other => panic!("expected a stabilization line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Stabilization(divergent), "stabilization");
     }
 
     #[test]
@@ -1166,32 +882,17 @@ mod tests {
             sessions_per_sec: 275_000.0,
             p99_latency_rounds: 9.0,
         };
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_sessions(&rec).unwrap();
-        let line = &sink.lines()[0];
-        assert!(line.contains("\"sessions\""), "{line}");
-        match TelemetryLine::parse(line).unwrap() {
-            TelemetryLine::Sessions(back) => assert_eq!(back, rec),
-            other => panic!("expected a sessions line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Sessions(rec), "sessions");
     }
 
     #[test]
     fn prof_lines_round_trip() {
         let prof = crate::prof::PhaseProfiler::new(1);
         prof.time(crate::prof::Phase::SenderStep, || std::hint::black_box(7));
-        let rec = prof.report("bench_sweep", "e1_grid");
-
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        w.emit_prof(&rec).unwrap();
-        let line = &sink.lines()[0];
-        assert!(line.contains("\"prof\""), "{line}");
-        match TelemetryLine::parse(line).unwrap() {
-            TelemetryLine::Prof(back) => assert_eq!(back, rec),
-            other => panic!("expected a prof line, got {other:?}"),
-        }
+        round_trip(
+            TelemetryLine::Prof(prof.report("bench_sweep", "e1_grid")),
+            "prof",
+        );
     }
 
     #[test]
@@ -1201,13 +902,15 @@ mod tests {
         registry.shard(0).note_admitted(false);
         registry.shard(0).note_completed(3);
         let snap = registry.snapshot();
-
-        let sink = MemorySink::new();
-        let mut w = TelemetryWriter::new(Box::new(sink.clone()));
-        for shard in &snap.shards {
-            w.emit_fleet(&shard.record("sessions_top")).unwrap();
-        }
-        w.emit_fleet(&snap.stats().record("sessions_top")).unwrap();
+        let shard = snap.shards[0].record("sessions_top");
+        assert_eq!(shard.shard, Some(0));
+        assert_eq!(shard.submitted, 1);
+        assert_eq!(shard.p50_latency_rounds, 3.0);
+        round_trip(TelemetryLine::Fleet(shard), "fleet");
+        let aggregate = snap.stats().record("sessions_top");
+        assert_eq!(aggregate.shard, None, "aggregate line");
+        assert_eq!(aggregate.shards, 2);
+        round_trip(TelemetryLine::Fleet(aggregate), "fleet");
 
         let stall = StallRecord {
             experiment: "sessions_top".to_string(),
@@ -1231,29 +934,7 @@ mod tests {
                 ttl_rounds: None,
             },
         };
-        w.emit_stall(&stall).unwrap();
-
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 4);
-        match TelemetryLine::parse(&lines[0]).unwrap() {
-            TelemetryLine::Fleet(back) => {
-                assert_eq!(back.shard, Some(0));
-                assert_eq!(back.submitted, 1);
-                assert_eq!(back.p50_latency_rounds, 3.0);
-            }
-            other => panic!("expected a fleet line, got {other:?}"),
-        }
-        match TelemetryLine::parse(&lines[2]).unwrap() {
-            TelemetryLine::Fleet(back) => {
-                assert_eq!(back.shard, None, "aggregate line");
-                assert_eq!(back.shards, 2);
-            }
-            other => panic!("expected a fleet line, got {other:?}"),
-        }
-        match TelemetryLine::parse(&lines[3]).unwrap() {
-            TelemetryLine::Stall(back) => assert_eq!(back, stall),
-            other => panic!("expected a stall line, got {other:?}"),
-        }
+        round_trip(TelemetryLine::Stall(stall), "stall");
     }
 
     #[test]
@@ -1307,6 +988,15 @@ mod tests {
     fn garbage_lines_fail_to_parse() {
         assert!(TelemetryLine::parse("{\"neither\": 1}").is_err());
         assert!(TelemetryLine::parse("not json").is_err());
+        assert!(TelemetryLine::parse("{}").is_err());
+        // A line must carry exactly one kind: a second top-level key is
+        // rejected, not silently dropped.
+        let run = TelemetryLine::Run(RunRecord::of("e1", &member(3)));
+        let run = serde_json::to_string(&run).unwrap();
+        let both = format!("{},\"span\":{{}}}}", &run[..run.len() - 1]);
+        assert!(both.starts_with("{\"run\":{") && both.ends_with("},\"span\":{}}"));
+        let err = TelemetryLine::parse(&both).unwrap_err().to_string();
+        assert!(err.contains(r#"["run", "span"]"#), "{err}");
     }
 
     #[test]
@@ -1317,7 +1007,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         for seed in 0..2 {
             let mut w = TelemetryWriter::new(Box::new(FileSink::open(&path).unwrap()));
-            w.emit_run(&RunRecord::of("e1", &member(seed))).unwrap();
+            w.emit(&TelemetryLine::Run(RunRecord::of("e1", &member(seed))))
+                .unwrap();
             w.flush().unwrap();
         }
         let body = std::fs::read_to_string(&path).unwrap();

@@ -64,8 +64,8 @@ fn parallel_sweeps_are_bit_identical_to_serial_at_every_width() {
     for (fname, family) in families() {
         for (cname, channel) in channels() {
             let spec = sweep_spec(channel);
-            let built = family.build_sync();
-            let serial = SweepEngine::new(spec.clone()).run_serial(&*built);
+            let built = family.build();
+            let serial = SweepEngine::new(spec.clone()).run(&*built);
             for workers in [1, 2, 8] {
                 let parallel = SweepEngine::new(spec.clone().threads(workers)).run(&*built);
                 assert_eq!(
@@ -109,7 +109,7 @@ fn second_lap_over_recycled_worlds_is_bit_identical() {
     .seeds(0..SEEDS)
     .threads(1);
     let family = stp_protocols::TightFamily::new(3, ResendPolicy::EveryTick);
-    let serial = SweepEngine::new(spec.clone()).run_serial(&family);
+    let serial = SweepEngine::new(spec.clone()).run(&family);
     let engine = SweepEngine::new(spec.threads(4));
     let first = engine.run(&family);
     let second = engine.run(&family);
@@ -125,7 +125,7 @@ fn isolated_mode_matches_real_threads_and_times_every_worker() {
     // runs/sec describe a different computation.
     let family = stp_protocols::TightFamily::new(3, ResendPolicy::Once);
     let spec = sweep_spec(ChannelSpec::Dup);
-    let serial = SweepEngine::new(spec.clone()).run_serial(&family);
+    let serial = SweepEngine::new(spec.clone()).run(&family);
     for workers in [1, 2, 8] {
         let engine = SweepEngine::new(spec.clone().threads(workers));
         let threaded = engine.run(&family);
@@ -201,12 +201,12 @@ fn e1_spec() -> SweepSpec {
 /// returns the serial outcome.
 fn assert_every_executor_matches_serial(
     label: &str,
-    family: &(dyn ProtocolFamily + Sync),
+    family: &dyn ProtocolFamily,
     spec: &SweepSpec,
     cells: usize,
 ) -> SweepOutcome {
     assert_eq!(spec.grid_size(family), cells, "{label}: grid size");
-    let serial = SweepEngine::new(spec.clone()).run_serial(family);
+    let serial = SweepEngine::new(spec.clone().threads(1)).run(family);
     assert_eq!(serial.len(), cells, "{label}: serial run count");
     for workers in [1, 2, 8] {
         let engine = SweepEngine::new(spec.clone().threads(workers));

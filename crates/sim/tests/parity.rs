@@ -12,7 +12,7 @@ use stp_protocols::{ProtocolFamily, ResendPolicy, TightFamily};
 use stp_sim::prelude::*;
 
 fn assert_engine_matches_legacy(
-    family: &(dyn ProtocolFamily + Sync),
+    family: &dyn ProtocolFamily,
     channel: ChannelSpec,
     scheduler: SchedulerSpec,
     max_steps: u64,

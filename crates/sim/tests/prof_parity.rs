@@ -63,11 +63,11 @@ fn profiled_sweep_is_bit_identical_to_unprofiled() {
             let spec = sweep_spec(channel);
             let engine = SweepEngine::new(spec);
             let built = family.build();
-            let plain = engine.run_serial(&*built);
+            let plain = engine.run(&*built);
             // Period 1: every cell is a profiled window — the hardest
             // case for parity, since nothing runs the unobserved path.
             let prof = PhaseProfiler::new(1);
-            let profiled = engine.run_serial_profiled(&*built, &prof);
+            let profiled = engine.run_profiled(&*built, &prof);
             assert_eq!(
                 plain.runs, profiled.runs,
                 "{fname}/{cname}: profiled runs must be bit-identical"
@@ -93,7 +93,7 @@ fn profiled_parallel_lane_keeps_coverage_and_parity() {
     for (fname, family) in families() {
         for (cname, channel) in channels() {
             let engine = SweepEngine::new(sweep_spec(channel).threads(4));
-            let built = family.build_sync();
+            let built = family.build();
             let plain = engine.run(&*built);
             let prof = PhaseProfiler::new(1);
             let profiled = engine.run_profiled(&*built, &prof);

@@ -115,7 +115,7 @@ fn session_store_matches_sweep_engine_bit_for_bit() {
     for (fname, family) in families() {
         for (cname, channel) in channels() {
             let sweep = sweep_spec(channel);
-            let outcome = SweepEngine::new(sweep.clone()).run_serial(&*family.build());
+            let outcome = SweepEngine::new(sweep.clone()).run(&*family.build());
             let specs = sweep.session_specs(&family);
             assert_eq!(
                 outcome.runs.len(),
@@ -159,7 +159,7 @@ fn campaign_cells_take_the_corruption_path() {
                 .max_steps(MAX_STEPS)
                 .seeds(0..SEEDS)
                 .threads(1);
-            let outcome = SweepEngine::new(spec).run_serial(&*family.build());
+            let outcome = SweepEngine::new(spec).run(&*family.build());
             let strikes: Vec<CorruptionKind> = outcome
                 .runs
                 .iter()
@@ -192,7 +192,7 @@ fn sharded_server_matches_sweep_engine() {
     // 4-shard server retire with the same stats as the serial sweep.
     let (_, family) = families().remove(0);
     let sweep = sweep_spec(ChannelSpec::Del);
-    let outcome = SweepEngine::new(sweep.clone()).run_serial(&*family.build());
+    let outcome = SweepEngine::new(sweep.clone()).run(&*family.build());
     let specs = sweep.session_specs(&family);
 
     let server = SessionServer::new(&ServerSpec {

@@ -39,6 +39,21 @@ pub enum Content {
     Map(Vec<(String, Content)>),
 }
 
+impl Content {
+    /// What kind of value this is (`"a map"`, `"a number"`, …), for error
+    /// messages that should not echo a whole tree.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Content::Null => "null",
+            Content::Bool(_) => "a bool",
+            Content::Num(_) => "a number",
+            Content::Str(_) => "a string",
+            Content::Seq(_) => "a sequence",
+            Content::Map(_) => "a map",
+        }
+    }
+}
+
 /// Errors surfaced when rebuilding a value from [`Content`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeError(pub String);

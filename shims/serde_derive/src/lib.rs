@@ -7,7 +7,17 @@
 //!
 //! * structs with named fields,
 //! * tuple structs (including newtypes),
-//! * enums whose variants are unit, newtype/tuple, or struct-like.
+//! * enums whose variants are unit, newtype/tuple, or struct-like,
+//!   externally tagged (`{"Variant": …}`, or `"Variant"` for unit ones).
+//!
+//! Attributes honoured:
+//!
+//! * field `#[serde(default)]` / `#[serde(default = "path")]`;
+//! * enum `#[serde(rename_all = "lowercase")]`, which lowercases every
+//!   variant tag on the wire. Any other `rename_all` value is a compile
+//!   error.
+//!
+//! Other serde arguments (`skip_serializing_if`, …) are ignored.
 //!
 //! Generics are intentionally unsupported (no workspace type needs them);
 //! hitting that limit is a compile error rather than silent misbehaviour.
@@ -49,9 +59,12 @@ enum VariantKind {
     Named(Vec<Field>),
 }
 
+/// An enum variant: `name` is the Rust identifier, `tag` its key on the
+/// wire (the name itself unless `rename_all` rewrote it).
 #[derive(Debug)]
 struct Variant {
     name: String,
+    tag: String,
     kind: VariantKind,
 }
 
@@ -113,12 +126,12 @@ fn strip_prefix(tokens: &[TokenTree]) -> &[TokenTree] {
     &tokens[i..]
 }
 
-/// The `#[serde(default)]` / `#[serde(default = "path")]` attribute of an
-/// (un-stripped) field segment, if present — possibly alongside other
-/// serde arguments, which the shim ignores. See [`Field::default`] for
-/// the encoding.
-fn serde_default(segment: &[TokenTree]) -> Option<Option<String>> {
-    for w in segment.windows(2) {
+/// Every argument of every top-level `#[serde(...)]` attribute in
+/// `tokens` (a field segment or a whole item; nested groups are not
+/// searched), each split at its commas.
+fn serde_args(tokens: &[TokenTree]) -> Vec<Vec<TokenTree>> {
+    let mut out = Vec::new();
+    for w in tokens.windows(2) {
         if !matches!(&w[0], TokenTree::Punct(p) if p.as_char() == '#') {
             continue;
         }
@@ -129,29 +142,36 @@ fn serde_default(segment: &[TokenTree]) -> Option<Option<String>> {
         if !matches!(toks.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
             continue;
         }
-        let Some(TokenTree::Group(args)) = toks.get(1) else {
-            continue;
-        };
-        for arg in split_commas(&args.stream().into_iter().collect::<Vec<_>>()) {
-            if !matches!(arg.first(), Some(TokenTree::Ident(id)) if id.to_string() == "default") {
-                continue;
-            }
-            match arg.len() {
-                // `default`
-                1 => return Some(None),
-                // `default = "path"`
-                3 if matches!(&arg[1], TokenTree::Punct(p) if p.as_char() == '=') => {
-                    if let TokenTree::Literal(lit) = &arg[2] {
-                        let path = lit.to_string();
-                        let path = path.trim_matches('"').to_string();
-                        return Some(Some(path));
-                    }
-                }
-                _ => {}
-            }
+        if let Some(TokenTree::Group(args)) = toks.get(1) {
+            out.extend(split_commas(&args.stream().into_iter().collect::<Vec<_>>()));
         }
     }
-    None
+    out
+}
+
+/// The string value of a `key = "value"` serde argument named `key`.
+fn string_arg(arg: &[TokenTree], key: &str) -> Option<String> {
+    match arg {
+        [TokenTree::Ident(id), TokenTree::Punct(eq), TokenTree::Literal(lit)]
+            if id.to_string() == key && eq.as_char() == '=' =>
+        {
+            Some(lit.to_string().trim_matches('"').to_string())
+        }
+        _ => None,
+    }
+}
+
+/// The `#[serde(default)]` / `#[serde(default = "path")]` attribute of an
+/// (un-stripped) field segment, if present — possibly alongside other
+/// serde arguments, which the shim ignores. See [`Field::default`] for
+/// the encoding.
+fn serde_default(segment: &[TokenTree]) -> Option<Option<String>> {
+    serde_args(segment)
+        .iter()
+        .find_map(|arg| match arg.as_slice() {
+            [TokenTree::Ident(id)] if id.to_string() == "default" => Some(None),
+            _ => string_arg(arg, "default").map(Some),
+        })
 }
 
 /// The first identifier of a (stripped) field segment, i.e. the field name.
@@ -175,7 +195,7 @@ fn parse_named_fields(group_tokens: &[TokenTree]) -> Vec<Field> {
         .collect()
 }
 
-fn parse_variant(segment: &[TokenTree]) -> Option<Variant> {
+fn parse_variant(segment: &[TokenTree], lowercase: bool) -> Option<Variant> {
     let segment = strip_prefix(segment);
     let name = match segment.first() {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -192,7 +212,12 @@ fn parse_variant(segment: &[TokenTree]) -> Option<Variant> {
         }
         _ => VariantKind::Unit,
     };
-    Some(Variant { name, kind })
+    let tag = if lowercase {
+        name.to_lowercase()
+    } else {
+        name.clone()
+    };
+    Some(Variant { name, tag, kind })
 }
 
 fn parse_shape(input: TokenStream) -> Result<Shape, String> {
@@ -215,12 +240,25 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => return Err(format!("expected type name, found {other:?}")),
     };
+    let rename_all = serde_args(&tokens)
+        .iter()
+        .find_map(|arg| string_arg(arg, "rename_all"));
     let body = it.next();
     if matches!(body, Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         return Err(format!(
             "shim serde_derive does not support generic type `{name}`"
         ));
     }
+    let lowercase = match rename_all.as_deref() {
+        None => false,
+        Some("lowercase") if kw == "enum" => true,
+        Some(other) => {
+            return Err(format!(
+                "shim serde_derive supports only rename_all = \"lowercase\" on an enum, \
+                 but {kw} `{name}` has rename_all = {other:?}"
+            ))
+        }
+    };
     match (kw.as_str(), body) {
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
             let toks: Vec<TokenTree> = g.stream().into_iter().collect();
@@ -243,7 +281,7 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
             let toks: Vec<TokenTree> = g.stream().into_iter().collect();
             let variants = split_commas(&toks)
                 .iter()
-                .filter_map(|seg| parse_variant(seg))
+                .filter_map(|seg| parse_variant(seg, lowercase))
                 .collect();
             Ok(Shape::Enum { name, variants })
         }
@@ -313,14 +351,14 @@ fn emit_serialize(shape: &Shape) -> String {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
-                    let vname = &v.name;
+                    let (vname, tag) = (&v.name, &v.tag);
                     match &v.kind {
                         VariantKind::Unit => format!(
-                            "{name}::{vname} => ::serde::Content::Str(\"{vname}\".to_string()),"
+                            "{name}::{vname} => ::serde::Content::Str(\"{tag}\".to_string()),"
                         ),
                         VariantKind::Tuple(1) => format!(
                             "{name}::{vname}(x0) => ::serde::Content::Map(vec![(\
-                             \"{vname}\".to_string(), ::serde::Serialize::to_content(x0))]),"
+                             \"{tag}\".to_string(), ::serde::Serialize::to_content(x0))]),"
                         ),
                         VariantKind::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
@@ -330,7 +368,7 @@ fn emit_serialize(shape: &Shape) -> String {
                                 .collect();
                             format!(
                                 "{name}::{vname}({}) => ::serde::Content::Map(vec![(\
-                                 \"{vname}\".to_string(), ::serde::Content::Seq(vec![{}]))]),",
+                                 \"{tag}\".to_string(), ::serde::Content::Seq(vec![{}]))]),",
                                 binds.join(", "),
                                 items.join(", ")
                             )
@@ -352,7 +390,7 @@ fn emit_serialize(shape: &Shape) -> String {
                                 .collect();
                             format!(
                                 "{name}::{vname} {{ {binds} }} => ::serde::Content::Map(vec![(\
-                                 \"{vname}\".to_string(), ::serde::Content::Map(vec![{}]))]),",
+                                 \"{tag}\".to_string(), ::serde::Content::Map(vec![{}]))]),",
                                 entries.join(", ")
                             )
                         }
@@ -422,16 +460,16 @@ fn emit_deserialize(shape: &Shape) -> String {
             let unit_arms: Vec<String> = variants
                 .iter()
                 .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
+                .map(|v| format!("\"{}\" => Ok({name}::{}),", v.tag, v.name))
                 .collect();
             let data_arms: Vec<String> = variants
                 .iter()
                 .filter_map(|v| {
-                    let vname = &v.name;
+                    let (vname, tag) = (&v.name, &v.tag);
                     match &v.kind {
                         VariantKind::Unit => None,
                         VariantKind::Tuple(1) => Some(format!(
-                            "\"{vname}\" => Ok({name}::{vname}(\
+                            "\"{tag}\" => Ok({name}::{vname}(\
                              ::serde::Deserialize::from_content(v)?)),"
                         )),
                         VariantKind::Tuple(n) => {
@@ -441,7 +479,7 @@ fn emit_deserialize(shape: &Shape) -> String {
                                 })
                                 .collect();
                             Some(format!(
-                                "\"{vname}\" => match v {{\n\
+                                "\"{tag}\" => match v {{\n\
                                      ::serde::Content::Seq(items) if items.len() == {n} => \
                                          Ok({name}::{vname}({})),\n\
                                      other => Err(::serde::DeError(format!(\n\
@@ -457,7 +495,7 @@ fn emit_deserialize(shape: &Shape) -> String {
                                 .map(|f| format!("{}: {},", f.name, field_lookup(f, "fields")))
                                 .collect();
                             Some(format!(
-                                "\"{vname}\" => match v {{\n\
+                                "\"{tag}\" => match v {{\n\
                                      ::serde::Content::Map(fields) => \
                                          Ok({name}::{vname} {{ {} }}),\n\
                                      other => Err(::serde::DeError(format!(\n\
@@ -487,8 +525,11 @@ fn emit_deserialize(shape: &Shape) -> String {
                                          \"unknown {name} variant {{other:?}}\"))),\n\
                                  }}\n\
                              }}\n\
+                             ::serde::Content::Map(entries) => Err(::serde::DeError(format!(\n\
+                                 \"expected one variant key for {name}, found keys {{:?}}\",\n\
+                                 entries.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>()))),\n\
                              other => Err(::serde::DeError(format!(\n\
-                                 \"expected variant for {name}, found {{other:?}}\"))),\n\
+                                 \"expected variant for {name}, found {{}}\", other.kind()))),\n\
                          }}\n\
                      }}\n\
                  }}",
@@ -504,7 +545,8 @@ fn run(input: TokenStream, emit: fn(&Shape) -> String) -> TokenStream {
         Ok(shape) => emit(&shape)
             .parse()
             .expect("shim serde_derive generated invalid Rust"),
-        Err(msg) => format!("compile_error!(\"{msg}\");").parse().unwrap(),
+        // `{msg:?}` renders the message as an escaped string literal.
+        Err(msg) => format!("compile_error!({msg:?});").parse().unwrap(),
     }
 }
 

@@ -12,7 +12,7 @@ use stp_protocols::{
     AbpReceiver, AbpSender, HybridReceiver, HybridSender, ProtocolFamily, ResendPolicy,
     StenningReceiver, StenningSender, TightFamily,
 };
-use stp_sim::{run_family_member, sweep_family, SweepSpec, World};
+use stp_sim::{run_family_member, SweepEngine, SweepSpec, World};
 
 fn seq(v: &[u16]) -> DataSeq {
     DataSeq::from_indices(v.iter().copied())
@@ -30,8 +30,9 @@ fn tight_dup_grid_all_sequences_all_adversaries() {
     for (name, sched) in adversaries {
         let spec = SweepSpec::new(ChannelSpec::Dup, sched)
             .max_steps(10_000)
-            .seeds(0..5);
-        let out = sweep_family(&family, &spec);
+            .seeds(0..5)
+            .threads(1);
+        let out = SweepEngine::new(spec).run(&family);
         assert!(out.all_complete(), "adversary {name}: {:?}", out.failures);
     }
 }
@@ -48,8 +49,9 @@ fn tight_del_grid_all_sequences_drop_rates() {
             },
         )
         .max_steps(50_000)
-        .seeds(0..5);
-        let out = sweep_family(&family, &spec);
+        .seeds(0..5)
+        .threads(1);
+        let out = SweepEngine::new(spec).run(&family);
         assert!(out.all_complete(), "p_drop={p_drop}: {:?}", out.failures);
     }
 }

@@ -12,7 +12,7 @@ use stp_core::require::check_safety;
 use stp_protocols::{
     HybridReceiver, HybridSender, ProbabilisticFamily, ResendPolicy, TightReceiver, TightSender,
 };
-use stp_sim::{burst_plan, replay, sweep_family_parallel, SweepSpec, World};
+use stp_sim::{burst_plan, replay, SweepEngine, SweepSpec, World};
 
 fn seq(v: &[u16]) -> DataSeq {
     DataSeq::from_indices(v.iter().copied())
@@ -53,7 +53,7 @@ fn parallel_sweep_handles_probabilistic_families() {
         .max_steps(5_000)
         .seeds([0, 1])
         .threads(4);
-    let out = sweep_family_parallel(&family, &spec);
+    let out = SweepEngine::new(spec).run(&family);
     assert!(out.all_complete(), "{:?}", out.failures);
 }
 

@@ -7,7 +7,7 @@ use stp_core::alphabet::Alphabet;
 use stp_core::encoding::Encoding;
 use stp_core::sequence::SequenceFamily;
 use stp_protocols::{NaiveFamily, ProtocolFamily, ResendPolicy, TightFamily};
-use stp_sim::{sweep_family, SweepSpec};
+use stp_sim::{SweepEngine, SweepSpec};
 use stp_verify::refute::{find_conflict_with_budget, find_indistinguishable_conflict};
 use stp_verify::{encoding_capacity, exhaustive_prefix_closed_check, find_fair_cycle};
 
@@ -23,8 +23,9 @@ fn theorem1_achievability_alpha_m_sequences_transmit() {
         );
         let spec = SweepSpec::new(ChannelSpec::Dup, SchedulerSpec::DupStorm { p_deliver: 0.9 })
             .max_steps(20_000)
-            .seeds([0, 1]);
-        let out = sweep_family(&family, &spec);
+            .seeds([0, 1])
+            .threads(1);
+        let out = SweepEngine::new(spec).run(&family);
         assert!(out.all_complete(), "m={m}: {:?}", out.failures);
     }
 }
@@ -75,8 +76,9 @@ fn theorem2_achievability_bounded_del_protocol() {
             },
         )
         .max_steps(50_000)
-        .seeds([0, 1, 2]);
-        let out = sweep_family(&family, &spec);
+        .seeds([0, 1, 2])
+        .threads(1);
+        let out = SweepEngine::new(spec).run(&family);
         assert!(out.all_complete(), "m={m}: {:?}", out.failures);
     }
 }
