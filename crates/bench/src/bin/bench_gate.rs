@@ -25,7 +25,6 @@ use stp_bench::history::{self, HistoryRecord, HISTORY_FILE};
 /// requires the metric to stay **at or above** the bound; a budget gate
 /// at or below it.
 const STATIC_GATES: &[(&str, &str, &str, bool)] = &[
-    ("bench_sweep", "probe_overhead", "PROBE_BUDGET", false),
     ("bench_sweep", "traced_overhead", "TRACED_BUDGET", false),
     ("bench_sweep", "unarmed_overhead", "UNARMED_BUDGET", false),
     ("bench_sweep", "prof_overhead", "PROF_BUDGET", false),

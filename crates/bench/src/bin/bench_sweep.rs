@@ -1,11 +1,11 @@
 //! Sweep-engine throughput benchmark: the pooled [`SweepEngine`] with
 //! tracing off on the E1 grid, and what each observability layer
-//! (streaming metrics, causal tracing, an unarmed fault campaign, phase
-//! profiling) costs on top of it, plus critical-path scaling lanes at
-//! 1/2/4/8 workers. Writes `BENCH_sweep.json` in the current directory,
-//! and appends one schema-versioned record — lane metrics plus the
-//! profiled lane's per-phase cost breakdown — to `BENCH_history.jsonl`,
-//! the durable trajectory `bench_gate` compares fresh runs against.
+//! (causal tracing, an unarmed fault campaign, phase profiling) costs on
+//! top of it, plus critical-path scaling lanes at 1/2/4/8 workers.
+//! Writes `BENCH_sweep.json` in the current directory, and appends one
+//! schema-versioned record — lane metrics plus the profiled lane's
+//! per-phase cost breakdown — to `BENCH_history.jsonl`, the durable
+//! trajectory `bench_gate` compares fresh runs against.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -65,9 +65,6 @@ struct SweepBenchReport {
     host_cores_present: usize,
     engine_secs: f64,
     engine_runs_per_sec: f64,
-    probed_secs: f64,
-    probed_runs_per_sec: f64,
-    probe_overhead: f64,
     traced_secs: f64,
     traced_runs_per_sec: f64,
     traced_overhead: f64,
@@ -105,10 +102,8 @@ fn main() {
         spec = spec.also_scheduler(sched.clone());
     }
     let engine = SweepEngine::new(spec.clone().trace_mode(TraceMode::Off));
-    let probed_engine = SweepEngine::new(spec.clone().trace_mode(TraceMode::Off).probe(true));
-    // The traced lane measures causal tracing alone over the bare engine:
-    // TraceProbe + channel provenance, no streaming MetricsProbe (its cost
-    // is the probed lane's number; stats still come from the world's
+    // The traced lane measures causal tracing over the bare engine:
+    // TraceProbe + channel provenance (stats still come from the world's
     // incremental counters).
     let traced_engine = SweepEngine::new(spec.clone().trace_mode(TraceMode::Off).traced(true));
     // The unarmed lane prices the corruption machinery itself: every
@@ -134,15 +129,11 @@ fn main() {
     // minimum estimator below only sharpens with more samples.
     let reps = 100usize;
 
-    // Warm-up and sanity: the engine completes every cell, and the probed
-    // lane's runs are bit-identical to the bare engine's (same stats,
-    // collected streamingly instead of from counters).
+    // Warm-up and sanity: the engine completes every cell, and every
+    // other lane's runs are bit-identical to the bare engine's.
     let pooled = engine.run(&family);
     assert_eq!(pooled.len(), runs_per_sweep);
     assert!(pooled.all_complete());
-    let probed = probed_engine.run(&family);
-    assert_eq!(probed.runs, pooled.runs, "probes must not perturb results");
-    assert_eq!(probed.report, pooled.report);
     let traced = traced_engine.run(&family);
     assert_eq!(traced.runs, pooled.runs, "tracing must not perturb results");
     assert_eq!(traced.report, pooled.report);
@@ -177,7 +168,6 @@ fn main() {
     // one estimator of the true cost that noise cannot push around (a sum
     // or median smears hiccups straight into the gate).
     let mut engine_reps = Vec::with_capacity(reps);
-    let mut probed_reps = Vec::with_capacity(reps);
     let mut traced_reps = Vec::with_capacity(reps);
     let mut unarmed_reps = Vec::with_capacity(reps);
     let mut profiled_reps = Vec::with_capacity(reps);
@@ -190,11 +180,6 @@ fn main() {
         let t = Instant::now();
         let out = engine.run(&family);
         engine_reps.push(t.elapsed().as_secs_f64());
-        assert_eq!(out.len(), runs_per_sweep);
-
-        let t = Instant::now();
-        let out = probed_engine.run(&family);
-        probed_reps.push(t.elapsed().as_secs_f64());
         assert_eq!(out.len(), runs_per_sweep);
 
         let t = Instant::now();
@@ -226,11 +211,9 @@ fn main() {
     }
     let sweep_runs = runs_per_sweep as f64;
     let engine_secs = fastest(&engine_reps);
-    let probed_secs = fastest(&probed_reps);
     let traced_secs = fastest(&traced_reps);
     let unarmed_secs = fastest(&unarmed_reps);
     let profiled_secs = fastest(&profiled_reps);
-    let probe_overhead = probed_secs / engine_secs - 1.0;
     let traced_overhead = traced_secs / engine_secs - 1.0;
     let unarmed_overhead = unarmed_secs / engine_secs - 1.0;
     let prof_overhead = profiled_secs / engine_secs - 1.0;
@@ -262,7 +245,7 @@ fn main() {
     // Wall-clock lanes all ran at the configured thread count; the
     // parallel lanes record their own widths inline in `parallel_lanes`.
     let mut lane_threads = BTreeMap::new();
-    for lane in ["engine", "probed", "traced", "unarmed", "profiled"] {
+    for lane in ["engine", "traced", "unarmed", "profiled"] {
         lane_threads.insert(lane.to_string(), threads);
     }
     for &w in &PARALLEL_WIDTHS {
@@ -277,9 +260,6 @@ fn main() {
         host_cores_present,
         engine_secs,
         engine_runs_per_sec: sweep_runs / engine_secs,
-        probed_secs,
-        probed_runs_per_sec: sweep_runs / probed_secs,
-        probe_overhead,
         traced_secs,
         traced_runs_per_sec: sweep_runs / traced_secs,
         traced_overhead,
@@ -307,7 +287,6 @@ fn main() {
     let mut record = HistoryRecord::new("bench_sweep")
         .metric("engine_secs", engine_secs)
         .metric("engine_runs_per_sec", sweep_runs / engine_secs)
-        .metric("probe_overhead", probe_overhead)
         .metric("traced_overhead", traced_overhead)
         .metric("unarmed_overhead", unarmed_overhead)
         .metric("prof_overhead", prof_overhead)
@@ -325,16 +304,12 @@ fn main() {
     }
     stp_bench::telemetry::export("bench_sweep", [TelemetryLine::Prof(prof_record)]);
 
-    // Budget gates: streaming metrics stay within 10% of the bare engine,
-    // full causal tracing within 25%, an unarmed fault campaign —
-    // the corruption machinery with nothing to fire — within 10%, and
-    // sampled phase profiling within 5%.
+    // Budget gates: full causal tracing stays within 25% of the bare
+    // engine, an unarmed fault campaign — the corruption machinery with
+    // nothing to fire — within 10%, and sampled phase profiling within 5%.
     stp_bench::telemetry::export_summary(
         "bench_sweep",
         1,
-        probe_overhead <= 0.10
-            && traced_overhead <= 0.25
-            && unarmed_overhead <= 0.10
-            && prof_overhead <= 0.05,
+        traced_overhead <= 0.25 && unarmed_overhead <= 0.10 && prof_overhead <= 0.05,
     );
 }

@@ -38,13 +38,12 @@ pub fn adversaries() -> Vec<(&'static str, SchedulerSpec)> {
 
 /// The sweep spec E1 uses for alphabet size `m` under one adversary.
 /// Stats-only: the table needs counters, not event traces, so the sweep
-/// runs trace-free with a streaming [`MetricsProbe`](stp_sim::MetricsProbe).
+/// runs trace-free and each run's stats are the world's own counters.
 pub fn spec_for(m: u16, seeds_per_case: u64, scheduler: SchedulerSpec) -> SweepSpec {
     SweepSpec::new(ChannelSpec::Dup, scheduler)
         .max_steps(4_000 * m as u64)
         .seeds(0..seeds_per_case)
         .trace_mode(TraceMode::Off)
-        .probe(true)
 }
 
 /// Runs E1 for `m = 1..=max_m` with `seeds_per_case` seeds per adversary.

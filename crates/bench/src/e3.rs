@@ -54,7 +54,6 @@ pub fn run_completeness(max_m: u16, seeds: u64) -> Vec<E3CompletenessRow> {
         .max_steps(30_000)
         .seeds(0..seeds)
         .trace_mode(TraceMode::Off)
-        .probe(true)
         .threads(1);
         let outcome = SweepEngine::new(spec).run(&family);
         crate::telemetry::export_sweep("e3", &outcome);

@@ -143,7 +143,6 @@ fn e1_sweep_cells_cost_at_most_three_allocations() {
         .max_steps(20_000)
         .seeds([0])
         .trace_mode(TraceMode::Off)
-        .probe(true)
         .threads(2);
     for scheduler in rest {
         spec = spec.also_scheduler(scheduler);

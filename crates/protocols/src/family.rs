@@ -29,6 +29,13 @@ pub trait ProtocolFamily: fmt::Debug + Sync {
     /// The set `X` of input sequences the family claims to transmit.
     fn claimed_family(&self) -> SequenceFamily;
 
+    /// `|X|`, the size of [`claimed_family`](Self::claimed_family). The
+    /// default builds the family to count it; a family whose size has a
+    /// closed form overrides this.
+    fn claimed_len(&self) -> usize {
+        self.claimed_family().len()
+    }
+
     /// Size of the sender's message alphabet `m = |M^S|`.
     fn sender_alphabet_size(&self) -> u16;
 
@@ -67,6 +74,19 @@ impl ProtocolFamily for TightFamily {
 
     fn claimed_family(&self) -> SequenceFamily {
         SequenceFamily::repetition_free(self.d)
+    }
+
+    /// `α(d)`, without enumerating the sequences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `α(d)` does not fit in `usize` (`d > 20` on 64-bit
+    /// targets).
+    fn claimed_len(&self) -> usize {
+        stp_core::alpha::alpha(self.d as u32)
+            .ok()
+            .and_then(|a| usize::try_from(a).ok())
+            .unwrap_or_else(|| panic!("α({}) sequences do not fit in usize", self.d))
     }
 
     fn sender_alphabet_size(&self) -> u16 {
@@ -459,6 +479,39 @@ mod tests {
             );
             assert_eq!(f.sender_alphabet_size(), d);
         }
+    }
+
+    #[test]
+    fn claimed_len_counts_the_claimed_family() {
+        let mut specs: Vec<FamilySpec> = (0u16..=5)
+            .flat_map(|d| {
+                [ResendPolicy::Once, ResendPolicy::EveryTick]
+                    .map(|policy| FamilySpec::Tight { d, policy })
+            })
+            .collect();
+        specs.extend([
+            FamilySpec::Naive {
+                d: 2,
+                max_len: 3,
+                policy: ResendPolicy::Once,
+            },
+            FamilySpec::Abp {
+                domain: 2,
+                max_len: 3,
+            },
+            FamilySpec::Stabilizing { d: 2, max_len: 3 },
+        ]);
+        for spec in &specs {
+            let f = spec.build();
+            assert_eq!(f.claimed_len(), f.claimed_family().len(), "{spec}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "α(21) sequences do not fit in usize")]
+    fn tight_claimed_len_names_an_overflowing_alpha() {
+        // α(21) ≈ 1.4·10²⁰ exceeds u64::MAX.
+        TightFamily::new(21, ResendPolicy::Once).claimed_len();
     }
 
     #[test]

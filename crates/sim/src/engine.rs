@@ -13,8 +13,9 @@
 //!   equivalent to re-boxing, without the allocations.
 //! * **Optional tracing** — the spec carries a
 //!   [`TraceMode`]; under [`TraceMode::Off`] the run
-//!   allocates no events at all and statistics come from the world's
-//!   incremental counters.
+//!   allocates no events at all. In every mode a run's statistics come
+//!   from one source, the world's incremental counters
+//!   ([`World::stats`]).
 //! * **In-place fill** — the grid's result slots are allocated once, in
 //!   grid order, and dealt out in 16-cell chunks from a shared
 //!   [`Mutex`]; each worker writes every run straight into its slot, so
@@ -33,7 +34,6 @@
 //! deal in turn on the calling thread and times it, so throughput can be
 //! judged from the critical path rather than from wall-clock.
 
-use crate::metrics::{MetricsProbe, RunStats};
 use crate::prof::{delivery_phase, expiry_phase, PhaseProfiler};
 use crate::runner::{MemberRun, SweepOutcome};
 use crate::slo::SloConfig;
@@ -52,6 +52,11 @@ use stp_protocols::ProtocolFamily;
 /// and adversary recipes, the tracing policy and the thread count. It is
 /// plain serde data, so a spec can travel in a JSON config file or a bug
 /// report and reproduce the sweep exactly.
+///
+/// Every run's [`RunStats`](crate::RunStats) come from its world's own
+/// counters ([`World::stats`]), whatever the trace mode. Unknown keys are
+/// ignored when parsing, so a spec that carries the removed `"probe"` key
+/// still loads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Step budget per run.
@@ -66,12 +71,6 @@ pub struct SweepSpec {
     /// `1` runs the grid on the calling thread.
     #[serde(default)]
     pub threads: usize,
-    /// Attach a streaming [`MetricsProbe`] to every pooled world and
-    /// source each run's statistics from it (default `false`). With
-    /// [`TraceMode::Off`] this is the cheapest configuration that still
-    /// yields full per-run [`RunStats`].
-    #[serde(default)]
-    pub probe: bool,
     /// Attach a causal [`TraceProbe`](crate::trace::TraceProbe) to every
     /// pooled world (default `false`). This switches the channel's
     /// provenance bookkeeping on, so every run's per-message lifecycle is
@@ -98,7 +97,6 @@ impl SweepSpec {
             seeds: vec![0, 1, 2],
             trace_mode: TraceMode::default(),
             threads: 0,
-            probe: false,
             traced: false,
             channel,
             schedulers: vec![scheduler],
@@ -130,12 +128,6 @@ impl SweepSpec {
         self
     }
 
-    /// Toggles the streaming [`MetricsProbe`] on every pooled world.
-    pub fn probe(mut self, probe: bool) -> Self {
-        self.probe = probe;
-        self
-    }
-
     /// Toggles the causal [`TraceProbe`](crate::trace::TraceProbe) on
     /// every pooled world.
     pub fn traced(mut self, traced: bool) -> Self {
@@ -157,7 +149,7 @@ impl SweepSpec {
 
     /// The number of grid cells this spec describes for `family`.
     pub fn grid_size(&self, family: &dyn ProtocolFamily) -> usize {
-        self.schedulers.len() * family.claimed_family().len() * self.seeds.len()
+        self.schedulers.len() * family.claimed_len() * self.seeds.len()
     }
 
     fn resolved_threads(&self) -> usize {
@@ -431,9 +423,6 @@ fn run_cell(
                 .channel(spec.channel.build())
                 .scheduler(spec.schedulers[sched].build(seed))
                 .mode(spec.trace_mode);
-            if spec.probe {
-                builder = builder.probe(Box::new(MetricsProbe::new()));
-            }
             if spec.traced {
                 builder = builder.probe(Box::new(crate::trace::TraceProbe::new()));
             }
@@ -457,13 +446,6 @@ fn run_cell(
             world.run_until(spec.max_steps, World::is_complete);
         }
     }
-    // With a probe attached, statistics come from the streaming path —
-    // the parity tests pin this to the world's incremental counters and
-    // to trace-derived stats.
-    let stats: RunStats = match world.probe_of::<MetricsProbe>() {
-        Some(p) => p.stats(),
-        None => world.stats(),
-    };
     let trace = if spec.trace_mode == TraceMode::Off {
         None
     } else {
@@ -473,7 +455,7 @@ fn run_cell(
         input: x.clone(),
         seed,
         scheduler: sched,
-        stats,
+        stats: world.stats(),
         trace,
     }
 }
@@ -513,9 +495,22 @@ mod tests {
         let spec: SweepSpec = serde_json::from_str(json).expect("parses");
         assert_eq!(spec.trace_mode, TraceMode::Full);
         assert_eq!(spec.threads, 0);
-        assert!(!spec.probe);
         assert!(!spec.traced);
         assert_eq!(spec.slo, None);
+        // Specs written before the `probe` field was removed still parse,
+        // to the same spec: unknown keys are ignored.
+        let old = r#"{
+            "max_steps": 100,
+            "seeds": [4],
+            "trace_mode": "Full",
+            "threads": 0,
+            "probe": true,
+            "traced": false,
+            "channel": "Del",
+            "schedulers": ["Eager"]
+        }"#;
+        let old: SweepSpec = serde_json::from_str(old).expect("parses");
+        assert_eq!(old, spec);
     }
 
     #[test]
@@ -525,7 +520,6 @@ mod tests {
         let plain = SweepEngine::new(storm_spec().threads(1)).run(&family);
         let traced_spec = storm_spec()
             .trace_mode(TraceMode::Off)
-            .probe(true)
             .traced(true)
             .threads(1);
         let traced = SweepEngine::new(traced_spec.clone()).run(&family);
@@ -557,26 +551,22 @@ mod tests {
     }
 
     #[test]
-    fn probed_off_mode_matches_traced_stats_bit_for_bit() {
-        // The satellite-3 guarantee: attaching probes changes nothing
-        // about the results, and the cheapest configuration (Off + probe)
-        // yields the same per-run stats and aggregate report as a fully
-        // traced sweep.
+    fn off_mode_stats_equal_the_full_trace_derivation() {
+        // A cell's stats have one source, the world's counters. Check
+        // them against an independent derivation: `RunStats::of` folding
+        // the same cell's full event trace.
+        use crate::metrics::RunStats;
         let family = TightFamily::new(3, ResendPolicy::Once);
-        let traced = SweepEngine::new(storm_spec().threads(1)).run(&family);
-        let probed = SweepEngine::new(
-            storm_spec()
-                .trace_mode(TraceMode::Off)
-                .probe(true)
-                .threads(4),
-        )
-        .run(&family);
-        assert_eq!(traced.len(), probed.len());
-        for (a, b) in traced.runs.iter().zip(&probed.runs) {
-            assert_eq!(a.stats, b.stats, "probe path must match trace path");
-            assert!(b.trace.is_none());
+        let spec = storm_spec().also_scheduler(SchedulerSpec::Reorder);
+        let full = SweepEngine::new(spec.clone().threads(1)).run(&family);
+        let off = SweepEngine::new(spec.trace_mode(TraceMode::Off).threads(4)).run(&family);
+        assert_eq!(full.len(), off.len());
+        for (f, o) in full.runs.iter().zip(&off.runs) {
+            let trace = f.trace.as_ref().expect("Full mode keeps the trace");
+            assert_eq!(o.stats, RunStats::of(trace), "{} seed {}", o.input, o.seed);
+            assert!(o.trace.is_none());
         }
-        assert_eq!(traced.report, probed.report);
+        assert_eq!(full.report, off.report);
     }
 
     #[test]

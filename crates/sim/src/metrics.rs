@@ -4,8 +4,10 @@
 //! Three layers, cheapest first:
 //!
 //! * [`MetricsProbe`] computes a [`RunStats`] *online* from the event
-//!   stream (attach it to a `World`); no trace needs to exist, and under
-//!   `TraceMode::Off` it is the only way to get per-run statistics.
+//!   stream (attach it to a `World`); no trace needs to exist. A `World`
+//!   already keeps the same counters in every `TraceMode`
+//!   (`World::stats`), which is where sweep cells take theirs from; the
+//!   probe is the independent streaming derivation.
 //! * [`RunStats::of`] derives the same statistics from a materialized
 //!   `Trace` in a single pass — the two agree field-for-field on any run.
 //! * [`SweepReport`] folds many `RunStats` into sweep-wide distributions

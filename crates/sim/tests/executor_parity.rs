@@ -55,7 +55,6 @@ fn sweep_spec(channel: ChannelSpec) -> SweepSpec {
         .max_steps(MAX_STEPS)
         .seeds(0..SEEDS)
         .trace_mode(TraceMode::Off)
-        .probe(true)
         .threads(1)
 }
 
@@ -192,7 +191,6 @@ fn e1_spec() -> SweepSpec {
         .max_steps(MAX_STEPS)
         .seeds([0])
         .trace_mode(TraceMode::Off)
-        .probe(true)
 }
 
 /// Runs `spec` observed at 1, 2 and 8 workers and isolated at the same
