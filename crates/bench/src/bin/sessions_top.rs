@@ -30,10 +30,10 @@ use std::time::Duration;
 use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_protocols::{FamilySpec, ResendPolicy};
 use stp_sim::fleet::{
-    prometheus_text, FleetDelta, FleetRegistry, FleetSnapshot, ShardDelta, WatchdogSpec, NO_SAMPLES,
+    prometheus_text, FleetDelta, FleetRegistry, FleetSnapshot, WatchdogSpec, NO_SAMPLES,
 };
 use stp_sim::sessions::{run_churn, ChurnRun, ChurnSpec, ServerSpec, SessionTemplate};
-use stp_sim::{prometheus_prof_text, PhaseProfiler, ProfRecord, TelemetryLine};
+use stp_sim::{PhaseProfiler, TelemetryLine};
 
 struct Args {
     once: bool,
@@ -152,20 +152,20 @@ fn render(snapshot: &FleetSnapshot, deltas: Option<&FleetDelta>, avg_rate: Optio
         "{:>5} {:>8} {:>7} {:>7} {:>9} {:>9} {:>6} {:>6} {:>7} {:>7}\n",
         "SHARD", "ROUND", "ACTIVE", "QUEUE", "DONE", "RATE/s", "p50", "p99", "OLDEST", "STALLS"
     ));
-    let shard_rate = |shard: u16| -> Option<f64> {
-        let d = deltas?;
-        let per: &ShardDelta = d.per_shard.iter().find(|p| p.shard == shard)?;
-        (d.secs > 0.0).then(|| per.completed as f64 / d.secs)
+    let rate = |shard: Option<u16>| {
+        deltas
+            .filter(|d| d.secs > 0.0)
+            .map(|d| d.sessions_per_sec(shard))
     };
-    for s in &snapshot.shards {
+    for (i, s) in (0u16..).zip(&snapshot.shards) {
         out.push_str(&format!(
             "{:>5} {:>8} {:>7} {:>7} {:>9} {:>9} {:>6} {:>6} {:>7} {:>7}\n",
-            s.shard,
+            i,
             s.round,
             s.active,
             s.queued,
             s.completed,
-            fmt_rate(shard_rate(s.shard)),
+            fmt_rate(rate(Some(i))),
             fmt_quantile(s.p50_latency_rounds()),
             fmt_quantile(s.p99_latency_rounds()),
             s.oldest_active_age,
@@ -173,10 +173,6 @@ fn render(snapshot: &FleetSnapshot, deltas: Option<&FleetDelta>, avg_rate: Optio
         ));
     }
     let stats = snapshot.stats();
-    let rate = deltas
-        .filter(|d| d.secs > 0.0)
-        .map(FleetDelta::sessions_per_sec)
-        .or(avg_rate);
     out.push_str(&format!(
         "{:>5} {:>8} {:>7} {:>7} {:>9} {:>9} {:>6} {:>6} {:>7} {:>7}\n",
         "ALL",
@@ -184,24 +180,13 @@ fn render(snapshot: &FleetSnapshot, deltas: Option<&FleetDelta>, avg_rate: Optio
         stats.active,
         stats.queued,
         stats.completed,
-        fmt_rate(rate),
+        fmt_rate(rate(None).or(avg_rate)),
         fmt_quantile(stats.p50_latency_rounds()),
         fmt_quantile(stats.p99_latency_rounds()),
         stats.oldest_active_age,
         stats.stalls,
     ));
     out
-}
-
-/// The full exposition page: fleet families first, then the profiler's
-/// `stp_prof_*` families. Kept as a function so the unit tests below can
-/// check the combined page is well-formed.
-fn exposition(snapshot: &FleetSnapshot, prof: &ProfRecord) -> String {
-    format!(
-        "{}{}",
-        prometheus_text(snapshot),
-        prometheus_prof_text(prof)
-    )
 }
 
 fn main() {
@@ -296,7 +281,7 @@ fn main() {
     }
 
     if args.prometheus {
-        print!("{}", exposition(&snapshot, &prof_record));
+        print!("{}", prometheus_text(&snapshot, &prof_record));
     }
 }
 
@@ -314,7 +299,7 @@ mod tests {
         fleet.shard(0).note_completed(3);
         let prof = PhaseProfiler::new(1);
         prof.time(stp_sim::Phase::SenderStep, || std::hint::black_box(1));
-        exposition(&fleet.snapshot(), &prof.report("sessions_top", "churn"))
+        prometheus_text(&fleet.snapshot(), &prof.report("sessions_top", "churn"))
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //!   one end-of-round gauge store) — nothing touches the per-step hot
 //!   loop, which is what keeps the metered lane inside its ≤ 5% budget.
 //! * [`FleetRegistry`] → [`FleetSnapshot`] / [`FleetWatch`] — a
-//!   registry is a cheaply clonable handle over every shard's metrics;
-//!   `snapshot()` materializes plain (serializable, mergeable)
-//!   [`ShardSnapshot`]s, [`FleetStats`] aggregates them, and a watch
-//!   tick yields the [`FleetDelta`] between consecutive snapshots, which
-//!   is how the `sessions_top` dashboard computes live throughput.
+//!   registry is a cheaply clonable handle over every shard's metrics.
+//!   Every counter is spelled once, in [`FleetStats`]: `snapshot()`
+//!   materializes one `FleetStats` per shard (`shard: Some(n)`,
+//!   `shards: 1`), [`FleetSnapshot::stats`] folds them with
+//!   [`FleetStats::merge`] into the aggregate (`shard: None`), and
+//!   [`FleetStats::record`] flattens either into the `{"fleet": …}` line.
+//!   A watch tick yields a [`FleetDelta`] holding the previous and the
+//!   current snapshot; the `sessions_top` dashboard computes live rates
+//!   from the two.
 //! * The **stall watchdog** ([`WatchdogSpec`]) — the paper's α(m) bound
 //!   gives every protocol family a *certified* expectation for how many
 //!   steps a healthy session needs ([`healthy_step_bound`]); a session
@@ -28,14 +32,31 @@
 //!   input, channel, adversary, seed), so a flagged session can be
 //!   replayed through the witness machinery verbatim.
 //!
+//! [`prometheus_text`] is the one exposition walk: it renders a fleet
+//! snapshot and the phase profiler's [`ProfRecord`] as one page through
+//! a single family writer. A latency bucket holds `bound[i-1] ≤ v <
+//! bound[i]` while Prometheus reads `le` as "≤", so, latencies being
+//! whole rounds, bucket `i` is labelled `le = bound[i] − 1` (the first
+//! bucket is `le="0"`).
+//!
+//! At every round boundary — after `SessionEngine::step_round` returns —
+//! a shard's snapshot satisfies the conservation law
+//! `submitted = completed + disconnected + exhausted + active + queued`,
+//! and `admitted = recycle_hits + recycle_misses`. It holds only there:
+//! the `active` and `queued` gauges are stored once per round, while
+//! submissions and explicit disconnects between rounds move the counters
+//! at once.
+//!
 //! Snapshots are *eventually consistent*: a reader can observe a sample
 //! whose bucket increment landed but whose sum has not (or vice versa).
 //! Counts are derived from the bucket array itself, so every snapshot is
 //! a well-formed [`Histogram`]; transients only nudge the mean.
 
 use crate::metrics::Histogram;
+use crate::prof::{ProfPhase, ProfRecord};
 use crate::sessions::SessionSpec;
 use serde::{Deserialize, Serialize};
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,23 +69,11 @@ use stp_protocols::FamilySpec;
 /// JSON and compares `==` in tests.
 pub const NO_SAMPLES: f64 = -1.0;
 
-// The fleet's two distribution layouts. Latency mirrors the churn
-// report's histogram (width-1 buckets: exact round-valued quantiles up
-// to the overflow bucket); per-round step cost spans orders of
-// magnitude, so it gets exponential edges.
-fn latency_bounds() -> Vec<f64> {
-    (0..256).map(|i| 1.0 + i as f64).collect()
-}
-
-fn round_cost_bounds() -> Vec<f64> {
-    let mut edge = 1.0;
-    (0..16)
-        .map(|_| {
-            let e = edge;
-            edge *= 2.0;
-            e
-        })
-        .collect()
+/// The submit-to-retire latency layout that [`ShardMetrics`] and
+/// [`ChurnReport`](crate::sessions::ChurnReport) share: width-1 buckets,
+/// so round-valued quantiles are exact up to the overflow bucket.
+pub(crate) fn latency_histogram() -> Histogram {
+    Histogram::linear(1.0, 1.0, 256)
 }
 
 /// A fixed-layout histogram whose buckets are atomic counters, so many
@@ -191,8 +200,9 @@ impl ShardMetrics {
             queue_depth: AtomicU64::new(0),
             active_slots: AtomicU64::new(0),
             oldest_active_age: AtomicU64::new(0),
-            latency: AtomicHistogram::new(latency_bounds()),
-            round_cost: AtomicHistogram::new(round_cost_bounds()),
+            latency: AtomicHistogram::new(latency_histogram().bounds),
+            // Per-round step cost spans orders of magnitude.
+            round_cost: AtomicHistogram::new(Histogram::exponential(1.0, 2.0, 16).bounds),
         }
     }
 
@@ -251,36 +261,45 @@ impl ShardMetrics {
         self.round_cost.record(steps);
     }
 
-    /// Materializes a point-in-time [`ShardSnapshot`].
-    pub fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            shard: self.shard,
-            round: self.round.load(Ordering::Relaxed),
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            disconnected: self.disconnected.load(Ordering::Relaxed),
-            exhausted: self.exhausted.load(Ordering::Relaxed),
-            recycle_hits: self.recycle_hits.load(Ordering::Relaxed),
-            recycle_misses: self.recycle_misses.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            queued: self.queue_depth.load(Ordering::Relaxed),
-            active: self.active_slots.load(Ordering::Relaxed),
-            oldest_active_age: self.oldest_active_age.load(Ordering::Relaxed),
+    /// Materializes this shard's point-in-time [`FleetStats`].
+    pub fn snapshot(&self) -> FleetStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        FleetStats {
+            shard: Some(self.shard),
+            shards: 1,
+            round: load(&self.round),
+            submitted: load(&self.submitted),
+            admitted: load(&self.admitted),
+            completed: load(&self.completed),
+            disconnected: load(&self.disconnected),
+            exhausted: load(&self.exhausted),
+            recycle_hits: load(&self.recycle_hits),
+            recycle_misses: load(&self.recycle_misses),
+            steps: load(&self.steps),
+            stalls: load(&self.stalls),
+            queued: load(&self.queue_depth),
+            active: load(&self.active_slots),
+            oldest_active_age: load(&self.oldest_active_age),
             latency: self.latency.snapshot(),
             round_cost: self.round_cost.snapshot(),
         }
     }
 }
 
-/// A point-in-time copy of one shard's metrics — plain data, so it
-/// serializes, diffs and merges without touching the live registry.
+/// Point-in-time fleet counters — plain data, so it serializes, diffs
+/// and merges without touching the live registry. One shard's row
+/// (`shard: Some(n)`, `shards: 1`) and the fleet aggregate (`shard:
+/// None`) are the same type: [`merge`](FleetStats::merge) sums counters
+/// and the `queued`/`active` gauges, maxes `round` and
+/// `oldest_active_age`, and merges the distributions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardSnapshot {
-    /// The shard index.
-    pub shard: u16,
-    /// Engine rounds stepped.
+pub struct FleetStats {
+    /// The shard these counters describe; `None` for an aggregate.
+    #[serde(default)]
+    pub shard: Option<u16>,
+    /// Shards aggregated (1 for a shard's row).
+    pub shards: usize,
+    /// Engine rounds stepped, max across shards.
     pub round: u64,
     /// Sessions submitted.
     pub submitted: u64,
@@ -300,12 +319,12 @@ pub struct ShardSnapshot {
     pub steps: u64,
     /// Sessions the watchdog flagged.
     pub stalls: u64,
-    /// Sessions waiting for a slot (gauge).
+    /// Sessions waiting for a slot (gauge, summed across shards).
     pub queued: u64,
-    /// Sessions in slots (gauge).
+    /// Sessions in slots (gauge, summed across shards).
     pub active: u64,
-    /// Age in rounds of the oldest active session (gauge; `0` when no
-    /// session is active).
+    /// Age in rounds of the oldest active session (gauge, max across
+    /// shards; `0` when no session is active).
     pub oldest_active_age: u64,
     /// Submit-to-retire latency of completed sessions, in rounds.
     pub latency: Histogram,
@@ -313,7 +332,7 @@ pub struct ShardSnapshot {
     pub round_cost: Histogram,
 }
 
-impl ShardSnapshot {
+impl FleetStats {
     /// p50 submit-to-retire latency in rounds, [`NO_SAMPLES`] when no
     /// session has completed.
     pub fn p50_latency_rounds(&self) -> f64 {
@@ -321,18 +340,44 @@ impl ShardSnapshot {
     }
 
     /// p99 submit-to-retire latency in rounds, [`NO_SAMPLES`] when no
-    /// session has completed.
+    /// session has completed — never NaN, never a phantom `0.0` that
+    /// reads like a real latency.
     pub fn p99_latency_rounds(&self) -> f64 {
         guarded_quantile(&self.latency, 0.99)
     }
 
-    /// Flattens into the `{"fleet": …}` telemetry form, tagged as this
-    /// shard's line.
+    /// Folds `other` into `self`, which becomes an aggregate (`shard:
+    /// None`) over both sides' shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two sides' histogram layouts differ.
+    pub fn merge(&mut self, other: &FleetStats) {
+        self.shard = None;
+        self.shards += other.shards;
+        self.round = self.round.max(other.round);
+        self.submitted += other.submitted;
+        self.admitted += other.admitted;
+        self.completed += other.completed;
+        self.disconnected += other.disconnected;
+        self.exhausted += other.exhausted;
+        self.recycle_hits += other.recycle_hits;
+        self.recycle_misses += other.recycle_misses;
+        self.steps += other.steps;
+        self.stalls += other.stalls;
+        self.queued += other.queued;
+        self.active += other.active;
+        self.oldest_active_age = self.oldest_active_age.max(other.oldest_active_age);
+        self.latency.merge(&other.latency);
+        self.round_cost.merge(&other.round_cost);
+    }
+
+    /// Flattens into the `{"fleet": …}` telemetry form.
     pub fn record(&self, experiment: &str) -> FleetRecord {
         FleetRecord {
             experiment: experiment.to_string(),
-            shard: Some(self.shard),
-            shards: 1,
+            shard: self.shard,
+            shards: self.shards,
             round: self.round,
             submitted: self.submitted,
             admitted: self.admitted,
@@ -362,141 +407,35 @@ fn guarded_quantile(h: &Histogram, q: f64) -> f64 {
     }
 }
 
-/// A point-in-time copy of the whole fleet: one [`ShardSnapshot`] per
+/// A point-in-time copy of the whole fleet: one [`FleetStats`] row per
 /// shard, taken without stopping any of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetSnapshot {
-    /// Per-shard snapshots, indexed by shard.
-    pub shards: Vec<ShardSnapshot>,
+    /// Per-shard rows, indexed by shard.
+    pub shards: Vec<FleetStats>,
 }
 
 impl FleetSnapshot {
-    /// Aggregates every shard into one [`FleetStats`].
+    /// The fleet aggregate: every shard's row folded with
+    /// [`FleetStats::merge`].
     ///
     /// # Panics
     ///
     /// Panics if the snapshot is empty (a registry always has ≥ 1
     /// shard).
     pub fn stats(&self) -> FleetStats {
-        assert!(!self.shards.is_empty(), "a fleet has at least one shard");
-        let mut latency = Histogram::new(latency_bounds());
-        let mut round_cost = Histogram::new(round_cost_bounds());
-        let mut stats = FleetStats {
-            shards: self.shards.len(),
-            round: 0,
-            submitted: 0,
-            admitted: 0,
-            completed: 0,
-            disconnected: 0,
-            exhausted: 0,
-            recycle_hits: 0,
-            recycle_misses: 0,
-            steps: 0,
-            stalls: 0,
-            queued: 0,
-            active: 0,
-            oldest_active_age: 0,
-            latency: Histogram::new(latency_bounds()),
-            round_cost: Histogram::new(round_cost_bounds()),
-        };
-        for s in &self.shards {
-            stats.round = stats.round.max(s.round);
-            stats.submitted += s.submitted;
-            stats.admitted += s.admitted;
-            stats.completed += s.completed;
-            stats.disconnected += s.disconnected;
-            stats.exhausted += s.exhausted;
-            stats.recycle_hits += s.recycle_hits;
-            stats.recycle_misses += s.recycle_misses;
-            stats.steps += s.steps;
-            stats.stalls += s.stalls;
-            stats.queued += s.queued;
-            stats.active += s.active;
-            stats.oldest_active_age = stats.oldest_active_age.max(s.oldest_active_age);
-            latency.merge(&s.latency);
-            round_cost.merge(&s.round_cost);
-        }
-        stats.latency = latency;
-        stats.round_cost = round_cost;
-        stats
-    }
-}
-
-/// Fleet-wide aggregate of a [`FleetSnapshot`]: summed counters, maxed
-/// gauges, merged distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetStats {
-    /// Shards aggregated.
-    pub shards: usize,
-    /// Engine rounds, max across shards.
-    pub round: u64,
-    /// Sessions submitted.
-    pub submitted: u64,
-    /// Sessions admitted into slots.
-    pub admitted: u64,
-    /// Sessions that completed.
-    pub completed: u64,
-    /// Sessions that walked away.
-    pub disconnected: u64,
-    /// Sessions that ran out of step budget.
-    pub exhausted: u64,
-    /// Admissions that reused a previously-occupied slot.
-    pub recycle_hits: u64,
-    /// Admissions that provisioned a virgin slot.
-    pub recycle_misses: u64,
-    /// Protocol steps executed.
-    pub steps: u64,
-    /// Sessions the watchdog flagged.
-    pub stalls: u64,
-    /// Sessions waiting for slots, summed.
-    pub queued: u64,
-    /// Sessions in slots, summed.
-    pub active: u64,
-    /// Oldest active session's age in rounds, max across shards.
-    pub oldest_active_age: u64,
-    /// Merged submit-to-retire latency distribution.
-    pub latency: Histogram,
-    /// Merged per-round step-cost distribution.
-    pub round_cost: Histogram,
-}
-
-impl FleetStats {
-    /// p50 submit-to-retire latency in rounds, [`NO_SAMPLES`] when no
-    /// session has completed anywhere in the fleet.
-    pub fn p50_latency_rounds(&self) -> f64 {
-        guarded_quantile(&self.latency, 0.5)
-    }
-
-    /// p99 submit-to-retire latency in rounds, [`NO_SAMPLES`] when no
-    /// session has completed anywhere in the fleet — never NaN, never a
-    /// phantom `0.0` that reads like a real latency.
-    pub fn p99_latency_rounds(&self) -> f64 {
-        guarded_quantile(&self.latency, 0.99)
-    }
-
-    /// Flattens into the `{"fleet": …}` telemetry form, tagged as the
-    /// aggregate line (`shard: null`).
-    pub fn record(&self, experiment: &str) -> FleetRecord {
-        FleetRecord {
-            experiment: experiment.to_string(),
+        let (first, rest) = self
+            .shards
+            .split_first()
+            .expect("a fleet has at least one shard");
+        let first = FleetStats {
             shard: None,
-            shards: self.shards,
-            round: self.round,
-            submitted: self.submitted,
-            admitted: self.admitted,
-            completed: self.completed,
-            disconnected: self.disconnected,
-            exhausted: self.exhausted,
-            recycle_hits: self.recycle_hits,
-            recycle_misses: self.recycle_misses,
-            steps: self.steps,
-            stalls: self.stalls,
-            queued: self.queued,
-            active: self.active,
-            oldest_active_age: self.oldest_active_age,
-            p50_latency_rounds: self.p50_latency_rounds(),
-            p99_latency_rounds: self.p99_latency_rounds(),
-        }
+            ..first.clone()
+        };
+        rest.iter().fold(first, |mut stats, s| {
+            stats.merge(s);
+            stats
+        })
     }
 }
 
@@ -602,54 +541,35 @@ impl FleetRegistry {
     }
 }
 
-/// What one shard did between two watch ticks.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ShardDelta {
-    /// The shard index.
-    pub shard: u16,
-    /// Sessions completed in the window.
-    pub completed: u64,
-    /// Protocol steps executed in the window.
-    pub steps: u64,
-    /// Engine rounds stepped in the window.
-    pub rounds: u64,
-}
-
-/// What the fleet did between two watch ticks: the wall-clock window,
-/// per-shard deltas, and the fresh snapshot the delta was computed
-/// against (so a dashboard renders gauges and rates from one tick).
+/// What the fleet did between two watch ticks: the wall-clock window
+/// and the snapshots it starts and ends at, so a dashboard renders
+/// gauges and rates from one tick.
 #[derive(Debug, Clone)]
 pub struct FleetDelta {
     /// Wall-clock seconds since the previous tick.
     pub secs: f64,
-    /// Sessions completed fleet-wide in the window.
-    pub completed: u64,
-    /// Protocol steps executed fleet-wide in the window.
-    pub steps: u64,
-    /// Per-shard deltas.
-    pub per_shard: Vec<ShardDelta>,
+    /// The snapshot this delta starts at.
+    pub prev: FleetSnapshot,
     /// The snapshot this delta ends at.
     pub snapshot: FleetSnapshot,
 }
 
 impl FleetDelta {
-    /// Completed sessions per second over the window (`0.0` for a
-    /// zero-width window).
-    pub fn sessions_per_sec(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.completed as f64 / self.secs
-        } else {
-            0.0
+    /// Completed sessions per second over the window, on one shard or
+    /// fleet-wide (`None`); `0.0` for a zero-width window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn sessions_per_sec(&self, shard: Option<u16>) -> f64 {
+        if self.secs <= 0.0 {
+            return 0.0;
         }
-    }
-
-    /// Protocol steps per second over the window.
-    pub fn steps_per_sec(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.steps as f64 / self.secs
-        } else {
-            0.0
-        }
+        let completed = |s: &FleetSnapshot| match shard {
+            Some(i) => s.shards[usize::from(i)].completed,
+            None => s.shards.iter().map(|s| s.completed).sum(),
+        };
+        completed(&self.snapshot).saturating_sub(completed(&self.prev)) as f64 / self.secs
     }
 }
 
@@ -668,27 +588,14 @@ impl FleetWatch {
     pub fn tick(&mut self) -> FleetDelta {
         let now = Instant::now();
         let snapshot = self.registry.snapshot();
-        let per_shard: Vec<ShardDelta> = snapshot
-            .shards
-            .iter()
-            .zip(&self.last.shards)
-            .map(|(cur, prev)| ShardDelta {
-                shard: cur.shard,
-                completed: cur.completed.saturating_sub(prev.completed),
-                steps: cur.steps.saturating_sub(prev.steps),
-                rounds: cur.round.saturating_sub(prev.round),
-            })
-            .collect();
-        let delta = FleetDelta {
-            secs: now.duration_since(self.last_at).as_secs_f64(),
-            completed: per_shard.iter().map(|d| d.completed).sum(),
-            steps: per_shard.iter().map(|d| d.steps).sum(),
-            per_shard,
-            snapshot: snapshot.clone(),
-        };
-        self.last = snapshot;
+        let prev = std::mem::replace(&mut self.last, snapshot.clone());
+        let secs = now.duration_since(self.last_at).as_secs_f64();
         self.last_at = now;
-        delta
+        FleetDelta {
+            secs,
+            prev,
+            snapshot,
+        }
     }
 }
 
@@ -795,16 +702,22 @@ pub struct StallRecord {
     pub spec: SessionSpec,
 }
 
-/// Renders a [`FleetSnapshot`] in the Prometheus text exposition format
-/// (version 0.0.4): per-shard counters and gauges labelled
-/// `{shard="N"}`, plus the fleet-wide latency distribution as a
-/// cumulative `_bucket`/`_sum`/`_count` histogram.
-pub fn prometheus_text(snapshot: &FleetSnapshot) -> String {
-    use std::fmt::Write as _;
-    // One exposition row: metric name, help text, field accessor.
-    type MetricRow = (&'static str, &'static str, fn(&ShardSnapshot) -> u64);
-    let mut out = String::new();
-    let counters: [MetricRow; 9] = [
+/// Renders a fleet snapshot and a profiler report as one page in the
+/// Prometheus text exposition format (version 0.0.4): per-shard counters
+/// and gauges labelled `{shard="N"}`, the fleet-wide latency
+/// distribution as a cumulative `_bucket`/`_sum`/`_count` histogram,
+/// then the profiler's per-phase `stp_prof_*` families labelled
+/// `{workload="W",phase="P"}` and its whole-run window/busy counters.
+///
+/// Latency bucket `i` holds `bound[i-1] ≤ v < bound[i]`; latencies are
+/// whole rounds, so it is labelled `le = bound[i] − 1` (Prometheus reads
+/// `le` as "≤"). Quantile gauges are omitted for phases still at
+/// [`NO_SAMPLES`] — the sentinel never appears as a `-1` sample — and a
+/// family without samples is left out.
+pub fn prometheus_text(snapshot: &FleetSnapshot, prof: &ProfRecord) -> String {
+    // One family: name, help text, field accessor.
+    type Row<T> = (&'static str, &'static str, fn(&T) -> u64);
+    let counters: [Row<FleetStats>; 9] = [
         (
             "stp_sessions_submitted_total",
             "Sessions submitted to the shard.",
@@ -851,7 +764,7 @@ pub fn prometheus_text(snapshot: &FleetSnapshot) -> String {
             |s| s.stalls,
         ),
     ];
-    let gauges: [MetricRow; 4] = [
+    let gauges: [Row<FleetStats>; 4] = [
         (
             "stp_engine_round",
             "Engine rounds stepped by the shard.",
@@ -867,36 +780,119 @@ pub fn prometheus_text(snapshot: &FleetSnapshot) -> String {
             |s| s.oldest_active_age,
         ),
     ];
-    for (name, help, get) in counters {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for s in &snapshot.shards {
-            let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", s.shard, get(s));
+    let phases: [Row<ProfPhase>; 4] = [
+        (
+            "stp_prof_phase_ns_total",
+            "Nanoseconds attributed to the phase.",
+            |p| p.total_ns,
+        ),
+        (
+            "stp_prof_phase_calls_total",
+            "Times the phase was entered.",
+            |p| p.calls,
+        ),
+        (
+            "stp_prof_phase_allocs_total",
+            "Heap allocations charged to the phase.",
+            |p| p.allocs,
+        ),
+        (
+            "stp_prof_phase_alloc_bytes_total",
+            "Bytes requested by allocations charged to the phase.",
+            |p| p.alloc_bytes,
+        ),
+    ];
+
+    let mut out = String::new();
+    for (kind, rows) in [("counter", &counters[..]), ("gauge", &gauges[..])] {
+        for &(name, help, get) in rows {
+            let samples = snapshot
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (format!("{{shard=\"{i}\"}}"), get(s)));
+            family(&mut out, name, kind, help, samples);
         }
     }
-    for (name, help, get) in gauges {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for s in &snapshot.shards {
-            let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", s.shard, get(s));
-        }
-    }
-    let stats = snapshot.stats();
-    let name = "stp_session_latency_rounds";
-    let _ = writeln!(
-        out,
-        "# HELP {name} Submit-to-retire latency of completed sessions, in engine rounds."
-    );
-    let _ = writeln!(out, "# TYPE {name} histogram");
+    let latency = snapshot.stats().latency;
     let mut cumulative = 0u64;
-    for (i, bound) in stats.latency.bounds.iter().enumerate() {
-        cumulative += stats.latency.counts[i];
-        let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+    let buckets = latency
+        .bounds
+        .iter()
+        .zip(&latency.counts)
+        .map(|(bound, n)| {
+            cumulative += n;
+            (format!("_bucket{{le=\"{}\"}}", bound - 1.0), cumulative)
+        });
+    let totals = [
+        ("_bucket{le=\"+Inf\"}".to_string(), latency.count),
+        // Latency samples are whole rounds, so the sum is one too.
+        ("_sum".to_string(), latency.sum as u64),
+        ("_count".to_string(), latency.count),
+    ];
+    family(
+        &mut out,
+        "stp_session_latency_rounds",
+        "histogram",
+        "Submit-to-retire latency of completed sessions, in engine rounds.",
+        buckets.chain(totals),
+    );
+
+    let phase_label =
+        |p: &ProfPhase| format!("{{workload=\"{}\",phase=\"{}\"}}", prof.workload, p.phase);
+    for (name, help, get) in phases {
+        let samples = prof.phases.iter().map(|p| (phase_label(p), get(p)));
+        family(&mut out, name, "counter", help, samples);
     }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", stats.latency.count);
-    let _ = writeln!(out, "{name}_sum {}", stats.latency.sum);
-    let _ = writeln!(out, "{name}_count {}", stats.latency.count);
+    let p99 = prof
+        .phases
+        .iter()
+        .filter(|p| p.p99_window_ns != NO_SAMPLES)
+        .map(|p| (phase_label(p), p.p99_window_ns));
+    family(
+        &mut out,
+        "stp_prof_window_p99_ns",
+        "gauge",
+        "99th-percentile profiled-window nanoseconds.",
+        p99,
+    );
+    let run_label = format!("{{workload=\"{}\"}}", prof.workload);
+    family(
+        &mut out,
+        "stp_prof_windows_total",
+        "counter",
+        "Profiled windows flushed.",
+        [(run_label.clone(), prof.windows)],
+    );
+    family(
+        &mut out,
+        "stp_prof_busy_ns_total",
+        "counter",
+        "Measured busy nanoseconds (sum of window spans).",
+        [(run_label, prof.busy_ns)],
+    );
     out
+}
+
+// One metric family: its `# HELP` and `# TYPE` lines, then one
+// `{name}{series} {value}` line per sample, where `series` is the name
+// suffix and label set. A family without samples is left out.
+fn family<V: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, V)>,
+) {
+    let mut samples = samples.into_iter().peekable();
+    if samples.peek().is_none() {
+        return;
+    }
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (series, value) in samples {
+        let _ = writeln!(out, "{name}{series} {value}");
+    }
 }
 
 #[cfg(test)]
@@ -958,7 +954,8 @@ mod tests {
         m.note_stall();
         m.end_round(5, 7, 1, 2, 16);
         let s = m.snapshot();
-        assert_eq!(s.shard, 3);
+        assert_eq!(s.shard, Some(3));
+        assert_eq!(s.shards, 1);
         assert_eq!(s.submitted, 2);
         assert_eq!(s.admitted, 2);
         assert_eq!(s.recycle_hits, 1);
@@ -1006,22 +1003,42 @@ mod tests {
         registry.shard(0).note_submitted();
         registry.shard(0).note_completed(2);
         registry.shard(0).end_round(4, 1, 1, 9, 8);
-        registry.shard(1).note_submitted();
-        registry.shard(1).note_submitted();
-        registry.shard(1).note_completed(6);
-        registry.shard(1).end_round(7, 0, 2, 3, 24);
-        let stats = registry.snapshot().stats();
+        // Shard 1 moves every counter, so a field `merge` forgot to
+        // fold would read as shard 0's value.
+        let m = registry.shard(1);
+        m.note_submitted();
+        m.note_submitted();
+        m.note_admitted(true);
+        m.note_completed(6);
+        m.note_disconnected();
+        m.note_exhausted();
+        m.note_stall();
+        m.end_round(7, 2, 2, 3, 24);
+        let snap = registry.snapshot();
+        let stats = snap.stats();
+        assert_eq!(stats.shard, None, "the aggregate describes no one shard");
+        assert_eq!(snap.shards[1].shard, Some(1));
         assert_eq!(stats.shards, 2);
         assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.admitted, 1);
+        assert_eq!(stats.recycle_hits, 1);
         assert_eq!(stats.completed, 2);
+        assert_eq!(stats.disconnected, 1);
+        assert_eq!(stats.exhausted, 1);
+        assert_eq!(stats.stalls, 1);
         assert_eq!(stats.round, 7, "rounds max across shards");
         assert_eq!(stats.oldest_active_age, 9, "age maxes across shards");
-        assert_eq!(stats.queued, 1);
+        assert_eq!(stats.queued, 3);
         assert_eq!(stats.active, 3);
         assert_eq!(stats.steps, 32);
         assert_eq!(stats.latency.count, 2, "latency merges across shards");
         assert_eq!(stats.latency.min, 2.0);
         assert_eq!(stats.latency.max, 6.0);
+        assert_eq!(stats.round_cost.count, 2);
+        // The aggregate's line differs from a lone row's only in `shard`.
+        let solo = FleetRegistry::new(1).snapshot();
+        let row = solo.shards[0].record("t");
+        assert_eq!(FleetRecord { shard: None, ..row }, solo.stats().record("t"));
     }
 
     #[test]
@@ -1032,17 +1049,26 @@ mod tests {
         registry.shard(0).end_round(1, 0, 0, 0, 10);
         registry.shard(1).end_round(1, 0, 0, 0, 6);
         let d = watch.tick();
-        assert_eq!(d.completed, 1);
-        assert_eq!(d.steps, 16);
-        assert_eq!(d.per_shard[0].completed, 1);
-        assert_eq!(d.per_shard[0].rounds, 1);
-        assert_eq!(d.per_shard[1].completed, 0);
+        assert_eq!(d.prev.stats().completed, 0);
+        assert_eq!(d.snapshot.stats().completed, 1);
+        assert_eq!(d.snapshot.stats().steps, 16);
+        assert_eq!(d.snapshot.shards[0].round, 1);
         assert!(d.secs >= 0.0);
+        // Rates come from the two snapshots.
+        let window = FleetDelta { secs: 0.5, ..d };
+        assert_eq!(window.sessions_per_sec(None), 2.0);
+        assert_eq!(window.sessions_per_sec(Some(0)), 2.0);
+        assert_eq!(window.sessions_per_sec(Some(1)), 0.0);
+        let empty = FleetDelta {
+            secs: 0.0,
+            ..window.clone()
+        };
+        assert_eq!(empty.sessions_per_sec(None), 0.0, "zero-width window");
         // The next tick starts from the new baseline.
         let d = watch.tick();
-        assert_eq!(d.completed, 0);
-        assert_eq!(d.steps, 0);
-        assert!(d.sessions_per_sec() >= 0.0);
+        assert_eq!(d.prev, window.snapshot);
+        assert_eq!(d.prev, d.snapshot);
+        assert_eq!(d.sessions_per_sec(None), 0.0);
     }
 
     #[test]
@@ -1104,7 +1130,7 @@ mod tests {
         registry.shard(0).note_admitted(false);
         registry.shard(0).note_completed(3);
         registry.shard(1).end_round(2, 5, 1, 4, 16);
-        let text = prometheus_text(&registry.snapshot());
+        let text = prometheus_text(&registry.snapshot(), &fixed_prof());
         assert!(text.contains("# TYPE stp_sessions_submitted_total counter"));
         assert!(text.contains("stp_sessions_submitted_total{shard=\"0\"} 1"));
         assert!(text.contains("stp_sessions_submitted_total{shard=\"1\"} 0"));
@@ -1113,11 +1139,85 @@ mod tests {
         assert!(text.contains("# TYPE stp_session_latency_rounds histogram"));
         assert!(text.contains("stp_session_latency_rounds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("stp_session_latency_rounds_count 1"));
+        assert!(text.contains("# TYPE stp_prof_phase_ns_total counter"));
         // Cumulative buckets: every line ≤ the +Inf count, none absent.
         let buckets: Vec<&str> = text
             .lines()
             .filter(|l| l.starts_with("stp_session_latency_rounds_bucket"))
             .collect();
         assert_eq!(buckets.len(), 257, "256 edges + +Inf");
+    }
+
+    #[test]
+    fn prometheus_le_labels_are_inclusive_upper_edges() {
+        // A latency of 3 rounds lands in the bucket [3, 4); Prometheus
+        // reads `le` as "≤", so that bucket is `le="3"` and the one
+        // before it (`le="2"`) must not count the sample.
+        let registry = FleetRegistry::new(1);
+        registry.shard(0).note_completed(3);
+        let text = prometheus_text(&registry.snapshot(), &fixed_prof());
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines.contains(&"stp_session_latency_rounds_bucket{le=\"3\"} 1"));
+        assert!(lines.contains(&"stp_session_latency_rounds_bucket{le=\"2\"} 0"));
+        assert!(lines.contains(&"stp_session_latency_rounds_bucket{le=\"0\"} 0"));
+        assert!(lines.contains(&"stp_session_latency_rounds_bucket{le=\"255\"} 1"));
+    }
+
+    // A profiler report with one sampled phase and one alloc-only phase
+    // whose quantiles are still the NO_SAMPLES sentinel.
+    fn fixed_prof() -> ProfRecord {
+        let phase = |phase: &str, calls, total_ns, p99_window_ns, allocs| ProfPhase {
+            phase: phase.to_string(),
+            calls,
+            windows: calls,
+            total_ns,
+            share: 0.0,
+            p50_window_ns: p99_window_ns,
+            p99_window_ns,
+            allocs,
+            alloc_bytes: allocs * 32,
+        };
+        ProfRecord {
+            experiment: "golden".to_string(),
+            workload: "churn".to_string(),
+            period: 1,
+            windows: 4,
+            busy_ns: 2_048,
+            attributed_ns: 2_048,
+            coverage: 1.0,
+            alloc_metered: true,
+            allocs_total: 3,
+            alloc_bytes_total: 96,
+            phases: vec![
+                phase("sender_step", 4, 2_048, 1_024.0, 0),
+                phase("retire", 0, 0, NO_SAMPLES, 3),
+            ],
+        }
+    }
+
+    #[test]
+    fn prometheus_page_matches_the_golden_page() {
+        // A fixed registry and a fixed profiler report. The golden page
+        // is the page the two former exposition functions wrote for the
+        // same inputs, with each latency bucket's `le` moved to its
+        // inclusive edge.
+        let registry = FleetRegistry::new(2);
+        let m = registry.shard(0);
+        for _ in 0..3 {
+            m.note_submitted();
+        }
+        m.note_admitted(false);
+        m.note_admitted(true);
+        m.note_completed(0);
+        m.note_completed(3);
+        m.note_completed(300);
+        m.note_disconnected();
+        m.note_exhausted();
+        m.note_stall();
+        m.end_round(5, 1, 1, 2, 16);
+        registry.shard(1).note_submitted();
+        registry.shard(1).end_round(2, 5, 1, 4, 16);
+        let page = prometheus_text(&registry.snapshot(), &fixed_prof());
+        assert_eq!(page, include_str!("../tests/data/prometheus_page.txt"));
     }
 }

@@ -52,13 +52,11 @@ pub use error::SimError;
 pub use fault::burst_plan;
 pub use fleet::{
     healthy_step_bound, prometheus_text, AtomicHistogram, FleetDelta, FleetRecord, FleetRegistry,
-    FleetSnapshot, FleetStats, FleetWatch, ShardDelta, ShardMetrics, ShardSnapshot, StallRecord,
-    WatchdogSpec, NO_SAMPLES,
+    FleetSnapshot, FleetStats, FleetWatch, ShardMetrics, StallRecord, WatchdogSpec, NO_SAMPLES,
 };
 pub use metrics::{Histogram, MetricsProbe, RunStats, SweepReport};
 pub use prof::{
-    delivery_phase, expiry_phase, folded, note_alloc, prometheus_prof_text, Phase, PhaseProfiler,
-    ProfPhase, ProfRecord,
+    delivery_phase, expiry_phase, folded, note_alloc, Phase, PhaseProfiler, ProfPhase, ProfRecord,
 };
 pub use replay::{replay, script_from_trace, scripted_world};
 pub use runner::{run_family_member, MemberRun, SweepOutcome};
@@ -70,10 +68,9 @@ pub use shrink::{
     classify, is_one_minimal, shrink_plan, shrink_to_witness, CampaignJudge, Violation, Witness,
 };
 pub use slo::{
-    last_corruption_step, probe_recovery, probe_stabilization, recovery_envelope,
-    recovery_envelope_observed, run_campaign, run_with_plan, stabilization_envelope,
-    stabilization_point, RecoveryEnvelope, RecoveryProbe, SloConfig, StabilizationEnvelope,
-    StabilizationProbe,
+    last_corruption_step, probe_recovery, probe_stabilization, recovery_envelope, run_campaign,
+    run_with_plan, stabilization_envelope, stabilization_point, RecoveryEnvelope, RecoveryProbe,
+    SloConfig, StabilizationEnvelope, StabilizationProbe,
 };
 pub use telemetry::{
     ExperimentSummary, FrontierRecord, LocalProgress, MemorySink, ProgressMeter, ProgressSnapshot,

@@ -16,7 +16,7 @@
 pub use crate::engine::{IsolatedReport, SweepEngine, SweepSpec};
 pub use crate::fleet::{
     healthy_step_bound, prometheus_text, FleetDelta, FleetRecord, FleetRegistry, FleetSnapshot,
-    FleetStats, FleetWatch, ShardMetrics, ShardSnapshot, StallRecord, WatchdogSpec, NO_SAMPLES,
+    FleetStats, FleetWatch, ShardMetrics, StallRecord, WatchdogSpec, NO_SAMPLES,
 };
 pub use crate::metrics::{Histogram, MetricsProbe, RunStats, SweepReport};
 pub use crate::runner::{run_family_member, MemberRun, SweepOutcome};
@@ -26,8 +26,7 @@ pub use crate::sessions::{
 };
 pub use crate::shrink::{shrink_plan, shrink_to_witness, CampaignJudge, Violation, Witness};
 pub use crate::slo::{
-    probe_recovery, recovery_envelope, recovery_envelope_observed, RecoveryEnvelope, RecoveryProbe,
-    SloConfig,
+    probe_recovery, recovery_envelope, RecoveryEnvelope, RecoveryProbe, SloConfig,
 };
 pub use crate::telemetry::{
     ExperimentSummary, FrontierRecord, LocalProgress, MemorySink, ProgressMeter, ProgressSnapshot,

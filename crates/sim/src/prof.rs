@@ -35,6 +35,7 @@
 //! scheduling, delivery, or protocol decisions.
 
 use crate::fleet::{AtomicHistogram, NO_SAMPLES};
+use crate::metrics::Histogram;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,21 +236,6 @@ fn alloc_totals() -> ([u64; ALLOC_SLOTS], [u64; ALLOC_SLOTS]) {
 // ---------------------------------------------------------------------
 // The profiler proper.
 
-/// Per-window-nanosecond bucket edges: the PR 8 exponential layout
-/// (power-of-two edges) stretched to nanosecond scale — 32 edges from
-/// 16 ns to ~34 s cover a single sampled slot quantum up to a whole
-/// profiled sweep run.
-fn phase_window_bounds() -> Vec<f64> {
-    let mut edge = 16.0;
-    (0..32)
-        .map(|_| {
-            let e = edge;
-            edge *= 2.0;
-            e
-        })
-        .collect()
-}
-
 /// Aggregated phase timings for one profiled workload: per-phase
 /// [`AtomicHistogram`]s of window nanoseconds plus exact totals, shared
 /// across worker threads behind an `Arc` and drained into a
@@ -291,7 +277,10 @@ impl PhaseProfiler {
         PhaseProfiler {
             period,
             hists: (0..Phase::COUNT)
-                .map(|_| AtomicHistogram::new(phase_window_bounds()))
+                // Window nanoseconds: power-of-two edges from 16 ns to
+                // ~34 s cover one sampled slot quantum up to a whole
+                // profiled sweep run.
+                .map(|_| AtomicHistogram::new(Histogram::exponential(16.0, 2.0, 32).bounds))
                 .collect(),
             total_ns: (0..Phase::COUNT).map(|_| AtomicU64::new(0)).collect(),
             calls: (0..Phase::COUNT).map(|_| AtomicU64::new(0)).collect(),
@@ -518,7 +507,7 @@ pub struct ProfPhase {
 
 /// The self-describing profiler report: the payload of a `{"prof": …}`
 /// telemetry line and the input to the folded-stack and Prometheus
-/// exports.
+/// ([`prometheus_text`](crate::fleet::prometheus_text)) exports.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfRecord {
     /// Experiment / binary that produced the record.
@@ -563,89 +552,6 @@ pub fn folded(record: &ProfRecord) -> String {
             record.workload, p.phase, p.total_ns
         ));
     }
-    out
-}
-
-/// Renders a record in the Prometheus text exposition format (version
-/// 0.0.4): per-phase counters for nanoseconds, calls, and allocations,
-/// plus whole-run window/busy counters. Quantile gauges are omitted for
-/// phases still at [`NO_SAMPLES`] — the sentinel never appears as a
-/// `-1` sample.
-pub fn prometheus_prof_text(record: &ProfRecord) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let label =
-        |p: &ProfPhase| format!("{{workload=\"{}\",phase=\"{}\"}}", record.workload, p.phase);
-
-    let mut counter = |name: &str, help: &str, value: &dyn Fn(&ProfPhase) -> u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for p in &record.phases {
-            let _ = writeln!(out, "{name}{} {}", label(p), value(p));
-        }
-    };
-    counter(
-        "stp_prof_phase_ns_total",
-        "Nanoseconds attributed to the phase.",
-        &|p| p.total_ns,
-    );
-    counter(
-        "stp_prof_phase_calls_total",
-        "Times the phase was entered.",
-        &|p| p.calls,
-    );
-    counter(
-        "stp_prof_phase_allocs_total",
-        "Heap allocations charged to the phase.",
-        &|p| p.allocs,
-    );
-    counter(
-        "stp_prof_phase_alloc_bytes_total",
-        "Bytes requested by allocations charged to the phase.",
-        &|p| p.alloc_bytes,
-    );
-
-    let sampled: Vec<&ProfPhase> = record
-        .phases
-        .iter()
-        .filter(|p| p.p99_window_ns != NO_SAMPLES)
-        .collect();
-    if !sampled.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP stp_prof_window_p99_ns 99th-percentile profiled-window nanoseconds."
-        );
-        let _ = writeln!(out, "# TYPE stp_prof_window_p99_ns gauge");
-        for p in &sampled {
-            let _ = writeln!(
-                out,
-                "stp_prof_window_p99_ns{} {}",
-                label(p),
-                p.p99_window_ns
-            );
-        }
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP stp_prof_windows_total Profiled windows flushed."
-    );
-    let _ = writeln!(out, "# TYPE stp_prof_windows_total counter");
-    let _ = writeln!(
-        out,
-        "stp_prof_windows_total{{workload=\"{}\"}} {}",
-        record.workload, record.windows
-    );
-    let _ = writeln!(
-        out,
-        "# HELP stp_prof_busy_ns_total Measured busy nanoseconds (sum of window spans)."
-    );
-    let _ = writeln!(out, "# TYPE stp_prof_busy_ns_total counter");
-    let _ = writeln!(
-        out,
-        "stp_prof_busy_ns_total{{workload=\"{}\"}} {}",
-        record.workload, record.busy_ns
-    );
     out
 }
 
@@ -804,7 +710,8 @@ mod tests {
             allocs: 3,
             alloc_bytes: 96,
         });
-        let text = prometheus_prof_text(&rec);
+        let fleet = crate::fleet::FleetRegistry::new(1).snapshot();
+        let text = crate::fleet::prometheus_text(&fleet, &rec);
         assert!(text.ends_with('\n'), "exposition ends with newline");
         let mut helps = HashSet::new();
         let mut types = HashSet::new();

@@ -34,8 +34,8 @@
 
 use crate::engine::SweepSpec;
 use crate::fleet::{
-    healthy_step_bound, FleetRegistry, FleetSnapshot, FleetWatch, ShardMetrics, StallRecord,
-    WatchdogSpec,
+    healthy_step_bound, latency_histogram, FleetRegistry, FleetSnapshot, FleetWatch, ShardMetrics,
+    StallRecord, WatchdogSpec,
 };
 use crate::kernel::{self, Components, Quiet, Scratch};
 use crate::metrics::{Histogram, RunStats};
@@ -1321,26 +1321,25 @@ impl ChurnReport {
             p99_latency_rounds: self.p99_latency_rounds(),
         }
     }
-}
 
-// Per-shard fold of drained outcomes.
-struct ShardOutcome {
-    submitted: u64,
-    completed: u64,
-    exhausted: u64,
-    disconnected: u64,
-    total_steps: u64,
-    rounds: u64,
-    latency: Histogram,
-    digest: u64,
-    busy_secs: f64,
-    stalls: Vec<StallRecord>,
-}
-
-fn latency_histogram() -> Histogram {
-    // Width-1 buckets: exact quantiles for round-valued latencies up to
-    // the overflow bucket.
-    Histogram::linear(1.0, 1.0, 256)
+    /// Folds another run's report into this one, as shards running side
+    /// by side: counters and digests add, rounds and wall seconds take
+    /// the maximum, distributions, per-shard busy seconds and stalls
+    /// concatenate.
+    pub fn merge(&mut self, mut other: ChurnReport) {
+        self.shards += other.shards;
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.exhausted += other.exhausted;
+        self.disconnected += other.disconnected;
+        self.total_steps += other.total_steps;
+        self.rounds = self.rounds.max(other.rounds);
+        self.latency_rounds.merge(&other.latency_rounds);
+        self.digest = self.digest.wrapping_add(other.digest);
+        self.wall_secs = self.wall_secs.max(other.wall_secs);
+        self.shard_busy_secs.append(&mut other.shard_busy_secs);
+        self.stalls.append(&mut other.stalls);
+    }
 }
 
 fn outcome_digest(outcome: &SessionOutcome) -> u64 {
@@ -1360,6 +1359,8 @@ fn outcome_digest(outcome: &SessionOutcome) -> u64 {
     h.finish()
 }
 
+// One shard's share of the workload, as a one-shard report whose wall
+// seconds are its busy seconds.
 fn run_shard(
     spec: &ChurnSpec,
     shard: u16,
@@ -1367,7 +1368,7 @@ fn run_shard(
     meter: Option<&ProgressMeter>,
     metrics: Option<Arc<ShardMetrics>>,
     prof: Option<&Arc<PhaseProfiler>>,
-) -> ShardOutcome {
+) -> ChurnReport {
     let shards = u64::from(spec.server.shards.max(1));
     let arrivals = spec.arrivals_per_round.max(1);
     let mut engine = SessionEngine::new(shard, spec.server.capacity_per_shard, spec.server.quantum);
@@ -1381,16 +1382,18 @@ fn run_shard(
         engine.arm_watchdog(w);
     }
     let mut progress = meter.map(ProgressMeter::local);
-    let mut out = ShardOutcome {
+    let mut out = ChurnReport {
+        shards: 1,
         submitted: 0,
         completed: 0,
         exhausted: 0,
         disconnected: 0,
         total_steps: 0,
         rounds: 0,
-        latency: latency_histogram(),
+        latency_rounds: latency_histogram(),
         digest: 0,
-        busy_secs: 0.0,
+        wall_secs: 0.0,
+        shard_busy_secs: Vec::new(),
         stalls: Vec::new(),
     };
     let started = Instant::now();
@@ -1408,7 +1411,7 @@ fn run_shard(
             match outcome.fate {
                 SessionFate::Completed => {
                     out.completed += 1;
-                    out.latency.record(outcome.latency_rounds() as f64);
+                    out.latency_rounds.record(outcome.latency_rounds() as f64);
                 }
                 SessionFate::Exhausted => out.exhausted += 1,
                 SessionFate::Disconnected => out.disconnected += 1,
@@ -1421,40 +1424,10 @@ fn run_shard(
         }
     }
     out.rounds = engine.round();
-    out.busy_secs = started.elapsed().as_secs_f64();
+    out.wall_secs = started.elapsed().as_secs_f64();
+    out.shard_busy_secs.push(out.wall_secs);
     out.stalls = engine.drain_stalls();
     out
-}
-
-fn fold_shards(spec: &ChurnSpec, outs: Vec<ShardOutcome>, wall_secs: f64) -> ChurnReport {
-    let mut report = ChurnReport {
-        shards: outs.len(),
-        submitted: 0,
-        completed: 0,
-        exhausted: 0,
-        disconnected: 0,
-        total_steps: 0,
-        rounds: 0,
-        latency_rounds: latency_histogram(),
-        digest: 0,
-        wall_secs,
-        shard_busy_secs: Vec::with_capacity(outs.len()),
-        stalls: Vec::new(),
-    };
-    for mut out in outs {
-        report.submitted += out.submitted;
-        report.completed += out.completed;
-        report.exhausted += out.exhausted;
-        report.disconnected += out.disconnected;
-        report.total_steps += out.total_steps;
-        report.rounds = report.rounds.max(out.rounds);
-        report.latency_rounds.merge(&out.latency);
-        report.digest = report.digest.wrapping_add(out.digest);
-        report.shard_busy_secs.push(out.busy_secs);
-        report.stalls.append(&mut out.stalls);
-    }
-    debug_assert_eq!(report.submitted, spec.sessions);
-    report
 }
 
 /// How [`run_churn`] runs a workload: what observes it, and whether
@@ -1518,7 +1491,7 @@ pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
         m.begin(spec.sessions as usize);
     }
     let wall = Instant::now();
-    let outs: Vec<ShardOutcome> = if isolated || shards == 1 {
+    let outs: Vec<ChurnReport> = if isolated || shards == 1 {
         (0..shards)
             .map(|s| run_shard(spec, s, &claimed, meter, fleet.map(|f| f.shard(s)), prof))
             .collect()
@@ -1550,7 +1523,16 @@ pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
     if let Some(m) = meter {
         m.finish();
     }
-    fold_shards(spec, outs, wall_secs)
+    let mut report = outs
+        .into_iter()
+        .reduce(|mut report, shard| {
+            report.merge(shard);
+            report
+        })
+        .expect("a workload has at least one shard");
+    report.wall_secs = wall_secs;
+    debug_assert_eq!(report.submitted, spec.sessions);
+    report
 }
 
 #[cfg(test)]
@@ -2016,6 +1998,117 @@ mod tests {
         assert!(stats.p99_latency_rounds() >= 1.0);
     }
 
+    // A metered single-shard churn over dup, lossy-fifo and del (the
+    // last two also under a deleting adversary), with an explicit
+    // disconnect of a queued and of a running session every few rounds.
+    // `check` sees the engine and its metrics at every round boundary,
+    // right after `step_round`.
+    fn metered_churn_with_disconnects(
+        mut check: impl FnMut(&SessionEngine, &crate::fleet::FleetStats),
+    ) {
+        let mut spec = small_churn(3_000, 1);
+        let drop_heavy = SchedulerSpec::DropHeavy {
+            p_drop: 0.2,
+            p_deliver: 0.7,
+        };
+        spec.mix.extend([
+            SessionTemplate {
+                family: FamilySpec::Tight {
+                    d: 4,
+                    policy: ResendPolicy::EveryTick,
+                },
+                channel: ChannelSpec::Del,
+                scheduler: drop_heavy.clone(),
+            },
+            SessionTemplate {
+                family: FamilySpec::Abp {
+                    domain: 2,
+                    max_len: 3,
+                },
+                channel: ChannelSpec::LossyFifo,
+                scheduler: drop_heavy,
+            },
+        ]);
+        let claimed = spec.claimed_inputs();
+        let metrics = Arc::new(ShardMetrics::new(0));
+        let mut engine = SessionEngine::new(0, 32, 8);
+        engine.attach_metrics(Arc::clone(&metrics));
+        let (mut k, mut queued_cuts, mut running_cuts) = (0, 0, 0);
+        while k < spec.sessions || !engine.is_idle() {
+            for _ in 0..spec.arrivals_per_round {
+                if k < spec.sessions {
+                    engine.submit(spec.session_at(k, &claimed));
+                    k += 1;
+                }
+            }
+            if engine.round() % 5 == 2 {
+                let newest = engine.next_serial - 1;
+                if engine.poll(newest) == SessionStatus::Queued {
+                    assert!(engine.disconnect(newest));
+                    queued_cuts += 1;
+                }
+                if let Some(&slot) = engine.active.first() {
+                    assert!(engine.disconnect(engine.serials[slot as usize]));
+                    running_cuts += 1;
+                }
+            }
+            engine.step_round();
+            engine.drain_completed();
+            check(&engine, &metrics.snapshot());
+        }
+        assert!(queued_cuts > 10 && running_cuts > 10);
+    }
+
+    #[test]
+    fn fleet_counters_are_conserved_at_every_round_boundary() {
+        let mut rounds = 0;
+        metered_churn_with_disconnects(|engine, s| {
+            let round = engine.round();
+            assert_eq!(
+                s.submitted,
+                s.completed + s.disconnected + s.exhausted + s.active + s.queued,
+                "round {round}: every submitted session is retired, active or queued"
+            );
+            assert_eq!(
+                s.admitted,
+                s.recycle_hits + s.recycle_misses,
+                "round {round}: every admission is a recycle hit or miss"
+            );
+            assert_eq!(s.active, engine.active_len() as u64);
+            assert_eq!(s.queued, engine.queued_len() as u64);
+            rounds += 1;
+        });
+        assert!(rounds > 100, "{rounds} rounds checked");
+    }
+
+    #[test]
+    fn run_stats_are_conserved_on_consuming_channels() {
+        let (mut checks, mut dropped) = (0, 0);
+        metered_churn_with_disconnects(|engine, _| {
+            for &slot in &engine.active {
+                let slot = slot as usize;
+                let recipe = &engine.recipes[engine.slot_recipe[slot] as usize];
+                if !matches!(recipe.channel, ChannelSpec::Del | ChannelSpec::LossyFifo) {
+                    continue;
+                }
+                let st = &engine.stats[slot];
+                let channel = engine.channels[slot].as_ref().expect("active slot");
+                let in_flight = channel.pending_to_r() + channel.pending_to_s();
+                assert_eq!(
+                    (st.sends_s + st.sends_r) as u64,
+                    (st.deliveries_r + st.deliveries_s + st.drops) as u64 + in_flight,
+                    "round {} slot {slot} on {:?}: sent = delivered + dropped + in flight",
+                    engine.round(),
+                    recipe.channel
+                );
+                checks += 1;
+                dropped += usize::from(st.drops > 0);
+            }
+        });
+        assert!(checks > 1_000, "{checks} slot checks");
+        assert!(dropped > 100, "{dropped} checks saw a drop");
+    }
+
     #[test]
     fn server_with_fleet_snapshots_without_stopping() {
         let server = SessionServer::with_fleet(&ServerSpec {
@@ -2039,7 +2132,7 @@ mod tests {
         // Six completions: a real percentile, not the empty sentinel.
         assert!(stats.p99_latency_rounds() >= 0.0);
         let delta = watch.tick();
-        assert_eq!(delta.completed, 6);
+        assert_eq!(delta.sessions_per_sec(None) * delta.secs, 6.0);
         assert!(server.drain_stalls().is_empty(), "healthy fleet");
         for id in ids {
             assert!(matches!(server.poll(id), SessionStatus::Done { .. }));

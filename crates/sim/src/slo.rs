@@ -193,36 +193,6 @@ pub fn recovery_envelope(
     }
 }
 
-/// [`recovery_envelope`] with live progress: each probe run (one full
-/// fault-injected execution) ticks the meter, which matters because SLO
-/// envelopes are the slowest harness in the workspace — E11 runs
-/// hundreds of probes back to back.
-pub fn recovery_envelope_observed(
-    family: &dyn ProtocolFamily,
-    input: &DataSeq,
-    channel: &ChannelSpec,
-    inner: &SchedulerSpec,
-    cfg: &SloConfig,
-    meter: &crate::telemetry::ProgressMeter,
-) -> RecoveryEnvelope {
-    meter.begin(input.len());
-    meter.worker_started();
-    let probes = (0..input.len())
-        .filter_map(|i| {
-            let p = probe_recovery(family, input, channel, inner, cfg, i);
-            meter.record_done(1);
-            p
-        })
-        .collect();
-    meter.worker_finished();
-    meter.finish();
-    RecoveryEnvelope {
-        protocol: family.name().to_string(),
-        input_len: input.len(),
-        probes,
-    }
-}
-
 /// The step at which the **last** corruption command took effect in
 /// `trace`, or `None` if no corruption event was recorded. This is the
 /// point `c` from which stabilization is measured: a self-stabilizing
