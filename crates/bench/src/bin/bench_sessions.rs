@@ -142,6 +142,11 @@ fn workload(shards: u16) -> ChurnSpec {
         seed: 0x5E55_1045,
         disconnect_rate: 0.05,
         disconnect_after: 2,
+        // No template loses a copy: `Random` and `DupStorm` never delete,
+        // and neither the del nor the lossy-FIFO channel drops on its own,
+        // so every session reports `drops == 0` and the "lossy" and "del"
+        // lanes exercise delivery, not loss. Changing the mix would move
+        // the committed digest (DESIGN §14).
         mix: vec![
             SessionTemplate {
                 family: FamilySpec::Tight {
@@ -367,7 +372,7 @@ fn main() {
         .metric("scaling_4_over_1", report.scaling_4_over_1)
         .metric("metered_overhead", report.metered_overhead)
         .metric("prof_overhead", report.prof_overhead)
-        .phases_from(&prof_record);
+        .phases_from(std::slice::from_ref(&prof_record));
     if let Err(e) = history::append(Path::new(HISTORY_FILE), &history_record) {
         eprintln!("bench_sessions: cannot append {HISTORY_FILE}: {e}");
     }

@@ -4,8 +4,9 @@
 //! top of it, plus critical-path scaling lanes at 1/2/4/8 workers.
 //! Writes `BENCH_sweep.json` in the current directory, and appends one
 //! schema-versioned record — lane metrics plus the profiled lane's
-//! per-phase cost breakdown — to `BENCH_history.jsonl`, the durable
-//! trajectory `bench_gate` compares fresh runs against.
+//! per-phase cost breakdown (each phase's median share over the reps) —
+//! to `BENCH_history.jsonl`, the durable trajectory `bench_gate`
+//! compares fresh runs against.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -17,7 +18,7 @@ use stp_channel::campaign::FaultPlan;
 use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::event::TraceMode;
 use stp_protocols::{ResendPolicy, TightFamily};
-use stp_sim::{PhaseProfiler, SweepEngine, SweepSpec, TelemetryLine};
+use stp_sim::{PhaseProfiler, ProfRecord, SweepEngine, SweepSpec, TelemetryLine};
 
 /// Worker widths for the parallel scaling lanes.
 const PARALLEL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -26,9 +27,8 @@ const PARALLEL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// (a couple of microseconds each), so a fully profiled cell pays the
 /// per-step timer cost against almost no useful work — dense sampling
 /// would price the instrumentation, not the engine. One window every 128
-/// cells still lands several windows per sweep (the grid is ~240 cells
-/// per rep, and reps accumulate) while keeping the lane inside the same
-/// ≤5% budget the session engines meet at their default period.
+/// cells still lands windows in every rep while keeping the lane inside
+/// the same ≤5% budget the session engines meet at their default period.
 const PROF_PERIOD: u64 = 128;
 
 /// One parallel scaling lane, measured by `SweepEngine::run_isolated`:
@@ -121,13 +121,15 @@ fn main() {
         .collect();
     let unarmed_engine = SweepEngine::new(unarmed_spec);
     // The profiled lane prices phase-scoped profiling at its sampling
-    // period: one profiler accumulates across every rep, so the report
-    // at the end has windows from the whole session.
-    let prof = PhaseProfiler::new(PROF_PERIOD);
+    // period. Every rep gets its own profiler, and the recorded phase
+    // shares are the per-phase medians over the reps' reports, so a
+    // window preempted on a shared host inflates one rep's shares, not
+    // the record.
     let runs_per_sweep = spec.grid_size(&family);
     // Enough reps that every lane gets several preemption-free shots; the
     // minimum estimator below only sharpens with more samples.
     let reps = 100usize;
+    let mut prof_reports = Vec::with_capacity(reps);
 
     // Warm-up and sanity: the engine completes every cell, and every
     // other lane's runs are bit-identical to the bare engine's.
@@ -143,7 +145,7 @@ fn main() {
         "an unarmed campaign must not perturb results"
     );
     assert_eq!(unarmed.report, pooled.report);
-    let profiled = engine.run_profiled(&family, &prof);
+    let profiled = engine.run_profiled(&family, &PhaseProfiler::new(PROF_PERIOD));
     assert_eq!(
         profiled.runs, pooled.runs,
         "profiling must not perturb results"
@@ -192,10 +194,12 @@ fn main() {
         unarmed_reps.push(t.elapsed().as_secs_f64());
         assert_eq!(out.len(), runs_per_sweep);
 
+        let prof = PhaseProfiler::new(PROF_PERIOD);
         let t = Instant::now();
         let out = engine.run_profiled(&family, &prof);
         profiled_reps.push(t.elapsed().as_secs_f64());
         assert_eq!(out.len(), runs_per_sweep);
+        prof_reports.push(prof.report("bench_sweep", "e1_grid"));
 
         // Parallel lanes time each worker's busy loop in isolation, so
         // the recorded critical path is core-count honest.
@@ -279,7 +283,11 @@ fn main() {
 
     // Durable trajectory: one schema-versioned record per run, appended
     // to the history file bench_gate reads its baselines from.
-    let prof_record = prof.report("bench_sweep", "e1_grid");
+    // The `{"prof": …}` line carries the rep whose busy time is the
+    // median, a real report rather than a blend of reps.
+    let mut by_busy: Vec<&ProfRecord> = prof_reports.iter().collect();
+    by_busy.sort_by_key(|r| r.busy_ns);
+    let prof_record = by_busy[by_busy.len() / 2].clone();
     // `parallel_scaling_*` deliberately does not start with `scaling_`:
     // the ratio is gated by the PARALLEL_FLOOR static floor, and keeping
     // it out of the baseline direction inference means a *better* deal
@@ -292,7 +300,7 @@ fn main() {
         .metric("prof_overhead", prof_overhead)
         .metric("parallel_scaling_4_over_1", parallel_scaling_4_over_1)
         .metric("parallel_scaling_8_over_1", parallel_scaling_8_over_1)
-        .phases_from(&prof_record);
+        .phases_from(&prof_reports);
     for lane in &report.parallel_lanes {
         record = record.metric(
             &format!("parallel_runs_per_sec_{}", lane.workers),

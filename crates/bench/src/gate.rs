@@ -117,7 +117,7 @@ pub fn check_floor(record: &HistoryRecord, metric: &str, floor: f64) -> Option<V
 }
 
 /// The median of a non-empty sample (mean of the middle two when even).
-fn median(mut xs: Vec<f64>) -> f64 {
+pub(crate) fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     let n = xs.len();
     if n % 2 == 1 {

@@ -13,12 +13,13 @@
 //! errors: an old gate binary must not fail CI because a newer one wrote
 //! a richer record next to its own.
 
+use crate::gate::median;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::Path;
-use stp_sim::ProfRecord;
+use stp_sim::{ProfPhase, ProfRecord};
 
 /// The schema version this crate writes. Bump on any incompatible change
 /// to [`HistoryRecord`]; loaders skip records with a *newer* version.
@@ -83,18 +84,37 @@ impl HistoryRecord {
         self
     }
 
-    /// Copies the per-phase breakdown out of a profiler report.
+    /// Sets the per-phase breakdown from profiler reports of the same
+    /// workload, one per rep: each phase's share and nanoseconds are the
+    /// medians over the reports (a report without the phase counts as
+    /// zero), busiest first. A single report is copied as it is. With one
+    /// report per rep, a preempted window inflates one rep's shares
+    /// instead of the recorded ones.
     #[must_use]
-    pub fn phases_from(mut self, prof: &ProfRecord) -> HistoryRecord {
-        self.phases = prof
-            .phases
-            .iter()
-            .map(|p| PhaseShare {
-                phase: p.phase.clone(),
-                share: p.share,
-                total_ns: p.total_ns,
+    pub fn phases_from(mut self, reports: &[ProfRecord]) -> HistoryRecord {
+        let mut names: Vec<&str> = Vec::new();
+        for phase in reports.iter().flat_map(|r| &r.phases) {
+            if !names.contains(&phase.phase.as_str()) {
+                names.push(&phase.phase);
+            }
+        }
+        let median_of = |name: &str, field: fn(&ProfPhase) -> f64| {
+            median(
+                reports
+                    .iter()
+                    .map(|r| r.phases.iter().find(|p| p.phase == name).map_or(0.0, field))
+                    .collect(),
+            )
+        };
+        self.phases = names
+            .into_iter()
+            .map(|name| PhaseShare {
+                phase: name.to_string(),
+                share: median_of(name, |p| p.share),
+                total_ns: median_of(name, |p| p.total_ns as f64) as u64,
             })
             .collect();
+        self.phases.sort_by(|a, b| b.share.total_cmp(&a.share));
         self
     }
 }
@@ -221,9 +241,50 @@ mod tests {
         let prof = stp_sim::PhaseProfiler::new(1);
         prof.time(stp_sim::Phase::SenderStep, || std::hint::black_box(3));
         let report = prof.report("bench", "test");
-        let rec = HistoryRecord::new("bench_sweep").phases_from(&report);
+        let rec = HistoryRecord::new("bench_sweep").phases_from(std::slice::from_ref(&report));
         assert!(!rec.phases.is_empty());
         assert_eq!(rec.phases[0].phase, "sender_step");
-        assert!(rec.phases[0].total_ns > 0);
+        assert_eq!(rec.phases[0].share, report.phases[0].share);
+        assert_eq!(rec.phases[0].total_ns, report.phases[0].total_ns);
+    }
+
+    #[test]
+    fn phases_from_reps_take_each_phase_median() {
+        // Three reps split 60/40 between two phases; a fourth rep whose
+        // one window was preempted reads 95/5, and a fifth lacks the
+        // second phase. The recorded shares are the medians, which
+        // neither outlier moves (a mean would).
+        let rep = |shares: &[(&str, f64)]| {
+            let prof = stp_sim::PhaseProfiler::new(1);
+            let mut report = prof.report("bench", "test");
+            report.phases = shares
+                .iter()
+                .map(|&(phase, share)| ProfPhase {
+                    phase: phase.to_string(),
+                    calls: 1,
+                    windows: 1,
+                    total_ns: (share * 1000.0) as u64,
+                    share,
+                    p50_window_ns: 0.0,
+                    p99_window_ns: 0.0,
+                    allocs: 0,
+                    alloc_bytes: 0,
+                })
+                .collect();
+            report
+        };
+        let reps = [
+            rep(&[("deliver_dup", 0.6), ("expire_dup", 0.4)]),
+            rep(&[("deliver_dup", 0.6), ("expire_dup", 0.4)]),
+            rep(&[("expire_dup", 0.95), ("deliver_dup", 0.05)]),
+            rep(&[("deliver_dup", 0.6), ("expire_dup", 0.4)]),
+            rep(&[("deliver_dup", 1.0)]),
+        ];
+        let rec = HistoryRecord::new("bench_sweep").phases_from(&reps);
+        let share = |name: &str| rec.phases.iter().find(|p| p.phase == name).unwrap();
+        assert_eq!(share("deliver_dup").share, 0.6);
+        assert_eq!(share("deliver_dup").total_ns, 600);
+        assert_eq!(share("expire_dup").share, 0.4);
+        assert_eq!(rec.phases[0].phase, "deliver_dup", "busiest first");
     }
 }

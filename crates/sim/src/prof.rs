@@ -10,8 +10,8 @@
 //! store share — runs in ~tens of nanoseconds; a [`std::time::Instant`]
 //! read costs about half that, so timing every phase of every step
 //! would multiply the cost of the thing being measured. The profiler therefore *samples*: every
-//! [`period`](PhaseProfiler::period)-th unit of work (a slot quantum in
-//! the session engine, a whole run in the sweep engine) becomes a
+//! [`period`](PhaseProfiler::period)-th unit of work (a run-ahead chunk
+//! in the session engine, a whole run in the sweep engine) becomes a
 //! **window**. Inside a window a `ProfObs` takes one timestamp per
 //! phase *boundary* — consecutive marks, so `N` phases cost `N + 1`
 //! clock reads, not `2N` — and accumulates per-phase nanoseconds in
@@ -278,7 +278,7 @@ impl PhaseProfiler {
             period,
             hists: (0..Phase::COUNT)
                 // Window nanoseconds: power-of-two edges from 16 ns to
-                // ~34 s cover one sampled slot quantum up to a whole
+                // ~34 s cover one sampled run-ahead chunk up to a whole
                 // profiled sweep run.
                 .map(|_| AtomicHistogram::new(Histogram::exponential(16.0, 2.0, 32).bounds))
                 .collect(),

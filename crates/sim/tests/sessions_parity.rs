@@ -1,10 +1,13 @@
 //! Parity: the session store against the pooled-world sweep engine.
 //!
 //! Both run the same step kernel. This suite pins what the session
-//! store adds around it, which no other test covers: the quantum-sliced
-//! stopping rule (completion checked before each step, the budget
+//! store adds around it, which no other test covers: the stopping rule
+//! of its run-ahead (completion checked before each step, the budget
 //! capping the count, exactly as `World::run_until(max_steps,
-//! is_complete)`) and recipe-keyed slot provisioning. A
+//! is_complete)`; the store runs each session ahead of its round-robin
+//! quantum schedule and releases the outcome in the round the schedule
+//! fixes, so the stats are the same however far ahead it ran) and
+//! recipe-keyed slot provisioning. A
 //! [`SessionEngine`] stepping a session to retirement must produce
 //! [`RunStats`] *bit-identical* to the [`SweepEngine`] running the same
 //! (family, input, channel, scheduler, seed) cell. The grid is 32 seeds
