@@ -102,9 +102,10 @@ fn main() {
         spec = spec.also_scheduler(sched.clone());
     }
     let engine = SweepEngine::new(spec.clone().trace_mode(TraceMode::Off));
-    // The traced lane measures causal tracing over the bare engine:
-    // TraceProbe + channel provenance (stats still come from the world's
-    // incremental counters).
+    // The traced lane measures causal tracing over the bare engine: the
+    // channel's provenance bookkeeping plus the world's recording of the
+    // `MsgEvent` stream (spans are folded from it only on request; stats
+    // still come from the world's incremental counters).
     let traced_engine = SweepEngine::new(spec.clone().trace_mode(TraceMode::Off).traced(true));
     // The unarmed lane prices the corruption machinery itself: every
     // adversary wrapped in a campaign whose plan has no clauses, so the
@@ -312,7 +313,7 @@ fn main() {
     }
     stp_bench::telemetry::export("bench_sweep", [TelemetryLine::Prof(prof_record)]);
 
-    // Budget gates: full causal tracing stays within 25% of the bare
+    // Budget gates: provenance recording stays within 25% of the bare
     // engine, an unarmed fault campaign — the corruption machinery with
     // nothing to fire — within 10%, and sampled phase profiling within 5%.
     stp_bench::telemetry::export_summary(

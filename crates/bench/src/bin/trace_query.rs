@@ -9,10 +9,12 @@
 //! ```
 //!
 //! `record` runs the tight protocol (`m = 4`) over a duplicating channel
-//! under a duplication storm with `TraceProbe` + `FrontierProbe` +
-//! `MetricsProbe` attached, reconciles spans against statistics, and
-//! writes `OUT_DIR/trace.perfetto.json` (open it in `ui.perfetto.dev`)
-//! plus `OUT_DIR/spans.jsonl` (run + span + frontier telemetry lines).
+//! under a duplication storm with the full trace and provenance
+//! recording on, folds the recording into spans (`MsgSpans`) and the
+//! knowledge frontier (`Frontier`), reconciles the spans against the
+//! world's statistics, and writes `OUT_DIR/trace.perfetto.json` (open it
+//! in `ui.perfetto.dev`) plus `OUT_DIR/spans.jsonl` (run + span +
+//! frontier telemetry lines).
 //! The query subcommands answer questions from the JSONL; `--validate`
 //! checks the Perfetto JSON parses and is structurally sound. Every
 //! failure path exits nonzero, so CI can gate on this binary.
@@ -22,11 +24,10 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use stp_core::data::DataSeq;
 use stp_core::event::{ProcessId, Step, TraceMode};
-use stp_knowledge::FrontierProbe;
+use stp_knowledge::Frontier;
 use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
-use stp_sim::metrics::MetricsProbe;
 use stp_sim::telemetry::{FileSink, RunRecord, SpanRecord, TelemetryLine, TelemetryWriter};
-use stp_sim::trace::{write_chrome_trace, TraceProbe};
+use stp_sim::trace::{write_chrome_trace, MsgSpans};
 use stp_sim::World;
 
 const EXPERIMENT: &str = "e1-trace";
@@ -85,19 +86,17 @@ fn record(dir: &str, seed: u64) -> Result<(), String> {
         .receiver(Box::new(TightReceiver::new(M, ResendPolicy::Once)))
         .channel(Box::new(stp_channel::DupChannel::new()))
         .scheduler(Box::new(stp_channel::DupStormScheduler::new(seed, 0.9)))
-        .mode(TraceMode::Off)
-        .probe(Box::new(TraceProbe::new()))
-        .probe(Box::new(FrontierProbe::new(M)))
-        .probe(Box::new(MetricsProbe::new()))
+        .mode(TraceMode::Full)
+        .provenance(true)
         .build()
         .map_err(|e| e.to_string())?;
     if !world.run_until(50_000, World::is_complete) {
         return Err(format!("seed {seed}: run did not complete in 50k steps"));
     }
-    let stats = world.probe_of::<MetricsProbe>().expect("attached").stats();
-    let trace_probe = world.probe_of::<TraceProbe>().expect("attached");
-    let frontier = world.probe_of::<FrontierProbe>().expect("attached");
-    trace_probe
+    let stats = world.stats();
+    let spans = MsgSpans::of(world.msg_events(), world.step_count());
+    let frontier = Frontier::of(M, world.trace());
+    spans
         .reconcile(&stats)
         .map_err(|e| format!("spans do not reconcile with stats: {e}"))?;
 
@@ -105,7 +104,7 @@ fn record(dir: &str, seed: u64) -> Result<(), String> {
     let perfetto = format!("{dir}/trace.perfetto.json");
     let mut out =
         std::fs::File::create(&perfetto).map_err(|e| format!("create {perfetto}: {e}"))?;
-    write_chrome_trace(&mut out, trace_probe, &frontier.counter_tracks())
+    write_chrome_trace(&mut out, &spans, &frontier.counter_tracks())
         .map_err(|e| format!("write {perfetto}: {e}"))?;
 
     let spans_path = format!("{dir}/spans.jsonl");
@@ -118,10 +117,10 @@ fn record(dir: &str, seed: u64) -> Result<(), String> {
         input,
         seed,
         scheduler: 0,
-        stats: stats.clone(),
+        stats,
     }))
     .map_err(io)?;
-    for span in trace_probe.span_records(EXPERIMENT, seed) {
+    for span in spans.span_records(EXPERIMENT, seed) {
         w.emit(&TelemetryLine::Span(span)).map_err(io)?;
     }
     for rec in frontier.frontier_records(EXPERIMENT, seed) {
@@ -131,9 +130,9 @@ fn record(dir: &str, seed: u64) -> Result<(), String> {
 
     println!(
         "recorded seed {seed}: {} spans, {} frontier points, {} steps → {perfetto}, {spans_path}",
-        trace_probe.spans().len(),
+        spans.span_count(),
         frontier.points().len(),
-        stats.steps
+        world.step_count()
     );
     Ok(())
 }

@@ -192,8 +192,9 @@ impl fmt::Display for Event {
 /// names one injection reproducibly across re-runs of the same cell.
 /// Channel provenance threads the id from the send through every later
 /// delivery, adversary deletion or TTL expiry of that copy, which is what
-/// lets a [`Probe`] reconstruct per-message lifecycles causally instead of
-/// guessing from value-level aggregate counts.
+/// lets a fold over the recorded [`MsgEvent`]s reconstruct per-message
+/// lifecycles causally instead of guessing from value-level aggregate
+/// counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MsgId(pub u64);
 
@@ -204,13 +205,13 @@ impl fmt::Display for MsgId {
 }
 
 /// A provenance-carrying lifecycle event: the causal counterpart of
-/// [`Event`], emitted alongside it to probes that opted in via
-/// [`Probe::wants_provenance`].
+/// [`Event`], recorded alongside it by executors whose provenance
+/// recording is switched on.
 ///
 /// Kept separate from [`Event`] on purpose: traces, replay scripts and all
 /// committed experiment output serialize `Event`, and widening that enum
 /// would silently change every witness file. `MsgEvent` is a parallel
-/// stream that exists only while a provenance-hungry probe is attached.
+/// recording that exists only while provenance is switched on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MsgEvent {
     /// A processor performed a physical send. On duplicating channels a
@@ -331,6 +332,10 @@ impl fmt::Display for MsgEvent {
 /// 3. [`Probe::on_step_end`] is called once per global step after all of
 ///    that step's events, so the probe can track elapsed steps even when
 ///    the tail of a run produces no events.
+///
+/// Probes see plain [`Event`]s only. The [`MsgEvent`] provenance stream
+/// is not a hook: an executor with provenance switched on records it,
+/// and per-message views are folds over that recording.
 pub trait Probe: fmt::Debug {
     /// A new run on `input` is starting; reset all derived state.
     fn on_run_start(&mut self, input: &DataSeq);
@@ -346,37 +351,6 @@ pub trait Probe: fmt::Debug {
     /// concrete probe to a pooled world can recover it (e.g. to read a
     /// `MetricsProbe`'s statistics back out).
     fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable [`Any`](std::any::Any) access; see [`Probe::as_any`].
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
-    /// Whether this probe consumes [`MsgEvent`]s. Executors only switch
-    /// channel provenance tracking on (and pay its bookkeeping cost) when
-    /// at least one attached probe answers `true`; the default keeps
-    /// existing probes zero-cost.
-    fn wants_provenance(&self) -> bool {
-        false
-    }
-
-    /// Whether this probe consumes plain [`Event`]s via
-    /// [`Probe::on_event`]. Executors may skip the per-event dispatch for
-    /// probes that answer `false` — the opt-out a provenance-only probe
-    /// (one that lives entirely off [`MsgEvent`]s and
-    /// [`Probe::on_step_end`]) uses to stay off the hot path. The answer
-    /// must be constant for the probe's lifetime, like
-    /// [`Probe::wants_provenance`]'s.
-    fn wants_events(&self) -> bool {
-        true
-    }
-
-    /// A provenance-carrying lifecycle event occurred at `step`. Called
-    /// only when provenance tracking is active, interleaved with
-    /// [`Probe::on_event`] in execution order: each `MsgEvent` arrives
-    /// immediately after the [`Event`] it annotates. The default ignores
-    /// it.
-    fn on_msg_event(&mut self, step: Step, event: &MsgEvent) {
-        let _ = (step, event);
-    }
 }
 
 /// How much of a run an executor records into its [`Trace`].
@@ -899,9 +873,6 @@ mod tests {
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -953,24 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_provenance_hooks_default_to_off() {
-        // CountingProbe does not override the provenance hooks: the
-        // defaults must report "no provenance wanted" and ignore events.
-        let mut p = CountingProbe::default();
-        assert!(!Probe::wants_provenance(&p));
-        p.on_msg_event(
-            0,
-            &MsgEvent::Sent {
-                id: MsgId(0),
-                to: ProcessId::Receiver,
-                msg: 0,
-                coalesced_into: None,
-            },
-        );
-        assert_eq!(p.events, 0);
-    }
-
-    #[test]
     fn probe_trait_is_object_safe_and_recoverable() {
         let mut boxed: Box<dyn Probe> = Box::new(CountingProbe::default());
         boxed.on_run_start(&DataSeq::from_indices([1, 0]));
@@ -984,10 +937,5 @@ mod tests {
         assert_eq!(concrete.starts, 1);
         assert_eq!(concrete.events, 1);
         assert_eq!(concrete.steps, 2);
-        boxed
-            .as_any_mut()
-            .downcast_mut::<CountingProbe>()
-            .expect("mutable recovery works")
-            .events = 0;
     }
 }

@@ -1,10 +1,10 @@
-//! Online knowledge-frontier probing.
+//! The knowledge frontier of a recorded run.
 //!
 //! The epistemic machinery in [`universe`](crate::universe) evaluates
-//! knowledge *exactly* but needs a whole universe of runs. For live
+//! knowledge *exactly* but needs a whole universe of runs. For
 //! observability we want something far cheaper: a per-step *frontier*
-//! summary of how much each side knows, computable online from a single
-//! run's event stream. [`FrontierProbe`] tracks
+//! summary of how much each side knows, computable from a single run's
+//! trace. [`Frontier`] tracks
 //!
 //! * the **receiver frontier** — how many items `R` has safely written
 //!   (its learned prefix depth `d`) and how many candidate continuations
@@ -20,12 +20,11 @@
 //!
 //! Each *change* of either quantity is recorded as a [`FrontierPoint`],
 //! ready to export as Perfetto counter tracks
-//! ([`FrontierProbe::counter_tracks`]) or telemetry JSONL
-//! ([`FrontierProbe::frontier_records`]).
+//! ([`Frontier::counter_tracks`]) or telemetry JSONL
+//! ([`Frontier::frontier_records`]).
 
 use stp_core::alpha::alpha;
-use stp_core::data::DataSeq;
-use stp_core::event::{Event, Probe, Step};
+use stp_core::event::{Event, Step, Trace};
 use stp_sim::telemetry::FrontierRecord;
 use stp_sim::trace::CounterTrack;
 
@@ -44,44 +43,63 @@ pub struct FrontierPoint {
     pub s_ack_depth: usize,
 }
 
-/// A [`Probe`] sampling the knowledge frontier online.
+/// The knowledge frontier of one run, folded from its trace.
 ///
-/// Attach via `WorldBuilder::probe`. The probe is protocol-agnostic: it
-/// reads only the executor's event stream (writes and deliveries), so it
-/// reports a sound *upper bound* on the candidate set — exactly the
-/// reading the crate's soundness note prescribes for sampled knowledge.
-#[derive(Debug)]
-pub struct FrontierProbe {
+/// The fold is protocol-agnostic: it reads only the run's writes and
+/// deliveries to `S`, so it reports a sound *upper bound* on the
+/// candidate set — exactly the reading the crate's soundness note
+/// prescribes for sampled knowledge.
+#[derive(Debug, Clone)]
+pub struct Frontier {
     m: u16,
-    // alphas[d] = α(m − d), precomputed; saturated on overflow.
-    alphas: Vec<u128>,
-    r_written: usize,
-    acked: Vec<bool>,
-    s_ack_depth: usize,
     points: Vec<FrontierPoint>,
 }
 
-impl FrontierProbe {
-    /// Creates a probe for an alphabet of size `m`.
-    pub fn new(m: u16) -> FrontierProbe {
-        let alphas = (0..=m)
-            .map(|d| alpha(u32::from(m - d)).unwrap_or(u128::MAX))
-            .collect();
-        FrontierProbe {
+impl Frontier {
+    /// Folds the frontier of the run `trace` recorded, over an alphabet
+    /// of size `m`.
+    ///
+    /// `trace` must be a [`TraceMode::Full`](stp_core::event::TraceMode::Full)
+    /// trace: the fold needs every `DeliverToS` event, which the other
+    /// modes do not record.
+    pub fn of(m: u16, trace: &Trace) -> Frontier {
+        let mut f = Frontier {
             m,
-            alphas,
-            r_written: 0,
-            acked: vec![false; usize::from(m)],
-            s_ack_depth: 0,
             points: Vec::new(),
+        };
+        let mut acked = vec![false; usize::from(m)];
+        let (mut r_written, mut s_ack_depth) = (0, 0);
+        f.points.push(f.point(0, r_written, s_ack_depth));
+        let events = trace.events();
+        for (i, e) in events.iter().enumerate() {
+            match e.event {
+                Event::Write { .. } => r_written += 1,
+                Event::DeliverToS { msg } => {
+                    if let Some(seen) = acked.get_mut(usize::from(msg.0)) {
+                        if !*seen {
+                            *seen = true;
+                            s_ack_depth += 1;
+                        }
+                    }
+                }
+                _ => {}
+            }
+            // After the last event of each step, record the step's state
+            // if it moved. A step without events cannot move it.
+            let step_ends = events.get(i + 1).is_none_or(|next| next.step != e.step);
+            let last = f.points.last().expect("baseline recorded above");
+            if step_ends && (r_written, s_ack_depth) != (last.r_written, last.s_ack_depth) {
+                f.points.push(f.point(e.step, r_written, s_ack_depth));
+            }
         }
+        f
     }
 
     /// The candidate-continuation count at receiver depth `d` (clamped to
     /// the alphabet size): `α(m − d)`, saturated on overflow.
     pub fn candidates_at(&self, d: usize) -> u128 {
-        let d = d.min(usize::from(self.m));
-        self.alphas[d]
+        let d = d.min(usize::from(self.m)) as u32;
+        alpha(u32::from(self.m) - d).unwrap_or(u128::MAX)
     }
 
     /// Every recorded frontier movement, in step order. The first point
@@ -133,54 +151,13 @@ impl FrontierProbe {
             .collect()
     }
 
-    fn current(&self, step: Step) -> FrontierPoint {
+    fn point(&self, step: Step, r_written: usize, s_ack_depth: usize) -> FrontierPoint {
         FrontierPoint {
             step,
-            r_written: self.r_written,
-            candidates: self.candidates_at(self.r_written),
-            s_ack_depth: self.s_ack_depth,
+            r_written,
+            candidates: self.candidates_at(r_written),
+            s_ack_depth,
         }
-    }
-}
-
-impl Probe for FrontierProbe {
-    fn on_run_start(&mut self, _input: &DataSeq) {
-        self.r_written = 0;
-        self.acked.iter_mut().for_each(|a| *a = false);
-        self.s_ack_depth = 0;
-        self.points.clear();
-        self.points.push(self.current(0));
-    }
-
-    fn on_event(&mut self, _step: Step, event: &Event) {
-        match *event {
-            Event::Write { .. } => self.r_written += 1,
-            Event::DeliverToS { msg } => {
-                if let Some(seen) = self.acked.get_mut(usize::from(msg.0)) {
-                    if !*seen {
-                        *seen = true;
-                        self.s_ack_depth += 1;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_step_end(&mut self, step: Step) {
-        let now = self.current(step);
-        let last = self.points.last().expect("baseline recorded at run start");
-        if (now.r_written, now.s_ack_depth) != (last.r_written, last.s_ack_depth) {
-            self.points.push(now);
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -188,13 +165,14 @@ impl Probe for FrontierProbe {
 mod tests {
     use super::*;
     use stp_channel::{DelChannel, DropHeavyScheduler};
+    use stp_core::data::DataSeq;
     use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
     use stp_sim::World;
 
     #[test]
     fn baseline_candidates_equal_alpha_of_m() {
         for m in 0..=10u16 {
-            let probe = FrontierProbe::new(m);
+            let probe = Frontier::of(m, &Trace::new(DataSeq::new()));
             assert_eq!(probe.candidates_at(0), alpha(u32::from(m)).unwrap());
             assert_eq!(probe.candidates_at(usize::from(m)), 1, "α(0) = 1");
         }
@@ -202,7 +180,7 @@ mod tests {
 
     #[test]
     fn candidates_saturate_instead_of_panicking() {
-        let probe = FrontierProbe::new(200);
+        let probe = Frontier::of(200, &Trace::new(DataSeq::new()));
         assert_eq!(probe.candidates_at(0), u128::MAX);
         assert_eq!(probe.candidates_at(200), 1);
     }
@@ -220,11 +198,10 @@ mod tests {
             .receiver(Box::new(TightReceiver::new(m, ResendPolicy::EveryTick)))
             .channel(Box::new(DelChannel::new()))
             .scheduler(Box::new(DropHeavyScheduler::new(11, 0.3, 0.6)))
-            .probe(Box::new(FrontierProbe::new(m)))
             .build()
             .unwrap();
         assert!(world.run_until(20_000, World::is_complete));
-        let probe = world.probe_of::<FrontierProbe>().unwrap();
+        let probe = Frontier::of(m, world.trace());
         let points = probe.points();
         assert!(points.len() >= 2, "the frontier moved");
         assert_eq!(points[0].step, 0);
@@ -267,15 +244,14 @@ mod tests {
             .receiver(Box::new(TightReceiver::new(m, ResendPolicy::EveryTick)))
             .channel(Box::new(DelChannel::new()))
             .scheduler(Box::new(DropHeavyScheduler::new(3, 0.2, 0.7)))
-            .probe(Box::new(FrontierProbe::new(m)))
             .build()
             .unwrap();
         assert!(world.run_until(10_000, World::is_complete));
-        let first: Vec<FrontierPoint> =
-            world.probe_of::<FrontierProbe>().unwrap().points().to_vec();
+        let first: Vec<FrontierPoint> = Frontier::of(m, world.trace()).points().to_vec();
         world.reset(&input, 3);
         assert!(world.run_until(10_000, World::is_complete));
-        let second = world.probe_of::<FrontierProbe>().unwrap().points();
+        let probe = Frontier::of(m, world.trace());
+        let second = probe.points();
         assert_eq!(first.as_slice(), second, "same seed ⇒ same frontier");
     }
 }

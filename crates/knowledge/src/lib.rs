@@ -38,6 +38,6 @@ pub mod learning;
 pub mod universe;
 
 pub use formula::Formula;
-pub use frontier::{FrontierPoint, FrontierProbe};
+pub use frontier::{Frontier, FrontierPoint};
 pub use learning::{empirical_write_steps, sample_universe, LearningProfile};
 pub use universe::Universe;

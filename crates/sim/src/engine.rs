@@ -71,11 +71,13 @@ pub struct SweepSpec {
     /// `1` runs the grid on the calling thread.
     #[serde(default)]
     pub threads: usize,
-    /// Attach a causal [`TraceProbe`](crate::trace::TraceProbe) to every
-    /// pooled world (default `false`). This switches the channel's
-    /// provenance bookkeeping on, so every run's per-message lifecycle is
-    /// reconstructed — the most expensive observability configuration,
-    /// benchmarked by `bench_sweep`'s traced lane.
+    /// Record per-message provenance on every pooled world (default
+    /// `false`; see [`WorldBuilder::provenance`](crate::WorldBuilder::provenance)).
+    /// This switches the channel's id bookkeeping on and records every
+    /// run's [`MsgEvent`](stp_core::event::MsgEvent) stream, from which
+    /// [`MsgSpans::of`](crate::trace::MsgSpans::of) folds the run's
+    /// per-message lifecycles. It does not change the trace mode; its cost
+    /// is benchmarked by `bench_sweep`'s traced lane.
     #[serde(default)]
     pub traced: bool,
     /// Channel recipe, rebuilt once per pooled world.
@@ -128,8 +130,7 @@ impl SweepSpec {
         self
     }
 
-    /// Toggles the causal [`TraceProbe`](crate::trace::TraceProbe) on
-    /// every pooled world.
+    /// Toggles provenance recording on every pooled world.
     pub fn traced(mut self, traced: bool) -> Self {
         self.traced = traced;
         self
@@ -417,16 +418,15 @@ fn run_cell(
             w
         }
         None => {
-            let mut builder = World::builder(x.clone())
+            let world = World::builder(x.clone())
                 .sender(family.sender_for(x))
                 .receiver(family.receiver())
                 .channel(spec.channel.build())
                 .scheduler(spec.schedulers[sched].build(seed))
-                .mode(spec.trace_mode);
-            if spec.traced {
-                builder = builder.probe(Box::new(crate::trace::TraceProbe::new()));
-            }
-            slot.insert(builder.build().expect("engine supplies every component"))
+                .mode(spec.trace_mode)
+                .provenance(spec.traced)
+                .build();
+            slot.insert(world.expect("engine supplies every component"))
         }
     };
     match prof {
@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn traced_sweeps_reconcile_and_change_no_stats() {
-        use crate::trace::TraceProbe;
+        use crate::trace::MsgSpans;
         let family = TightFamily::new(3, ResendPolicy::Once);
         let plain = SweepEngine::new(storm_spec().threads(1)).run(&family);
         let traced_spec = storm_spec()
@@ -531,7 +531,7 @@ mod tests {
         let json = serde_json::to_string(&traced_spec).expect("serializes");
         let back: SweepSpec = serde_json::from_str(&json).expect("parses");
         assert!(back.traced);
-        // And a traced world really carries a reconciling TraceProbe.
+        // And a traced world really records a reconciling span stream.
         let mut worlds: Vec<Option<World>> = vec![None];
         // A non-empty sequence, so the run actually exercises the channel.
         let claimed = family.claimed_family();
@@ -543,9 +543,7 @@ mod tests {
             .clone();
         let run = run_cell(&mut worlds, &family, &traced_spec, 0, &x, 0, None);
         let world = worlds[0].as_ref().unwrap();
-        let probe = world
-            .probe_of::<TraceProbe>()
-            .expect("trace probe attached");
+        let probe = MsgSpans::of(world.msg_events(), world.step_count());
         probe.reconcile(&run.stats).expect("spans reconcile");
         assert!(!probe.spans().is_empty());
     }

@@ -653,7 +653,7 @@ impl WatchdogSpec {
 /// protocol's knowledge frontier collapses to the exact input after at
 /// most `input_len + 1` *productive* S→R deliveries (one per item plus
 /// the end-marker round — the same per-item collapse the
-/// [`FrontierProbe`](../../stp_knowledge/frontier/index.html) samples),
+/// [`Frontier`](../../stp_knowledge/frontier/index.html) fold tracks),
 /// each acknowledged R→S. On a healthy channel a send becomes
 /// deliverable the next step, so one productive exchange costs at most
 /// four steps (S send, deliver-to-R, R ack send, deliver-to-S); the

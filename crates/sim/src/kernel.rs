@@ -6,7 +6,7 @@
 //! observable to a [`StepSink`]. The sink decides what a caller sees:
 //!
 //! * the world's recorder keeps the trace, fans events out to probes and
-//!   tracks per-message provenance;
+//!   records per-message provenance;
 //! * the session store's [`Quiet`] sink has empty hooks and no
 //!   provenance, so under monomorphization every hook call — and the
 //!   event it would have carried — compiles away, exactly as

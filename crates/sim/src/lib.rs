@@ -79,6 +79,6 @@ pub use telemetry::{
 };
 pub use trace::{
     chrome_trace_json, write_chrome_trace, CounterTrack, LifecycleCounts, MsgFate, MsgSpan,
-    TraceProbe,
+    MsgSpans,
 };
 pub use world::{World, WorldBuilder};

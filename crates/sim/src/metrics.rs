@@ -76,13 +76,7 @@ impl RunStats {
     }
 
     /// Computes the statistics of `trace` in a single pass over its
-    /// events.
-    ///
-    /// Safety is evaluated online with the same rule as
-    /// [`check_safety`](stp_core::require::check_safety): writes must land
-    /// at consecutive positions `0, 1, 2, …` and each written item must
-    /// equal the input item at its position. Once violated, `safe` stays
-    /// `false`.
+    /// events, folding each with [`RunStats::record`].
     pub fn of(trace: &Trace) -> RunStats {
         let input = trace.input();
         let mut s = RunStats {
@@ -90,23 +84,36 @@ impl RunStats {
             ..RunStats::empty(input.len())
         };
         for e in trace.events() {
-            match e.event {
-                Event::SendS { .. } => s.sends_s += 1,
-                Event::SendR { .. } => s.sends_r += 1,
-                Event::DeliverToR { .. } => s.deliveries_r += 1,
-                Event::DeliverToS { .. } => s.deliveries_s += 1,
-                Event::ChannelDrop { .. } | Event::ChannelExpire { .. } => s.drops += 1,
-                Event::Write { item, pos } => {
-                    s.safe &= pos == s.written && input.get(pos) == Some(item);
-                    s.write_steps.push(e.step);
-                    s.written += 1;
-                }
-                // Corruption strikes are adversary bookkeeping, not
-                // message traffic — nothing to count here.
-                Event::Read { .. } | Event::Corruption { .. } => {}
-            }
+            s.record(e.step, &e.event, input);
         }
         s
+    }
+
+    /// Folds one event of a run on `input` into the statistics: the
+    /// per-event step of [`RunStats::of`] and [`MetricsProbe`]. `steps`
+    /// is left alone, since a step can pass without an event.
+    ///
+    /// Safety follows the rule of
+    /// [`check_safety`](stp_core::require::check_safety): writes must land
+    /// at consecutive positions `0, 1, 2, …` and each written item must
+    /// equal the input item at its position. Once violated, `safe` stays
+    /// `false`.
+    pub fn record(&mut self, step: Step, event: &Event, input: &DataSeq) {
+        match *event {
+            Event::SendS { .. } => self.sends_s += 1,
+            Event::SendR { .. } => self.sends_r += 1,
+            Event::DeliverToR { .. } => self.deliveries_r += 1,
+            Event::DeliverToS { .. } => self.deliveries_s += 1,
+            Event::ChannelDrop { .. } | Event::ChannelExpire { .. } => self.drops += 1,
+            Event::Write { item, pos } => {
+                self.safe &= pos == self.written && input.get(pos) == Some(item);
+                self.write_steps.push(step);
+                self.written += 1;
+            }
+            // Corruption strikes are adversary bookkeeping, not
+            // message traffic — nothing to count here.
+            Event::Read { .. } | Event::Corruption { .. } => {}
+        }
     }
 
     /// Whether the run delivered the whole input safely.
@@ -154,20 +161,13 @@ impl RunStats {
 ///
 /// Attach one via `WorldBuilder::probe`; after the run, recover it with
 /// `World::probe_of::<MetricsProbe>()` and call [`MetricsProbe::stats`].
-/// The result is field-for-field identical to [`RunStats::of`] on a
-/// `TraceMode::Full` trace of the same run.
+/// It folds each event with [`RunStats::record`], so the result is
+/// field-for-field identical to [`RunStats::of`] on a `TraceMode::Full`
+/// trace of the same run.
 #[derive(Debug, Clone)]
 pub struct MetricsProbe {
     input: DataSeq,
-    steps: Step,
-    sends_s: usize,
-    sends_r: usize,
-    deliveries_r: usize,
-    deliveries_s: usize,
-    drops: usize,
-    written: usize,
-    safe: bool,
-    write_steps: Vec<Step>,
+    stats: RunStats,
 }
 
 impl MetricsProbe {
@@ -176,32 +176,13 @@ impl MetricsProbe {
     pub fn new() -> Self {
         MetricsProbe {
             input: DataSeq::new(),
-            steps: 0,
-            sends_s: 0,
-            sends_r: 0,
-            deliveries_r: 0,
-            deliveries_s: 0,
-            drops: 0,
-            written: 0,
-            safe: true,
-            write_steps: Vec::new(),
+            stats: RunStats::empty(0),
         }
     }
 
     /// The statistics accumulated since the last `on_run_start`.
     pub fn stats(&self) -> RunStats {
-        RunStats {
-            steps: self.steps,
-            sends_s: self.sends_s,
-            sends_r: self.sends_r,
-            deliveries_r: self.deliveries_r,
-            deliveries_s: self.deliveries_s,
-            drops: self.drops,
-            written: self.written,
-            input_len: self.input.len(),
-            safe: self.safe,
-            write_steps: self.write_steps.clone(),
-        }
+        self.stats.clone()
     }
 }
 
@@ -214,44 +195,18 @@ impl Default for MetricsProbe {
 impl Probe for MetricsProbe {
     fn on_run_start(&mut self, input: &DataSeq) {
         self.input.clone_from(input);
-        self.steps = 0;
-        self.sends_s = 0;
-        self.sends_r = 0;
-        self.deliveries_r = 0;
-        self.deliveries_s = 0;
-        self.drops = 0;
-        self.written = 0;
-        self.safe = true;
-        self.write_steps.clear();
+        self.stats.reset(input.len());
     }
 
     fn on_event(&mut self, step: Step, event: &Event) {
-        match *event {
-            Event::SendS { .. } => self.sends_s += 1,
-            Event::SendR { .. } => self.sends_r += 1,
-            Event::DeliverToR { .. } => self.deliveries_r += 1,
-            Event::DeliverToS { .. } => self.deliveries_s += 1,
-            Event::ChannelDrop { .. } | Event::ChannelExpire { .. } => self.drops += 1,
-            Event::Write { item, pos } => {
-                // Same rule as `require::check_safety`: consecutive
-                // positions, each matching the input item there.
-                self.safe &= pos == self.written && self.input.get(pos) == Some(item);
-                self.write_steps.push(step);
-                self.written += 1;
-            }
-            Event::Read { .. } | Event::Corruption { .. } => {}
-        }
+        self.stats.record(step, event, &self.input);
     }
 
     fn on_step_end(&mut self, step: Step) {
-        self.steps = step + 1;
+        self.stats.steps = step + 1;
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 }

@@ -34,7 +34,7 @@ pub use crate::telemetry::{
 };
 pub use crate::trace::{
     chrome_trace_json, write_chrome_trace, CounterTrack, LifecycleCounts, MsgFate, MsgSpan,
-    TraceProbe,
+    MsgSpans,
 };
 pub use crate::world::{World, WorldBuilder};
 pub use stp_channel::campaign::{

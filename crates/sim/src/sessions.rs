@@ -2410,7 +2410,7 @@ mod tests {
         // Six completions: a real percentile, not the empty sentinel.
         assert!(stats.p99_latency_rounds() >= 0.0);
         let delta = watch.tick();
-        assert_eq!(delta.sessions_per_sec(None) * delta.secs, 6.0);
+        assert_eq!(delta.sessions_per_sec(None), 6.0 / delta.secs);
         assert!(server.drain_stalls().is_empty(), "healthy fleet");
         for id in ids {
             assert!(matches!(server.poll(id), SessionStatus::Done { .. }));

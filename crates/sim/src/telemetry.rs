@@ -177,11 +177,12 @@ pub struct ExperimentSummary {
 }
 
 /// The wire form of one per-message lifecycle span — the flattened
-/// `MsgSpan` a `TraceProbe` reconstructs, tagged with its run context so
-/// span lines from many runs can share a file. Step fields mirror the
-/// span: `delivered_at` holds every delivery (duplicate fan-out ⇒ more
-/// than one), `dropped_at`/`expired_at` the terminal loss if any, and
-/// `coalesced_into` the origin span a duplicate re-send merged into.
+/// `MsgSpan` that `MsgSpans::of` reconstructs, tagged with its run
+/// context so span lines from many runs can share a file. Step fields
+/// mirror the span: `delivered_at` holds every delivery (duplicate
+/// fan-out ⇒ more than one), `dropped_at`/`expired_at` the terminal loss
+/// if any, and `coalesced_into` the origin span a duplicate re-send
+/// merged into.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Which harness produced this line; empty when untagged.

@@ -1,30 +1,27 @@
 //! Causal per-message lifecycle tracing.
 //!
 //! Aggregate [`RunStats`] answer "how many messages were lost"; they cannot
-//! answer "*which* send was lost, and did that matter". [`TraceProbe`]
-//! closes that gap: it subscribes to the executor's provenance stream
-//! ([`MsgEvent`]) and folds it into one
-//! [`MsgSpan`] per physical send — sent → in-flight →
-//! delivered/dropped/expired, with duplicate fan-out recorded as multiple
-//! delivery timestamps on the originating span. The spans reconcile
-//! *exactly* against the aggregate counters ([`TraceProbe::reconcile`]),
-//! which is the cross-check the trace-parity tests pin down, and they
-//! export to the Chrome trace-event JSON that `ui.perfetto.dev` renders
-//! ([`chrome_trace_json`]): one track per channel direction plus counter
-//! tracks (e.g. the knowledge frontier) supplied by the caller.
+//! answer "*which* send was lost, and did that matter". [`MsgSpans`]
+//! closes that gap: it folds a run's recorded provenance stream
+//! ([`MsgEvent`], see `World::msg_events`) into one [`MsgSpan`] per
+//! physical send — sent → in-flight → delivered/dropped/expired, with
+//! duplicate fan-out recorded as multiple delivery timestamps on the
+//! originating span. The spans reconcile *exactly* against the aggregate
+//! counters ([`MsgSpans::reconcile`]), which is the cross-check the
+//! trace-parity tests pin down, and they export to the Chrome trace-event
+//! JSON that `ui.perfetto.dev` renders ([`chrome_trace_json`]): one track
+//! per channel direction plus counter tracks (e.g. the knowledge
+//! frontier) supplied by the caller.
 //!
-//! The probe stores spans *columnar*: fixed-size cells in one vector and
-//! all deliveries appended to one shared side table, so the hot path
-//! (pooled sweeps reset the probe once per grid cell) never allocates per
-//! span and a reset is two `clear`s. [`TraceProbe::spans`] materializes
-//! the row form on demand — query-time cost, not run-time cost; the
-//! traced lane of `bench_sweep` is the budget keeping this honest.
+//! The fold stores spans *columnar*: fixed-size cells in one vector and
+//! all deliveries appended to one shared side table, so it never
+//! allocates per span. [`MsgSpans::spans`] materializes the row form on
+//! demand.
 
 use crate::metrics::RunStats;
 use crate::telemetry::SpanRecord;
 use std::fmt;
-use stp_core::data::DataSeq;
-use stp_core::event::{MsgEvent, MsgId, Probe, ProcessId, Step};
+use stp_core::event::{MsgEvent, MsgId, ProcessId, Step};
 
 /// The resolved fate of one physical send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +53,7 @@ impl fmt::Display for MsgFate {
 }
 
 /// The recorded lifecycle of one physical send — the materialized row
-/// form, built by [`TraceProbe::spans`] / [`TraceProbe::span`].
+/// form, built by [`MsgSpans::spans`] / [`MsgSpans::span`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MsgSpan {
     /// The send's id (dense from 0 in send order within the run).
@@ -107,7 +104,7 @@ impl MsgSpan {
     }
 }
 
-/// Per-direction lifecycle tallies, folded online from the provenance
+/// Per-direction lifecycle tallies, folded from the provenance
 /// stream. `sent` counts physical sends (coalesced re-sends included);
 /// `delivered`, `dropped` and `expired` count channel outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,24 +167,23 @@ fn opt_step(s: Step) -> Option<Step> {
     (s != NO_STEP).then_some(s)
 }
 
-/// A [`Probe`] that reconstructs every message's causal lifecycle.
+/// Every message's causal lifecycle in one run, folded from the run's
+/// recorded provenance stream.
 ///
-/// Attach it via `WorldBuilder::probe`; it answers
-/// [`Probe::wants_provenance`], which switches the executor's and
-/// channel's id bookkeeping on. Works identically under every
-/// `TraceMode` — the probe stream is mode-independent.
+/// Build one with [`MsgSpans::of`] on `World::msg_events` of a world
+/// built with `WorldBuilder::provenance(true)`. The recording does not
+/// depend on the `TraceMode`, so neither do the spans.
 #[derive(Debug, Default)]
-pub struct TraceProbe {
+pub struct MsgSpans {
     cells: Vec<SpanCell>,
     // (span index, step) per delivery, in delivery order — the fan-out
     // lists of all spans, interleaved.
     deliveries: Vec<(u32, Step)>,
     // Tallies of *unattributed* lifecycle events only (zero on every
     // supported channel); attributed ones are re-derived from the columns
-    // at query time, keeping the per-event path to pure pushes.
+    // at query time.
     orphan_counts: LifecycleCounts,
     steps: Step,
-    input_len: usize,
     fan_out: bool,
     // Lifecycle events whose copy the channel could not attribute to a
     // send. Zero on every supported channel; nonzero means reconciliation
@@ -195,10 +191,87 @@ pub struct TraceProbe {
     unattributed: usize,
 }
 
-impl TraceProbe {
-    /// Creates a probe with empty state.
-    pub fn new() -> Self {
-        TraceProbe::default()
+impl MsgSpans {
+    /// Folds a run's provenance stream (`(step, event)` pairs in
+    /// execution order, as `World::msg_events` returns them) into spans.
+    /// `steps` is the number of steps the run took (`World::step_count`).
+    pub fn of(events: &[(Step, MsgEvent)], steps: Step) -> MsgSpans {
+        let mut spans = MsgSpans {
+            steps,
+            ..MsgSpans::default()
+        };
+        for &(step, event) in events {
+            spans.fold(step, event);
+        }
+        spans
+    }
+
+    fn fold(&mut self, step: Step, event: MsgEvent) {
+        match event {
+            MsgEvent::Sent {
+                id,
+                to,
+                msg,
+                coalesced_into,
+            } => {
+                debug_assert_eq!(
+                    id.0 as usize,
+                    self.cells.len(),
+                    "send ids must be dense in send order"
+                );
+                self.fan_out |= coalesced_into.is_some();
+                self.cells.push(SpanCell {
+                    sent_at: step,
+                    coalesced_into: coalesced_into.map_or(NO_ID, |i| i.0),
+                    dropped_at: NO_STEP,
+                    expired_at: NO_STEP,
+                    delivered: 0,
+                    msg,
+                    to,
+                });
+            }
+            MsgEvent::Delivered { id, to, .. } => {
+                match id.and_then(|i| self.cells.get_mut(i.0 as usize)) {
+                    Some(cell) => {
+                        cell.delivered += 1;
+                        self.fan_out |= cell.delivered > 1;
+                        self.deliveries
+                            .push((id.expect("attributed above").0 as u32, step));
+                    }
+                    None => {
+                        self.unattributed += 1;
+                        match to {
+                            ProcessId::Receiver => self.orphan_counts.delivered_to_r += 1,
+                            ProcessId::Sender => self.orphan_counts.delivered_to_s += 1,
+                        }
+                    }
+                }
+            }
+            MsgEvent::Dropped { id, to, .. } => {
+                match id.and_then(|i| self.cells.get_mut(i.0 as usize)) {
+                    Some(cell) => cell.dropped_at = step,
+                    None => {
+                        self.unattributed += 1;
+                        match to {
+                            ProcessId::Receiver => self.orphan_counts.dropped_to_r += 1,
+                            ProcessId::Sender => self.orphan_counts.dropped_to_s += 1,
+                        }
+                    }
+                }
+            }
+            MsgEvent::Expired { id, to, .. } => {
+                match id.and_then(|i| self.cells.get_mut(i.0 as usize)) {
+                    Some(cell) => cell.expired_at = step,
+                    None => {
+                        self.unattributed += 1;
+                        match to {
+                            ProcessId::Receiver => self.orphan_counts.expired_to_r += 1,
+                            ProcessId::Sender => self.orphan_counts.expired_to_s += 1,
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Materializes all spans of the run, in send (= id) order.
@@ -388,112 +461,6 @@ impl TraceProbe {
     }
 }
 
-impl Probe for TraceProbe {
-    fn on_run_start(&mut self, input: &DataSeq) {
-        self.cells.clear();
-        self.deliveries.clear();
-        self.orphan_counts = LifecycleCounts::default();
-        self.steps = 0;
-        self.input_len = input.len();
-        self.fan_out = false;
-        self.unattributed = 0;
-    }
-
-    // Never called: the probe opts out of plain events below.
-    fn on_event(&mut self, _step: Step, _event: &stp_core::event::Event) {}
-
-    fn on_step_end(&mut self, step: Step) {
-        self.steps = step + 1;
-    }
-
-    fn wants_provenance(&self) -> bool {
-        true
-    }
-
-    // The probe lives entirely off the provenance stream and the per-step
-    // tick; opting out of plain events keeps it — and causal tracing as a
-    // whole — off the executor's per-event hot path.
-    fn wants_events(&self) -> bool {
-        false
-    }
-
-    fn on_msg_event(&mut self, step: Step, event: &MsgEvent) {
-        match *event {
-            MsgEvent::Sent {
-                id,
-                to,
-                msg,
-                coalesced_into,
-            } => {
-                debug_assert_eq!(
-                    id.0 as usize,
-                    self.cells.len(),
-                    "send ids must be dense in send order"
-                );
-                self.fan_out |= coalesced_into.is_some();
-                self.cells.push(SpanCell {
-                    sent_at: step,
-                    coalesced_into: coalesced_into.map_or(NO_ID, |i| i.0),
-                    dropped_at: NO_STEP,
-                    expired_at: NO_STEP,
-                    delivered: 0,
-                    msg,
-                    to,
-                });
-            }
-            MsgEvent::Delivered { id, to, .. } => {
-                match id.and_then(|i| self.cells.get_mut(i.0 as usize)) {
-                    Some(cell) => {
-                        cell.delivered += 1;
-                        self.fan_out |= cell.delivered > 1;
-                        self.deliveries
-                            .push((id.expect("attributed above").0 as u32, step));
-                    }
-                    None => {
-                        self.unattributed += 1;
-                        match to {
-                            ProcessId::Receiver => self.orphan_counts.delivered_to_r += 1,
-                            ProcessId::Sender => self.orphan_counts.delivered_to_s += 1,
-                        }
-                    }
-                }
-            }
-            MsgEvent::Dropped { id, to, .. } => {
-                match id.and_then(|i| self.cells.get_mut(i.0 as usize)) {
-                    Some(cell) => cell.dropped_at = step,
-                    None => {
-                        self.unattributed += 1;
-                        match to {
-                            ProcessId::Receiver => self.orphan_counts.dropped_to_r += 1,
-                            ProcessId::Sender => self.orphan_counts.dropped_to_s += 1,
-                        }
-                    }
-                }
-            }
-            MsgEvent::Expired { id, to, .. } => {
-                match id.and_then(|i| self.cells.get_mut(i.0 as usize)) {
-                    Some(cell) => cell.expired_at = step,
-                    None => {
-                        self.unattributed += 1;
-                        match to {
-                            ProcessId::Receiver => self.orphan_counts.expired_to_r += 1,
-                            ProcessId::Sender => self.orphan_counts.expired_to_s += 1,
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// One counter track for the Chrome/Perfetto export — e.g. the knowledge
 /// frontier's candidate count, sampled per step by whoever computed it.
 #[derive(Debug, Clone, PartialEq)]
@@ -515,7 +482,7 @@ fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Renders the probe's spans (plus caller-supplied counter tracks) as a
+/// Renders the run's spans (plus caller-supplied counter tracks) as a
 /// Chrome trace-event JSON string, the format `ui.perfetto.dev` and
 /// `chrome://tracing` open directly.
 ///
@@ -524,7 +491,7 @@ fn esc(s: &str) -> String {
 /// async begin/end pair (id = the send's `MsgId`); deliveries render as
 /// instant events so duplicate fan-out stays visible; a span still
 /// in flight at the end of the run is closed at the final step.
-pub fn chrome_trace_json(probe: &TraceProbe, counters: &[CounterTrack]) -> String {
+pub fn chrome_trace_json(spans: &MsgSpans, counters: &[CounterTrack]) -> String {
     let mut ev: Vec<String> = Vec::new();
     for (pid, name) in [
         (1u32, "channel S\u{2192}R"),
@@ -537,8 +504,8 @@ pub fn chrome_trace_json(probe: &TraceProbe, counters: &[CounterTrack]) -> Strin
             esc(name)
         ));
     }
-    let end_ts = probe.steps().max(1) * US_PER_STEP;
-    for span in probe.spans() {
+    let end_ts = spans.steps().max(1) * US_PER_STEP;
+    for span in spans.spans() {
         let pid = match span.to {
             ProcessId::Receiver => 1,
             ProcessId::Sender => 2,
@@ -617,10 +584,10 @@ pub fn chrome_trace_json(probe: &TraceProbe, counters: &[CounterTrack]) -> Strin
 /// Propagates the writer's I/O error.
 pub fn write_chrome_trace<W: std::io::Write>(
     out: &mut W,
-    probe: &TraceProbe,
+    spans: &MsgSpans,
     counters: &[CounterTrack],
 ) -> std::io::Result<()> {
-    out.write_all(chrome_trace_json(probe, counters).as_bytes())
+    out.write_all(chrome_trace_json(spans, counters).as_bytes())
 }
 
 #[cfg(test)]
@@ -632,6 +599,7 @@ mod tests {
         DelChannel, DropHeavyScheduler, DupChannel, DupStormScheduler, RandomScheduler,
         TimedChannel,
     };
+    use stp_core::data::DataSeq;
     use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 
     fn seq(v: &[u16]) -> DataSeq {
@@ -650,10 +618,14 @@ mod tests {
             .receiver(Box::new(TightReceiver::new(d, policy)))
             .channel(channel)
             .scheduler(scheduler)
-            .probe(Box::new(TraceProbe::new()))
+            .provenance(true)
             .probe(Box::new(MetricsProbe::new()))
             .build()
             .unwrap()
+    }
+
+    fn spans_of(w: &World) -> MsgSpans {
+        MsgSpans::of(w.msg_events(), w.step_count())
     }
 
     #[test]
@@ -669,7 +641,7 @@ mod tests {
             );
             w.run_until(20_000, World::is_complete);
             let stats = w.probe_of::<MetricsProbe>().unwrap().stats();
-            let probe = w.probe_of::<TraceProbe>().unwrap();
+            let probe = &spans_of(&w);
             assert!(!probe.has_fan_out(), "del channels never duplicate");
             probe.reconcile(&stats).unwrap();
             // Every span resolved to exactly one fate.
@@ -692,7 +664,7 @@ mod tests {
         );
         w.run_until(5_000, World::is_complete);
         let stats = w.probe_of::<MetricsProbe>().unwrap().stats();
-        let probe = w.probe_of::<TraceProbe>().unwrap();
+        let probe = &spans_of(&w);
         probe.reconcile(&stats).unwrap();
         // Coalesced spans point at an earlier origin; deliveries land on
         // origins only.
@@ -730,7 +702,7 @@ mod tests {
         );
         w.run(50);
         let stats = w.probe_of::<MetricsProbe>().unwrap().stats();
-        let probe = w.probe_of::<TraceProbe>().unwrap();
+        let probe = &spans_of(&w);
         probe.reconcile(&stats).unwrap();
         assert!(stats.drops > 0);
         assert!(probe
@@ -752,11 +724,7 @@ mod tests {
         w.run_until(2_000, World::is_complete);
         let mut stats = w.probe_of::<MetricsProbe>().unwrap().stats();
         stats.sends_s += 1;
-        let err = w
-            .probe_of::<TraceProbe>()
-            .unwrap()
-            .reconcile(&stats)
-            .unwrap_err();
+        let err = spans_of(&w).reconcile(&stats).unwrap_err();
         assert!(err.contains("sends to R"), "{err}");
     }
 
@@ -782,8 +750,8 @@ mod tests {
             Box::new(DropHeavyScheduler::new(9, 0.3, 0.6)),
         );
         fresh.run(400);
-        let ps = pooled.probe_of::<TraceProbe>().unwrap();
-        let fs = fresh.probe_of::<TraceProbe>().unwrap();
+        let ps = spans_of(&pooled);
+        let fs = spans_of(&fresh);
         assert_eq!(ps.spans(), fs.spans(), "MsgIds are stable across resets");
         assert_eq!(ps.counts(), fs.counts());
     }
@@ -799,7 +767,7 @@ mod tests {
             Box::new(DupStormScheduler::new(1, 0.9)),
         );
         w.run_until(2_000, World::is_complete);
-        let probe = w.probe_of::<TraceProbe>().unwrap();
+        let probe = &spans_of(&w);
         let counters = [CounterTrack {
             name: "candidates".to_string(),
             points: vec![(0, 5.0), (3, 2.0)],
@@ -833,7 +801,7 @@ mod tests {
             Box::new(DupStormScheduler::new(2, 0.9)),
         );
         w.run_until(2_000, World::is_complete);
-        let probe = w.probe_of::<TraceProbe>().unwrap();
+        let probe = &spans_of(&w);
         let recs = probe.span_records("e1-demo", 42);
         assert_eq!(recs.len(), probe.span_count());
         for (rec, span) in recs.iter().zip(probe.spans()) {

@@ -40,19 +40,12 @@ struct Recorder {
     trace: Trace,
     mode: TraceMode,
     probes: Vec<Box<dyn Probe>>,
-    // Whether any attached probe asked for per-message provenance; decides
-    // both the channel's id bookkeeping and `MsgEvent` emission.
+    // Whether the world records per-message provenance; decides both the
+    // channel's id bookkeeping and `MsgEvent` recording.
     provenance: bool,
-    // Indices into `probes` of the provenance-wanting (resp. plain-event-
-    // wanting) ones, precomputed at build time so the per-event fan-outs
-    // make one direct call per subscriber instead of asking every probe on
-    // every event.
-    prov_probes: Vec<usize>,
-    event_probes: Vec<usize>,
-    // Fast-path flag: every attached probe wants plain events (the common
-    // case), so `event` can fan out with a direct slice walk instead of
-    // the indexed one.
-    all_want_events: bool,
+    // The run's provenance stream, in execution order (empty unless
+    // `provenance`).
+    msg_events: Vec<(Step, MsgEvent)>,
     // Ids are assigned densely from 0 per run, so `(seed, MsgId)` is
     // stable across pooled resets and re-runs of the same cell.
     next_msg_id: u64,
@@ -67,20 +60,18 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(input: DataSeq, mode: TraceMode, probes: Vec<Box<dyn Probe>>) -> Recorder {
-        let subscribers = |want: fn(&dyn Probe) -> bool| -> Vec<usize> {
-            (0..probes.len()).filter(|&i| want(&*probes[i])).collect()
-        };
-        let prov_probes = subscribers(|p| p.wants_provenance());
-        let event_probes = subscribers(|p| p.wants_events());
+    fn new(
+        input: DataSeq,
+        mode: TraceMode,
+        probes: Vec<Box<dyn Probe>>,
+        provenance: bool,
+    ) -> Recorder {
         let mut rec = Recorder {
             trace: Trace::new(input),
             mode,
-            provenance: !prov_probes.is_empty(),
-            all_want_events: event_probes.len() == probes.len(),
-            prov_probes,
-            event_probes,
             probes,
+            provenance,
+            msg_events: Vec::new(),
             next_msg_id: 0,
             reads_seen: 0,
             expiry_ids_r: Vec::new(),
@@ -93,6 +84,7 @@ impl Recorder {
 
     fn reset(&mut self, input: &DataSeq) {
         self.trace.reset(input);
+        self.msg_events.clear();
         self.next_msg_id = 0;
         self.reads_seen = 0;
         self.deleted_ids.clear();
@@ -106,9 +98,7 @@ impl Recorder {
     }
 
     fn emit(&mut self, t: Step, event: MsgEvent) {
-        for &i in &self.prov_probes {
-            self.probes[i].on_msg_event(t, &event);
-        }
+        self.msg_events.push((t, event));
     }
 
     fn expire_one(&mut self, t: Step, to: ProcessId, msg: u16, id: Option<MsgId>) {
@@ -132,16 +122,10 @@ impl StepSink for Recorder {
 
     #[inline]
     fn event(&mut self, t: Step, event: Event) {
-        // Subscribed probes see every event, in execution order,
-        // regardless of what the trace mode keeps.
-        if self.all_want_events {
-            for p in &mut self.probes {
-                p.on_event(t, &event);
-            }
-        } else {
-            for &i in &self.event_probes {
-                self.probes[i].on_event(t, &event);
-            }
+        // Probes see every event, in execution order, regardless of what
+        // the trace mode keeps.
+        for p in &mut self.probes {
+            p.on_event(t, &event);
         }
         if self.mode.records(&event) {
             self.trace.record(t, event);
@@ -267,6 +251,7 @@ pub struct WorldBuilder {
     scheduler: Option<Box<dyn Scheduler>>,
     mode: TraceMode,
     probes: Vec<Box<dyn Probe>>,
+    provenance: bool,
 }
 
 impl WorldBuilder {
@@ -305,12 +290,20 @@ impl WorldBuilder {
     /// to attach several probes — they are driven in attachment order. The
     /// world calls `Probe::on_run_start` at assembly and on every
     /// [`World::reset`]; recover a concrete probe afterwards with
-    /// [`World::probe_of`]. If any attached probe answers
-    /// [`Probe::wants_provenance`], the world enables the channel's
-    /// per-copy id tracking and feeds every provenance-aware probe a
-    /// [`MsgEvent`] stream alongside the plain events.
+    /// [`World::probe_of`].
     pub fn probe(mut self, probe: Box<dyn Probe>) -> Self {
         self.probes.push(probe);
+        self
+    }
+
+    /// Switches per-message provenance recording on or off (default:
+    /// off). When on, the channel tracks an id per copy and the world
+    /// records every [`MsgEvent`] of the run, readable through
+    /// [`World::msg_events`]. The recording is independent of the trace
+    /// mode: the same run records the same stream under every
+    /// [`TraceMode`].
+    pub fn provenance(mut self, on: bool) -> Self {
+        self.provenance = on;
         self
     }
 
@@ -327,7 +320,7 @@ impl WorldBuilder {
         let mut channel = self.channel.ok_or_else(|| missing("channel"))?;
         let scheduler = self.scheduler.ok_or_else(|| missing("scheduler"))?;
         let stats = RunStats::empty(self.input.len());
-        let rec = Recorder::new(self.input, self.mode, self.probes);
+        let rec = Recorder::new(self.input, self.mode, self.probes, self.provenance);
         // Provenance must be switched on before the first send of the run;
         // the flag survives channel resets, so this is a build-time choice.
         channel.set_provenance(rec.provenance);
@@ -354,6 +347,7 @@ impl World {
             scheduler: None,
             mode: TraceMode::default(),
             probes: Vec::new(),
+            provenance: false,
         }
     }
 
@@ -491,19 +485,18 @@ impl World {
             .find_map(|p| p.as_any().downcast_ref())
     }
 
-    /// Mutable access to the first attached probe of concrete type `P`;
-    /// see [`World::probe_of`].
-    pub fn probe_of_mut<P: Probe + 'static>(&mut self) -> Option<&mut P> {
-        self.rec
-            .probes
-            .iter_mut()
-            .find_map(|p| p.as_any_mut().downcast_mut())
-    }
-
-    /// Whether per-message provenance tracking is active for this world
-    /// (at least one attached probe asked for it).
+    /// Whether per-message provenance recording is switched on for this
+    /// world (see [`WorldBuilder::provenance`]).
     pub fn provenance_enabled(&self) -> bool {
         self.rec.provenance
+    }
+
+    /// The run's provenance stream so far: every [`MsgEvent`] with the
+    /// step it occurred at, in execution order. Empty unless the world
+    /// was built with [`WorldBuilder::provenance`]; cleared by
+    /// [`World::reset`].
+    pub fn msg_events(&self) -> &[(Step, MsgEvent)] {
+        &self.rec.msg_events
     }
 
     /// Executes one global step.

@@ -13,7 +13,7 @@ use stp_core::data::DataSeq;
 use stp_core::event::TraceMode;
 use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 use stp_sim::metrics::MetricsProbe;
-use stp_sim::trace::{MsgFate, TraceProbe};
+use stp_sim::trace::{MsgFate, MsgSpans};
 use stp_sim::World;
 
 const SEEDS: u64 = 32;
@@ -60,12 +60,16 @@ fn run_lane(lane: &Lane, seed: u64, mode: TraceMode) -> World {
         .channel((lane.channel)())
         .scheduler((lane.scheduler)(seed))
         .mode(mode)
-        .probe(Box::new(TraceProbe::new()))
+        .provenance(true)
         .probe(Box::new(MetricsProbe::new()))
         .build()
         .expect("all components supplied");
     world.run_until(50_000, World::is_complete);
     world
+}
+
+fn spans_of(world: &World) -> MsgSpans {
+    MsgSpans::of(world.msg_events(), world.step_count())
 }
 
 #[test]
@@ -75,7 +79,7 @@ fn spans_reconcile_with_run_stats_on_every_lane_seed_and_mode() {
             for mode in MODES {
                 let world = run_lane(lane, seed, mode);
                 let stats = world.probe_of::<MetricsProbe>().unwrap().stats();
-                let probe = world.probe_of::<TraceProbe>().unwrap();
+                let probe = spans_of(&world);
                 probe
                     .reconcile(&stats)
                     .unwrap_or_else(|e| panic!("{} seed {seed} mode {mode:?}: {e}", lane.name));
@@ -130,12 +134,12 @@ fn spans_are_identical_across_trace_modes() {
     for lane in &LANES {
         for seed in (0..SEEDS).step_by(4) {
             let full = run_lane(lane, seed, TraceMode::Full);
-            let full_spans = full.probe_of::<TraceProbe>().unwrap().spans();
+            let full_spans = spans_of(&full).spans();
             for mode in [TraceMode::WritesOnly, TraceMode::Off] {
                 let other = run_lane(lane, seed, mode);
                 assert_eq!(
                     full_spans,
-                    other.probe_of::<TraceProbe>().unwrap().spans(),
+                    spans_of(&other).spans(),
                     "{} seed {seed}: spans must not depend on {mode:?}",
                     lane.name
                 );
@@ -152,7 +156,7 @@ fn timed_lane_expiries_are_never_double_surfaced_drops() {
     // observable consequence — no span carries both terminal fates.
     for seed in 0..SEEDS {
         let world = run_lane(&LANES[2], seed, TraceMode::Off);
-        let probe = world.probe_of::<TraceProbe>().unwrap();
+        let probe = spans_of(&world);
         for span in probe.spans() {
             assert!(
                 !(span.dropped_at.is_some() && span.expired_at.is_some()),
