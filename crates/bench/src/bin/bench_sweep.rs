@@ -139,19 +139,19 @@ fn main() {
     assert!(pooled.all_complete());
     let traced = traced_engine.run(&family);
     assert_eq!(traced.runs, pooled.runs, "tracing must not perturb results");
-    assert_eq!(traced.report, pooled.report);
+    assert_eq!(traced.report(), pooled.report());
     let unarmed = unarmed_engine.run(&family);
     assert_eq!(
         unarmed.runs, pooled.runs,
         "an unarmed campaign must not perturb results"
     );
-    assert_eq!(unarmed.report, pooled.report);
+    assert_eq!(unarmed.report(), pooled.report());
     let profiled = engine.run_profiled(&family, &PhaseProfiler::new(PROF_PERIOD));
     assert_eq!(
         profiled.runs, pooled.runs,
         "profiling must not perturb results"
     );
-    assert_eq!(profiled.report, pooled.report);
+    assert_eq!(profiled.report(), pooled.report());
     // The parallel lanes share the engine lane's spec at their own
     // widths; a real-threaded 4-worker sweep must be bit-identical to the
     // pooled engine before any lane is timed.
@@ -161,7 +161,7 @@ fn main() {
         parallel.runs, pooled.runs,
         "the worker count must not perturb results"
     );
-    assert_eq!(parallel.report, pooled.report);
+    assert_eq!(parallel.report(), pooled.report());
 
     // Interleave the lanes rep by rep so slow clock / thermal drift
     // lands on all equally instead of biasing whichever ran last, and keep

@@ -36,8 +36,6 @@
 
 use crate::prof::{delivery_phase, expiry_phase, PhaseProfiler};
 use crate::runner::{MemberRun, SweepOutcome};
-use crate::slo::SloConfig;
-use crate::telemetry::ProgressMeter;
 use crate::world::World;
 use serde::{Deserialize, Serialize};
 use std::iter;
@@ -55,8 +53,8 @@ use stp_protocols::ProtocolFamily;
 ///
 /// Every run's [`RunStats`](crate::RunStats) come from its world's own
 /// counters ([`World::stats`]), whatever the trace mode. Unknown keys are
-/// ignored when parsing, so a spec that carries the removed `"probe"` key
-/// still loads.
+/// ignored when parsing, so a spec that carries the removed `"probe"` or
+/// `"slo"` key still loads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Step budget per run.
@@ -84,10 +82,6 @@ pub struct SweepSpec {
     pub channel: ChannelSpec,
     /// Adversary recipes; the grid runs every sequence × seed under each.
     pub schedulers: Vec<SchedulerSpec>,
-    /// Optional recovery-SLO probe configuration riding along with the
-    /// sweep (consumed by the E11 harness, ignored by the engine proper).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub slo: Option<SloConfig>,
 }
 
 impl SweepSpec {
@@ -102,7 +96,6 @@ impl SweepSpec {
             traced: false,
             channel,
             schedulers: vec![scheduler],
-            slo: None,
         }
     }
 
@@ -139,12 +132,6 @@ impl SweepSpec {
     /// Adds another adversary recipe to the grid.
     pub fn also_scheduler(mut self, scheduler: SchedulerSpec) -> Self {
         self.schedulers.push(scheduler);
-        self
-    }
-
-    /// Attaches a recovery-SLO probe configuration.
-    pub fn slo(mut self, slo: SloConfig) -> Self {
-        self.slo = Some(slo);
         self
     }
 
@@ -231,19 +218,7 @@ impl SweepEngine {
     /// order, identical for every thread count; at `threads(1)` the one
     /// worker is the calling thread and nothing is spawned.
     pub fn run(&self, family: &dyn ProtocolFamily) -> SweepOutcome {
-        self.run_observed(family, None)
-    }
-
-    /// [`SweepEngine::run`] with optional live progress: the meter is
-    /// armed for the grid size and ticked once per finished run; workers
-    /// announce themselves so liveness shows in every snapshot. Progress
-    /// observation never changes the results.
-    pub fn run_observed(
-        &self,
-        family: &dyn ProtocolFamily,
-        meter: Option<&ProgressMeter>,
-    ) -> SweepOutcome {
-        self.run_inner(family, meter, None)
+        self.run_inner(family, None)
     }
 
     /// [`SweepEngine::run`] with a phase profiler attached: every
@@ -252,17 +227,12 @@ impl SweepEngine {
     /// split by the spec's channel kind. Results are bit-identical to an
     /// unprofiled run — profiling only observes (see `tests/prof_parity.rs`).
     pub fn run_profiled(&self, family: &dyn ProtocolFamily, prof: &PhaseProfiler) -> SweepOutcome {
-        self.run_inner(family, None, Some(prof))
+        self.run_inner(family, Some(prof))
     }
 
-    fn run_inner(
-        &self,
-        family: &dyn ProtocolFamily,
-        meter: Option<&ProgressMeter>,
-        prof: Option<&PhaseProfiler>,
-    ) -> SweepOutcome {
+    fn run_inner(&self, family: &dyn ProtocolFamily, prof: Option<&PhaseProfiler>) -> SweepOutcome {
         let threads = self.spec.resolved_threads();
-        self.run_grid(family, meter, |claimed, slots| {
+        self.run_grid(family, |claimed, slots| {
             let deal = Mutex::new(slots.chunks_mut(DEAL_CHUNK).enumerate());
             // One worker: it captures only shared references, so it is
             // `Copy` and runs both on spawned threads and on this one.
@@ -272,7 +242,7 @@ impl SweepEngine {
                         .expect("no worker panics holding the deal")
                         .next()
                 };
-                self.fill(family, claimed, prof, meter, iter::from_fn(next));
+                self.fill(family, claimed, prof, iter::from_fn(next));
             };
             // The calling thread is worker 0; `threads - 1` more are spawned.
             std::thread::scope(|scope| {
@@ -295,10 +265,10 @@ impl SweepEngine {
         let wall = Instant::now();
         let workers = self.spec.resolved_threads();
         let mut busy = Vec::with_capacity(workers);
-        let outcome = self.run_grid(family, None, |claimed, slots| {
+        let outcome = self.run_grid(family, |claimed, slots| {
             for w in 0..workers {
                 let t = Instant::now();
-                self.fill(family, claimed, None, None, dealt(slots, workers, w));
+                self.fill(family, claimed, None, dealt(slots, workers, w));
                 busy.push(t.elapsed().as_secs_f64());
             }
         });
@@ -314,15 +284,11 @@ impl SweepEngine {
     fn run_grid(
         &self,
         family: &dyn ProtocolFamily,
-        meter: Option<&ProgressMeter>,
         deal: impl FnOnce(&[DataSeq], &mut [Option<MemberRun>]),
     ) -> SweepOutcome {
         let claimed = family.claimed_family();
         let cells = self.spec.schedulers.len() * claimed.len() * self.spec.seeds.len();
         let mut slots = vec![None; cells];
-        if let Some(m) = meter {
-            m.begin(slots.len());
-        }
         deal(claimed.seqs(), &mut slots);
         // `Option<MemberRun>` and `MemberRun` share a layout, so this
         // collect reuses the slot vector's buffer.
@@ -330,11 +296,7 @@ impl SweepEngine {
             .into_iter()
             .map(|run| run.expect("every grid cell ran exactly once"))
             .collect();
-        let outcome = SweepOutcome::from_runs(runs);
-        if let Some(m) = meter {
-            m.finish();
-        }
-        outcome
+        SweepOutcome::from_runs(runs)
     }
 
     /// One worker's fill loop: runs every cell of every `(chunk index,
@@ -349,12 +311,8 @@ impl SweepEngine {
         family: &dyn ProtocolFamily,
         claimed: &[DataSeq],
         prof: Option<&PhaseProfiler>,
-        meter: Option<&ProgressMeter>,
         chunks: impl Iterator<Item = (usize, &'s mut [Option<MemberRun>])>,
     ) {
-        if let Some(m) = meter {
-            m.worker_started();
-        }
         let spec = &self.spec;
         let mut worlds: Vec<Option<World>> = (0..spec.schedulers.len()).map(|_| None).collect();
         let seeds = spec.seeds.len();
@@ -374,13 +332,7 @@ impl SweepEngine {
                 let seed = spec.seeds[rest % seeds];
                 let run = run_cell(&mut worlds, family, spec, sched, x, seed, cell_prof);
                 *slot = Some(run);
-                if let Some(m) = meter {
-                    m.record_done(1);
-                }
             }
-        }
-        if let Some(m) = meter {
-            m.worker_finished();
         }
     }
 }
@@ -476,8 +428,7 @@ mod tests {
         let spec = storm_spec()
             .trace_mode(TraceMode::WritesOnly)
             .threads(3)
-            .also_scheduler(SchedulerSpec::Reorder)
-            .slo(SloConfig::wipeout(3, 20_000));
+            .also_scheduler(SchedulerSpec::Reorder);
         let json = serde_json::to_string_pretty(&spec).expect("serializes");
         let back: SweepSpec = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, spec);
@@ -485,7 +436,7 @@ mod tests {
 
     #[test]
     fn spec_defaults_apply_when_fields_are_omitted() {
-        // trace_mode, threads and slo are optional in the wire format.
+        // trace_mode and threads are optional in the wire format.
         let json = r#"{
             "max_steps": 100,
             "seeds": [4],
@@ -496,9 +447,8 @@ mod tests {
         assert_eq!(spec.trace_mode, TraceMode::Full);
         assert_eq!(spec.threads, 0);
         assert!(!spec.traced);
-        assert_eq!(spec.slo, None);
-        // Specs written before the `probe` field was removed still parse,
-        // to the same spec: unknown keys are ignored.
+        // Specs written before the `probe` and `slo` fields were removed
+        // still parse, to the same spec: unknown keys are ignored.
         let old = r#"{
             "max_steps": 100,
             "seeds": [4],
@@ -507,7 +457,14 @@ mod tests {
             "probe": true,
             "traced": false,
             "channel": "Del",
-            "schedulers": ["Eager"]
+            "schedulers": ["Eager"],
+            "slo": {
+                "action": {"DeletionBurst": {"copies": 2}},
+                "duration": 3,
+                "direction": "Both",
+                "seed": 0,
+                "max_steps": 20000
+            }
         }"#;
         let old: SweepSpec = serde_json::from_str(old).expect("parses");
         assert_eq!(old, spec);
@@ -564,29 +521,7 @@ mod tests {
             assert_eq!(o.stats, RunStats::of(trace), "{} seed {}", o.input, o.seed);
             assert!(o.trace.is_none());
         }
-        assert_eq!(full.report, off.report);
-    }
-
-    #[test]
-    fn observed_run_reports_progress_without_changing_results() {
-        use crate::telemetry::ProgressMeter;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let family = TightFamily::new(3, ResendPolicy::Once);
-        let engine = SweepEngine::new(storm_spec().threads(2));
-        let ticks = Arc::new(AtomicUsize::new(0));
-        let seen = ticks.clone();
-        let meter = ProgressMeter::new(std::time::Duration::ZERO, move |snap| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            assert!(snap.done <= snap.total);
-        });
-        let observed = engine.run_observed(&family, Some(&meter));
-        let plain = engine.run(&family);
-        assert_eq!(observed.runs, plain.runs);
-        assert!(ticks.load(Ordering::Relaxed) > 0, "meter must fire");
-        let final_snap = meter.snapshot();
-        assert_eq!(final_snap.done, observed.len());
-        assert_eq!(final_snap.workers_alive, 0);
+        assert_eq!(full.report(), off.report());
     }
 
     #[test]

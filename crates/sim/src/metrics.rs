@@ -355,10 +355,10 @@ impl Histogram {
 /// fixed-bucket distributions of the four quantities the experiments
 /// care about.
 ///
-/// Build one per worker with [`SweepReport::new`], feed it runs via
-/// [`observe`](SweepReport::observe), and combine workers with
-/// [`merge`](SweepReport::merge) — aggregation order does not affect the
-/// result.
+/// Build one with [`SweepReport::new`] and feed it runs via
+/// [`observe`](SweepReport::observe);
+/// [`SweepOutcome::report`](crate::runner::SweepOutcome::report) folds a
+/// sweep's runs this way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
     /// Runs observed.
@@ -425,35 +425,6 @@ impl SweepReport {
         self.drop_counts.record(stats.drops as f64);
         for g in stats.gaps() {
             self.write_gaps.record(g as f64);
-        }
-    }
-
-    /// Folds `other` into `self` (worker-level reports into the sweep
-    /// total).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram layouts differ.
-    pub fn merge(&mut self, other: &SweepReport) {
-        self.runs += other.runs;
-        self.complete += other.complete;
-        self.unsafe_runs += other.unsafe_runs;
-        self.total_steps += other.total_steps;
-        self.total_sends += other.total_sends;
-        self.total_drops += other.total_drops;
-        self.total_written += other.total_written;
-        self.steps_to_complete.merge(&other.steps_to_complete);
-        self.sends_per_item.merge(&other.sends_per_item);
-        self.drop_counts.merge(&other.drop_counts);
-        self.write_gaps.merge(&other.write_gaps);
-    }
-
-    /// Fraction of runs that completed, `0.0` when no runs were observed.
-    pub fn completion_rate(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.complete as f64 / self.runs as f64
         }
     }
 }
@@ -740,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_report_folds_runs_and_merges() {
+    fn sweep_report_folds_complete_and_incomplete_runs() {
         let stats = RunStats::of(&sample());
         let mut a = SweepReport::new();
         a.observe(&stats);
@@ -751,7 +722,6 @@ mod tests {
         assert_eq!(a.total_drops, 1);
         assert_eq!(a.steps_to_complete.count, 1);
         assert_eq!(a.write_gaps.count, 2);
-        assert!((a.completion_rate() - 1.0).abs() < 1e-9);
 
         let mut incomplete = stats.clone();
         incomplete.written = 1;
@@ -761,14 +731,12 @@ mod tests {
         assert_eq!(b.complete, 0);
         assert_eq!(b.steps_to_complete.count, 0);
 
-        // merge(a, b) equals observing both runs in one report.
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let mut direct = SweepReport::new();
-        direct.observe(&stats);
-        direct.observe(&incomplete);
-        assert_eq!(merged, direct);
-        assert_eq!(merged.runs, 2);
+        // One report folds both runs: the counters add, and only the
+        // complete run has a steps-to-complete sample.
+        a.observe(&incomplete);
+        assert_eq!(a.runs, 2);
+        assert_eq!(a.complete, 1);
+        assert_eq!(a.steps_to_complete.count, 1);
     }
 
     #[test]

@@ -36,28 +36,27 @@ pub struct SweepOutcome {
     pub runs: Vec<MemberRun>,
     /// Sequences that failed to complete under some seed.
     pub failures: Vec<(DataSeq, u64)>,
-    /// Sweep-wide distributions folded from every run's statistics.
-    pub report: SweepReport,
 }
 
 impl SweepOutcome {
-    /// Packages finished runs, deriving the failure list and the
-    /// aggregate [`SweepReport`].
+    /// Packages finished runs, deriving the failure list.
     pub fn from_runs(runs: Vec<MemberRun>) -> Self {
         let failures = runs
             .iter()
             .filter(|r| !r.stats.is_complete())
             .map(|r| (r.input.clone(), r.seed))
             .collect();
+        SweepOutcome { runs, failures }
+    }
+
+    /// Sweep-wide distributions, folded from every run's statistics in
+    /// grid order on each call.
+    pub fn report(&self) -> SweepReport {
         let mut report = SweepReport::new();
-        for r in &runs {
+        for r in &self.runs {
             report.observe(&r.stats);
         }
-        SweepOutcome {
-            runs,
-            failures,
-            report,
-        }
+        report
     }
 
     /// Whether every member completed safely under every seed.

@@ -48,7 +48,7 @@ use parking_lot::Mutex;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -221,13 +221,6 @@ pub enum SessionStatus {
     },
 }
 
-// Where an id currently lives inside one shard.
-enum SlotState {
-    Queued { submitted: u64 },
-    Running { slot: u32 },
-    Done { at: usize },
-}
-
 // An interned (family, channel, scheduler) triple plus the free slots
 // that last ran it — the unit of reset-in-place recycling.
 struct Recipe {
@@ -261,35 +254,6 @@ struct QueuedSession {
     max_steps: Step,
     ttl_rounds: Option<u64>,
 }
-
-// The serial index maps *sequential* per-shard serials to slot states;
-// SipHash's DoS resistance buys nothing against keys this engine mints
-// itself and its per-insert cost showed up squarely in the admission
-// phase profile. Fibonacci multiplicative hashing scrambles sequential
-// keys across buckets in one multiply.
-#[derive(Default)]
-struct SerialHasher(u64);
-
-impl Hasher for SerialHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reached for non-u64 keys (none today): FNV-1a fallback.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type SerialMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<SerialHasher>>;
 
 /// One shard of the session store: fixed-capacity slot columns, a recipe
 /// table, an admission queue, and a completion buffer.
@@ -354,7 +318,6 @@ pub struct SessionEngine {
     active: Vec<u32>,
     virgin: Vec<u32>,
     queue: VecDeque<QueuedSession>,
-    index: SerialMap<SlotState>,
     completed: Vec<SessionOutcome>,
     next_serial: u64,
     recycled: u64,
@@ -423,7 +386,6 @@ impl SessionEngine {
             active: Vec::with_capacity(capacity),
             virgin: (0..capacity as u32).rev().collect(),
             queue: VecDeque::new(),
-            index: SerialMap::default(),
             completed: Vec::new(),
             next_serial: 0,
             recycled: 0,
@@ -516,12 +478,6 @@ impl SessionEngine {
         if let Some(m) = &self.metrics {
             m.note_submitted();
         }
-        self.index.insert(
-            serial,
-            SlotState::Queued {
-                submitted: self.round,
-            },
-        );
         // Intern the recipe triple now: every later admission keys the
         // slot search and provisioning off the id alone, never
         // re-comparing (or reconstructing) the component specs.
@@ -538,17 +494,24 @@ impl SessionEngine {
         serial
     }
 
-    /// Where the session with this serial stands.
+    /// Where the session with this serial stands, found by scanning the
+    /// active slots, then the queue, then the undrained completion
+    /// buffer: O(queued + active + undrained).
     pub fn poll(&self, serial: u64) -> SessionStatus {
-        match self.index.get(&serial) {
+        if let Some(pos) = self.active_pos(serial) {
+            let slot = self.active[pos] as usize;
+            return SessionStatus::Running {
+                steps: self.scheduled_steps(slot, self.round),
+            };
+        }
+        if self.queue.iter().any(|q| q.serial == serial) {
+            return SessionStatus::Queued;
+        }
+        match self.completed.iter().find(|o| o.id.serial() == serial) {
+            Some(outcome) => SessionStatus::Done {
+                outcome: Box::new(outcome.clone()),
+            },
             None => SessionStatus::Unknown,
-            Some(SlotState::Queued { .. }) => SessionStatus::Queued,
-            Some(&SlotState::Running { slot }) => SessionStatus::Running {
-                steps: self.scheduled_steps(slot as usize, self.round),
-            },
-            Some(&SlotState::Done { at }) => SessionStatus::Done {
-                outcome: Box::new(self.completed[at].clone()),
-            },
         }
     }
 
@@ -556,47 +519,37 @@ impl SessionEngine {
     /// active one retires at the state the round-robin schedule has
     /// reached (the run-ahead is rewound), both as
     /// [`SessionFate::Disconnected`]. Returns `false` for ids that are
-    /// done, drained, or unknown.
+    /// done, drained, or unknown. Like [`SessionEngine::poll`], it finds
+    /// the session by scanning the rosters.
     pub fn disconnect(&mut self, serial: u64) -> bool {
-        match self.index.get(&serial) {
-            Some(&SlotState::Running { slot }) => {
-                let pos = self
-                    .active
-                    .iter()
-                    .position(|&s| s == slot)
-                    .expect("running slot is on the active roster");
-                self.rewind(slot as usize);
-                self.retire(pos, SessionFate::Disconnected);
-                true
-            }
-            Some(&SlotState::Queued { submitted }) => {
-                let at = self
-                    .queue
-                    .iter()
-                    .position(|q| q.serial == serial)
-                    .expect("queued serial is in the queue");
-                let q = self.queue.remove(at).expect("position came from the queue");
-                let outcome = SessionOutcome {
-                    id: SessionId::new(self.shard, serial),
-                    fate: SessionFate::Disconnected,
-                    stats: RunStats::empty(q.input.len()),
-                    submitted_round: submitted,
-                    retired_round: self.round,
-                };
-                self.index.insert(
-                    serial,
-                    SlotState::Done {
-                        at: self.completed.len(),
-                    },
-                );
-                self.completed.push(outcome);
-                if let Some(m) = &self.metrics {
-                    m.note_disconnected();
-                }
-                true
-            }
-            _ => false,
+        if let Some(pos) = self.active_pos(serial) {
+            self.rewind(self.active[pos] as usize);
+            self.retire(pos, SessionFate::Disconnected);
+            return true;
         }
+        let Some(at) = self.queue.iter().position(|q| q.serial == serial) else {
+            return false;
+        };
+        let q = self.queue.remove(at).expect("position came from the queue");
+        self.completed.push(SessionOutcome {
+            id: SessionId::new(self.shard, serial),
+            fate: SessionFate::Disconnected,
+            stats: RunStats::empty(q.input.len()),
+            submitted_round: q.submitted,
+            retired_round: self.round,
+        });
+        if let Some(m) = &self.metrics {
+            m.note_disconnected();
+        }
+        true
+    }
+
+    // The active-roster position of the session with this serial. Only
+    // active slots are matched: a free slot keeps its last serial.
+    fn active_pos(&self, serial: u64) -> Option<usize> {
+        self.active
+            .iter()
+            .position(|&slot| self.serials[slot as usize] == serial)
     }
 
     /// Hands out every outcome retired since the last drain, exactly
@@ -608,11 +561,7 @@ impl SessionEngine {
             return Vec::new();
         }
         let buffer = Vec::with_capacity(self.completed.capacity());
-        let drained = std::mem::replace(&mut self.completed, buffer);
-        for outcome in &drained {
-            self.index.remove(&outcome.id.serial());
-        }
-        drained
+        std::mem::replace(&mut self.completed, buffer)
     }
 
     /// One engine round: admit from the queue into free slots (running
@@ -839,8 +788,6 @@ impl SessionEngine {
         self.submitted[slot] = submitted;
         self.fate[slot] = None;
         self.active.push(slot as u32);
-        self.index
-            .insert(serial, SlotState::Running { slot: slot as u32 });
         slot
     }
 
@@ -888,12 +835,6 @@ impl SessionEngine {
         self.recipes[self.slot_recipe[slot] as usize]
             .free
             .push(slot as u32);
-        self.index.insert(
-            serial,
-            SlotState::Done {
-                at: self.completed.len(),
-            },
-        );
         self.completed.push(outcome);
     }
 
@@ -1214,8 +1155,10 @@ impl SessionServer {
         SessionId::new(shard, serial)
     }
 
-    /// Where the session stands. Ids from another server (shard out of
-    /// range) report [`SessionStatus::Unknown`].
+    /// Where the session stands; see [`SessionEngine::poll`], which
+    /// scans the owning shard's rosters, O(queued + active + undrained).
+    /// Ids from another server (shard out of range) report
+    /// [`SessionStatus::Unknown`].
     pub fn poll(&self, id: SessionId) -> SessionStatus {
         match self.engines.get(id.shard() as usize) {
             Some(engine) => engine.lock().poll(id.serial()),
@@ -1223,7 +1166,8 @@ impl SessionServer {
         }
     }
 
-    /// Disconnects the session; see [`SessionEngine::disconnect`].
+    /// Disconnects the session; see [`SessionEngine::disconnect`], which
+    /// scans the owning shard's rosters, O(queued + active + undrained).
     pub fn disconnect(&self, id: SessionId) -> bool {
         match self.engines.get(id.shard() as usize) {
             Some(engine) => engine.lock().disconnect(id.serial()),
@@ -1373,8 +1317,6 @@ impl ChurnSpec {
 /// What a churn run measured, merged across shards.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnReport {
-    /// Shards the workload ran on.
-    pub shards: usize,
     /// Sessions submitted.
     pub submitted: u64,
     /// Sessions that completed their transmission.
@@ -1406,6 +1348,11 @@ pub struct ChurnReport {
 }
 
 impl ChurnReport {
+    /// Shards the workload ran on: one busy-seconds entry each.
+    pub fn shards(&self) -> usize {
+        self.shard_busy_secs.len()
+    }
+
     /// The parallel critical path: the busiest shard's seconds. This is
     /// what aggregate throughput is computed against, so the number
     /// measures sharding quality (balance + per-shard speed) rather than
@@ -1433,7 +1380,7 @@ impl ChurnReport {
     pub fn record(&self, experiment: &str) -> SessionsRecord {
         SessionsRecord {
             experiment: experiment.to_string(),
-            shards: self.shards,
+            shards: self.shards(),
             submitted: self.submitted,
             completed: self.completed,
             exhausted: self.exhausted,
@@ -1452,7 +1399,6 @@ impl ChurnReport {
     /// the maximum, distributions, per-shard busy seconds and stalls
     /// concatenate.
     pub fn merge(&mut self, mut other: ChurnReport) {
-        self.shards += other.shards;
         self.submitted += other.submitted;
         self.completed += other.completed;
         self.exhausted += other.exhausted;
@@ -1508,7 +1454,6 @@ fn run_shard(
     }
     let mut progress = meter.map(ProgressMeter::local);
     let mut out = ChurnReport {
-        shards: 1,
         submitted: 0,
         completed: 0,
         exhausted: 0,
@@ -1899,6 +1844,95 @@ mod tests {
         assert_eq!(without.stats.steps, 0, "never admitted");
         // A second disconnect is a no-op.
         assert!(!server.disconnect(running));
+    }
+
+    #[test]
+    fn poll_answers_agree_with_the_rosters_at_every_round_boundary() {
+        let mut starved = tight_spec(&[1, 0], 0);
+        starved.scheduler = SchedulerSpec::Random { p_deliver: 0.0 };
+        let walk_away = SessionSpec {
+            ttl_rounds: Some(2),
+            ..starved.clone()
+        };
+        let specs = [
+            tight_spec(&[1, 2, 0], 1),
+            starved.clone(), // disconnected while running
+            walk_away,
+            tight_spec(&[2, 1], 2),
+            starved, // disconnected while queued
+            tight_spec(&[1, 0], 3),
+            tight_spec(&[0, 2, 1], 4),
+        ];
+        let mut engine = SessionEngine::new(0, 2, 2);
+        let serials: Vec<u64> = specs.into_iter().map(|s| engine.submit(s)).collect();
+        let never_issued = serials.len() as u64;
+        let (running_cut, queued_cut, ttl) = (serials[1], serials[4], serials[2]);
+        let mut polled: std::collections::HashMap<u64, SessionOutcome> = Default::default();
+        let mut drained: Vec<SessionOutcome> = Vec::new();
+        loop {
+            let round = engine.round();
+            let (mut queued, mut running, mut done) = (0, 0, 0);
+            for &serial in &serials {
+                match engine.poll(serial) {
+                    SessionStatus::Unknown => assert!(
+                        drained.iter().any(|o| o.id.serial() == serial),
+                        "round {round}: serial {serial} polls unknown before its drain"
+                    ),
+                    SessionStatus::Queued => queued += 1,
+                    SessionStatus::Running { .. } => running += 1,
+                    SessionStatus::Done { outcome } => {
+                        done += 1;
+                        polled.insert(serial, *outcome);
+                    }
+                }
+            }
+            assert_eq!(
+                (queued, running, done),
+                (
+                    engine.queued_len(),
+                    engine.active_len(),
+                    engine.completed_len()
+                ),
+                "round {round}: queued / running / done answers"
+            );
+            let gone = drained.iter().map(|o| o.id.serial());
+            for serial in gone.chain([never_issued]) {
+                assert_eq!(engine.poll(serial), SessionStatus::Unknown, "{serial}");
+                assert!(!engine.disconnect(serial), "round {round}: {serial}");
+            }
+            if engine.is_idle() && engine.completed_len() == 0 {
+                break;
+            }
+            assert!(round < 1_000, "the shard never drained");
+            if round == 1 {
+                assert!(matches!(
+                    engine.poll(running_cut),
+                    SessionStatus::Running { .. }
+                ));
+                assert_eq!(engine.poll(queued_cut), SessionStatus::Queued);
+                assert!(engine.disconnect(running_cut));
+                assert!(engine.disconnect(queued_cut));
+            } else if round % 3 == 2 {
+                for outcome in engine.drain_completed() {
+                    let seen = polled.remove(&outcome.id.serial());
+                    assert_eq!(seen.as_ref(), Some(&outcome), "round {round}");
+                    drained.push(outcome);
+                }
+            }
+            engine.step_round();
+        }
+        assert!(polled.is_empty(), "polled as done but never drained");
+        assert_eq!(drained.len(), serials.len());
+        for outcome in &drained {
+            let serial = outcome.id.serial();
+            let walked = [running_cut, queued_cut, ttl].contains(&serial);
+            let fate = if walked {
+                SessionFate::Disconnected
+            } else {
+                SessionFate::Completed
+            };
+            assert_eq!(outcome.fate, fate, "serial {serial}");
+        }
     }
 
     #[test]

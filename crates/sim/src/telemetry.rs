@@ -1,12 +1,14 @@
-//! JSONL telemetry export and live sweep progress.
+//! JSONL telemetry export and live progress.
 //!
 //! Two independent facilities:
 //!
 //! * **Export** — [`TelemetryWriter`] serializes [`TelemetryLine`]s —
 //!   per-run records ([`RunRecord`]), per-message lifecycle spans
 //!   ([`SpanRecord`]), knowledge-frontier samples ([`FrontierRecord`]),
-//!   sweep-wide [`SweepReport`]s and the other record kinds — as JSON
-//!   Lines through a pluggable [`Sink`] (file, stdout, in-memory). Each
+//!   sweep-wide [`SweepReport`]s (folded from a sweep's runs by
+//!   [`SweepOutcome::report`] at export) and the other record kinds —
+//!   as JSON Lines through a pluggable [`Sink`] (file, stdout,
+//!   in-memory). Each
 //!   line is one self-describing object with a single key —
 //!   `{"run": …}`, `{"span": …}`, `{"frontier": …}`, `{"report": …}`, … —
 //!   so a consumer can dispatch without a schema registry. The writer is
@@ -15,8 +17,9 @@
 //!   binaries' stdout byte-identical when telemetry is off.
 //! * **Progress** — [`ProgressMeter`] is a thread-safe runs-done /
 //!   runs-total counter with a throttled reporting callback (default:
-//!   one line to *stderr* per interval) that the sweep engine and the
-//!   SLO harness drive while a grid is in flight.
+//!   one line to *stderr* per interval) that the churn workload
+//!   ([`ChurnRun::meter`](crate::sessions::ChurnRun::meter)) and the SLO
+//!   harness drive while their work is in flight.
 
 use crate::fleet::{FleetRecord, StallRecord};
 use crate::metrics::{RunStats, SweepReport};
@@ -410,7 +413,7 @@ impl TelemetryWriter {
         for run in &outcome.runs {
             self.emit(&TelemetryLine::Run(RunRecord::of(experiment, run)))?;
         }
-        self.emit(&TelemetryLine::Report(Box::new(outcome.report.clone())))?;
+        self.emit(&TelemetryLine::Report(Box::new(outcome.report())))?;
         self.flush()
     }
 
@@ -778,7 +781,7 @@ mod tests {
         assert!(matches!(&parsed[0], TelemetryLine::Run(r) if r.seed == 0 && r.experiment == "e9"));
         assert!(matches!(&parsed[1], TelemetryLine::Run(r) if r.seed == 1));
         match &parsed[2] {
-            TelemetryLine::Report(r) => assert_eq!(**r, outcome.report),
+            TelemetryLine::Report(r) => assert_eq!(**r, outcome.report()),
             other => panic!("expected the aggregate report, got {other:?}"),
         }
     }

@@ -485,12 +485,6 @@ impl World {
             .find_map(|p| p.as_any().downcast_ref())
     }
 
-    /// Whether per-message provenance recording is switched on for this
-    /// world (see [`WorldBuilder::provenance`]).
-    pub fn provenance_enabled(&self) -> bool {
-        self.rec.provenance
-    }
-
     /// The run's provenance stream so far: every [`MsgEvent`] with the
     /// step it occurred at, in execution order. Empty unless the world
     /// was built with [`WorldBuilder::provenance`]; cleared by

@@ -9,9 +9,8 @@
 //! isolated mode the scaling bench lanes are built on. The edge grids —
 //! empty, a single cell, sizes that are not a multiple of the 16-cell
 //! deal chunk, more workers than chunks, and mostly failing runs — check
-//! `failures` and the progress meter's count as well.
+//! `failures` as well.
 
-use std::time::Duration;
 use stp_core::data::DataSeq;
 use stp_core::proto::{Receiver, Sender};
 use stp_core::sequence::SequenceFamily;
@@ -72,7 +71,8 @@ fn parallel_sweeps_are_bit_identical_to_serial_at_every_width() {
                     "{fname}/{cname}: {workers}-worker run diverged from serial"
                 );
                 assert_eq!(
-                    serial.report, parallel.report,
+                    serial.report(),
+                    parallel.report(),
                     "{fname}/{cname}: {workers}-worker report"
                 );
             }
@@ -193,10 +193,9 @@ fn e1_spec() -> SweepSpec {
         .trace_mode(TraceMode::Off)
 }
 
-/// Runs `spec` observed at 1, 2 and 8 workers and isolated at the same
-/// widths, checks each outcome's runs, report and failures against the
-/// serial engine's and the meter's count against the grid size, and
-/// returns the serial outcome.
+/// Runs `spec` at 1, 2 and 8 workers and isolated at the same widths,
+/// checks each outcome's runs, report and failures against the serial
+/// engine's, and returns the serial outcome.
 fn assert_every_executor_matches_serial(
     label: &str,
     family: &dyn ProtocolFamily,
@@ -208,21 +207,13 @@ fn assert_every_executor_matches_serial(
     assert_eq!(serial.len(), cells, "{label}: serial run count");
     for workers in [1, 2, 8] {
         let engine = SweepEngine::new(spec.clone().threads(workers));
-        let meter = ProgressMeter::new(Duration::ZERO, |_| {});
-        let observed = engine.run_observed(family, Some(&meter));
-        let snap = meter.snapshot();
-        assert_eq!(snap.done, cells, "{label}, {workers} workers: meter ticks");
-        assert_eq!(snap.total, cells, "{label}, {workers} workers: meter total");
-        assert_eq!(
-            snap.workers_alive, 0,
-            "{label}, {workers} workers: workers left"
-        );
+        let threaded = engine.run(family);
         let isolated = engine.run_isolated(family);
         assert_eq!(isolated.worker_busy_secs.len(), workers);
-        for (mode, outcome) in [("run", observed), ("isolated", isolated.outcome)] {
+        for (mode, outcome) in [("run", threaded), ("isolated", isolated.outcome)] {
             let at = format!("{label}, {workers} workers, {mode}");
             assert_eq!(serial.runs, outcome.runs, "{at}: runs");
-            assert_eq!(serial.report, outcome.report, "{at}: report");
+            assert_eq!(serial.report(), outcome.report(), "{at}: report");
             assert_eq!(serial.failures, outcome.failures, "{at}: failures");
         }
     }

@@ -72,7 +72,7 @@ fn profiled_sweep_is_bit_identical_to_unprofiled() {
                 plain.runs, profiled.runs,
                 "{fname}/{cname}: profiled runs must be bit-identical"
             );
-            assert_eq!(plain.report, profiled.report, "{fname}/{cname}: report");
+            assert_eq!(plain.report(), profiled.report(), "{fname}/{cname}: report");
             let record = prof.report("prof_parity", "sweep");
             assert!(record.windows > 0, "{fname}/{cname}: windows recorded");
             assert!(
