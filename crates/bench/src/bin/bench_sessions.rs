@@ -85,13 +85,13 @@ impl Lane {
         Lane {
             shards,
             metered,
-            completed: report.completed,
+            completed: report.fleet.completed,
             critical_path_secs: report.critical_path_secs(),
             busy_secs: report.shard_busy_secs.iter().sum(),
             wall_secs: report.wall_secs,
             sessions_per_sec: report.sessions_per_sec(),
             p99_latency_rounds: report.p99_latency_rounds(),
-            rounds: report.rounds,
+            rounds: report.fleet.round,
         }
     }
 }
@@ -194,10 +194,11 @@ fn main() {
         eprintln!("bench_sessions: lane {shards} shard(s)…");
         let spec = workload(shards);
         let report = run_churn(&spec, &isolated);
-        assert_eq!(report.submitted, spec.sessions);
+        let fleet = &report.fleet;
+        assert_eq!(fleet.submitted, spec.sessions);
         assert_eq!(
-            report.completed + report.exhausted + report.disconnected,
-            report.submitted
+            fleet.completed + fleet.exhausted + fleet.disconnected,
+            fleet.submitted
         );
         let lane = Lane::from_report(&report, shards, false);
         if shards == 4 {
@@ -212,7 +213,7 @@ fn main() {
                     report.digest, base.digest,
                     "sharding must not change any session's outcome"
                 );
-                assert_eq!(report.completed, base.completed);
+                assert_eq!(report.fleet.completed, base.fleet.completed);
             }
         }
     }
@@ -247,14 +248,14 @@ fn main() {
             metered.digest, base.digest,
             "metering must not change any session's outcome"
         );
-        assert_eq!(metered.completed, base.completed);
+        assert_eq!(metered.fleet.completed, base.fleet.completed);
         assert!(
             metered.stalls.is_empty(),
             "watchdog false positives on the clean bench workload: {}",
             metered.stalls.len()
         );
         let snapshot = fleet.snapshot();
-        assert_eq!(snapshot.stats().completed, metered.completed);
+        assert_eq!(snapshot.stats(), metered.fleet);
         last_snapshot = Some(snapshot);
         let lane = Lane::from_report(&metered, 4, true);
         if lane.busy_secs < metered_busy {
@@ -303,7 +304,7 @@ fn main() {
             profiled.digest, base.digest,
             "profiling must not change any session's outcome"
         );
-        assert_eq!(profiled.completed, base.completed);
+        assert_eq!(profiled.fleet.completed, base.fleet.completed);
         let lane = Lane::from_report(&profiled, 4, false);
         if lane.busy_secs < profiled_busy {
             profiled_busy = lane.busy_secs;
@@ -329,15 +330,15 @@ fn main() {
         workload: format!(
             "churn: {} sessions, 5% walk-away, mix {{tight-dup, abp-lossy, tight-del}}, \
              4096 arrivals/round",
-            base.submitted
+            base.fleet.submitted
         ),
         timing: "critical-path".to_string(),
         host_cores_effective,
         host_cores_present,
-        sessions_submitted: base.submitted,
-        sessions_completed: base.completed,
-        sessions_disconnected: base.disconnected,
-        sessions_exhausted: base.exhausted,
+        sessions_submitted: base.fleet.submitted,
+        sessions_completed: base.fleet.completed,
+        sessions_disconnected: base.fleet.disconnected,
+        sessions_exhausted: base.fleet.exhausted,
         digest: format!("{:016x}", base.digest),
         sessions_per_sec_1: r1,
         sessions_per_sec_4: r4,

@@ -156,7 +156,7 @@ fn profile_churn(sessions: u64, period: u64) -> ProfRecord {
             ..ChurnRun::default()
         },
     );
-    assert_eq!(report.submitted, sessions);
+    assert_eq!(report.fleet.submitted, sessions);
     prof.report("prof_report", "churn")
 }
 

@@ -1,8 +1,9 @@
 //! `top` for the session fleet: runs a seeded churn workload on the
 //! sharded session store and renders a live, refreshing per-shard table
 //! (throughput, p50/p99 latency, queue depth, oldest-active-age, stall
-//! flags) sampled lock-free from the [`FleetRegistry`] while the shards
-//! step — the dashboard the `stp-sim::fleet` module exists to feed.
+//! flags) sampled from the [`FleetRegistry`] — the row each shard
+//! publishes at the end of every round — while the shards step: the
+//! dashboard the `stp-sim::fleet` module exists to feed.
 //!
 //! Modes:
 //!
@@ -250,26 +251,26 @@ fn main() {
         worker.join().expect("churn worker panicked")
     };
 
-    // Final state: the definitive table (printed once, no escapes), the
-    // per-shard + aggregate telemetry lines, and any watchdog flags.
+    // Final state: the definitive table and summary line (printed once,
+    // no escapes), both read from the final snapshot, the per-shard +
+    // aggregate telemetry lines, and any watchdog flags.
     let snapshot = fleet.snapshot();
-    let avg_rate = (report.wall_secs > 0.0).then(|| report.completed as f64 / report.wall_secs);
+    let stats = snapshot.stats();
+    let avg_rate = (report.wall_secs > 0.0).then(|| stats.completed as f64 / report.wall_secs);
     print!("{}", render(&snapshot, None, avg_rate));
     println!(
         "{} sessions: {} completed, {} disconnected, {} exhausted, {} stalled in {:.2}s",
-        report.submitted,
-        report.completed,
-        report.disconnected,
-        report.exhausted,
-        report.stalls.len(),
+        stats.submitted,
+        stats.completed,
+        stats.disconnected,
+        stats.exhausted,
+        stats.stalls,
         report.wall_secs,
     );
     for shard in &snapshot.shards {
         emit(TelemetryLine::Fleet(shard.record("sessions_top")));
     }
-    emit(TelemetryLine::Fleet(
-        snapshot.stats().record("sessions_top"),
-    ));
+    emit(TelemetryLine::Fleet(stats.record("sessions_top")));
     let prof_record = prof.report("sessions_top", "churn");
     emit(TelemetryLine::Prof(prof_record.clone()));
     for mut stall in report.stalls.iter().cloned() {
@@ -288,15 +289,22 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stp_sim::fleet::FleetStats;
 
     // A small but real exposition page: a registry with traffic on two
     // shards (shard 1 left idle so NO_SAMPLES quantiles are in play) and
     // a profiler with one timed window.
     fn sample_page() -> String {
         let fleet = FleetRegistry::new(2);
-        fleet.shard(0).note_submitted();
-        fleet.shard(0).note_admitted(false);
-        fleet.shard(0).note_completed(3);
+        let mut row = FleetStats {
+            submitted: 1,
+            admitted: 1,
+            recycle_misses: 1,
+            completed: 1,
+            ..FleetStats::new(0)
+        };
+        row.latency.record(3.0);
+        fleet.shard(0).publish(&row);
         let prof = PhaseProfiler::new(1);
         prof.time(stp_sim::Phase::SenderStep, || std::hint::black_box(1));
         prometheus_text(&fleet.snapshot(), &prof.report("sessions_top", "churn"))

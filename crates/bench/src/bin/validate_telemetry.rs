@@ -1,9 +1,12 @@
 //! Validates a JSONL telemetry file: every line must parse as one of the
 //! wire forms ([`TelemetryLine`]) and survive a serialize → parse round
-//! trip unchanged. Exits nonzero on the first malformed file, naming the
-//! offending line number and the kind the line claims to be (its
-//! self-describing top-level key), so CI can gate on the schema actually
-//! holding for freshly exported telemetry — conformance ledgers included.
+//! trip unchanged, and every `{"fleet": …}` line must satisfy the fleet
+//! conservation laws ([`stp_sim::FleetRecord::check_conservation`]).
+//! Exits nonzero on the first invalid line, naming the file, the line
+//! number, the kind the line claims to be (its self-describing top-level
+//! key) and, for a fleet line, the broken law, so CI can gate on the
+//! schema actually holding for freshly exported telemetry — conformance
+//! ledgers included.
 //!
 //! Usage: `validate_telemetry <file.jsonl>` (defaults to
 //! `telemetry.jsonl` in the current directory).
@@ -34,6 +37,25 @@ fn round_trips(line: &TelemetryLine) -> Result<bool, serde_json::Error> {
     Ok(TelemetryLine::parse(&reserialized)? == *line)
 }
 
+/// Parses one line and checks it: the round trip, and the conservation
+/// laws for a fleet line. The error says what is wrong with the line.
+fn check_line(line: &str) -> Result<TelemetryLine, String> {
+    let kind = claimed_kind(line);
+    let parsed =
+        TelemetryLine::parse(line).map_err(|e| format!("unparseable '{kind}' line: {e}"))?;
+    match round_trips(&parsed) {
+        Ok(true) => {}
+        Ok(false) => return Err(format!("'{kind}' line does not round-trip")),
+        Err(e) => return Err(format!("'{kind}' reserialization failed: {e}")),
+    }
+    if let TelemetryLine::Fleet(fleet) = &parsed {
+        fleet
+            .check_conservation()
+            .map_err(|law| format!("'fleet' line {law}"))?;
+    }
+    Ok(parsed)
+}
+
 fn main() -> ExitCode {
     let path = std::env::args()
         .nth(1)
@@ -55,34 +77,13 @@ fn main() -> ExitCode {
         if line.trim().is_empty() {
             continue;
         }
-        let kind = claimed_kind(line);
-        let parsed = match TelemetryLine::parse(line) {
+        let parsed = match check_line(line) {
             Ok(p) => p,
             Err(e) => {
-                eprintln!(
-                    "validate_telemetry: {path}:{}: unparseable '{kind}' line: {e}",
-                    no + 1
-                );
+                eprintln!("validate_telemetry: {path}:{}: {e}", no + 1);
                 return ExitCode::FAILURE;
             }
         };
-        match round_trips(&parsed) {
-            Ok(true) => {}
-            Ok(false) => {
-                eprintln!(
-                    "validate_telemetry: {path}:{}: '{kind}' line does not round-trip",
-                    no + 1
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!(
-                    "validate_telemetry: {path}:{}: '{kind}' reserialization failed: {e}",
-                    no + 1
-                );
-                return ExitCode::FAILURE;
-            }
-        }
         match parsed {
             TelemetryLine::Run(_) => runs += 1,
             TelemetryLine::Report(_) => reports += 1,
@@ -119,4 +120,46 @@ fn main() -> ExitCode {
          {profs} profs)"
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stp_sim::{FleetRecord, FleetStats};
+
+    fn fleet_line(record: FleetRecord) -> String {
+        serde_json::to_string(&TelemetryLine::Fleet(record)).expect("serializes")
+    }
+
+    #[test]
+    fn fleet_lines_that_break_a_conservation_law_are_rejected() {
+        let balanced = FleetRecord {
+            submitted: 3,
+            admitted: 2,
+            recycle_misses: 2,
+            completed: 1,
+            active: 1,
+            queued: 1,
+            ..FleetStats::new(0).record("t")
+        };
+        assert!(check_line(&fleet_line(balanced.clone())).is_ok());
+        let lost = FleetRecord {
+            submitted: 4,
+            ..balanced.clone()
+        };
+        let err = check_line(&fleet_line(lost)).unwrap_err();
+        assert!(
+            err.starts_with("'fleet' line breaks submitted = completed"),
+            "{err}"
+        );
+        let unsplit = FleetRecord {
+            admitted: 3,
+            ..balanced
+        };
+        let err = check_line(&fleet_line(unsplit)).unwrap_err();
+        assert!(
+            err.contains("admitted = recycle_hits + recycle_misses"),
+            "{err}"
+        );
+    }
 }

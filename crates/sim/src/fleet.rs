@@ -1,4 +1,4 @@
-//! Fleet observability for the session store: per-shard atomic metrics,
+//! Fleet observability for the session store: one stats row per shard,
 //! stop-free snapshots, and a bound-aware stall watchdog.
 //!
 //! The sharded [`SessionServer`](crate::sessions::SessionServer) steps
@@ -6,24 +6,26 @@
 //! dark: the probe/trace layers observe *single runs*, not the live
 //! fleet. Three pieces fix that:
 //!
-//! * [`ShardMetrics`] — one per shard, all counters and gauges are
-//!   relaxed atomics and the two distributions ([`AtomicHistogram`]s of
-//!   submit-to-retire latency and per-round step cost) are arrays of
-//!   atomic buckets, so the stepping loop updates them without a lock
-//!   and readers sample them without stopping the shard. The engine
-//!   batches its updates at round granularity (admissions, retirements,
-//!   one end-of-round gauge store) — nothing touches the per-step hot
-//!   loop, which is what keeps the metered lane inside its ≤ 5% budget.
+//! * [`FleetStats`] — every counter, gauge and distribution the fleet
+//!   reports, spelled once. Each
+//!   [`SessionEngine`](crate::sessions::SessionEngine) keeps its shard's
+//!   row (`shard: Some(n)`, `shards: 1`) as plain fields: retirements
+//!   and stalls update it in place, every round adds its steps, and the
+//!   gauges are filled from the engine's rosters where the row is read —
+//!   nothing touches the per-step hot loop. The churn report, the
+//!   registry and the dashboard all read that row, so each session event
+//!   is counted once.
 //! * [`FleetRegistry`] → [`FleetSnapshot`] / [`FleetWatch`] — a
-//!   registry is a cheaply clonable handle over every shard's metrics.
-//!   Every counter is spelled once, in [`FleetStats`]: `snapshot()`
-//!   materializes one `FleetStats` per shard (`shard: Some(n)`,
-//!   `shards: 1`), [`FleetSnapshot::stats`] folds them with
-//!   [`FleetStats::merge`] into the aggregate (`shard: None`), and
-//!   [`FleetStats::record`] flattens either into the `{"fleet": …}` line.
-//!   A watch tick yields a [`FleetDelta`] holding the previous and the
-//!   current snapshot; the `sessions_top` dashboard computes live rates
-//!   from the two.
+//!   registry holds one [`ShardMetrics`] per shard: the row its engine
+//!   last published, under a lock. An engine with a registry attached
+//!   publishes its row at the end of every round (one lock, one
+//!   allocation-free `clone_from`), and `snapshot()` copies every
+//!   shard's row without stopping any stepping loop.
+//!   [`FleetSnapshot::stats`] folds the rows with [`FleetStats::merge`]
+//!   into the aggregate (`shard: None`), and [`FleetStats::record`]
+//!   flattens either into the `{"fleet": …}` line. A watch tick yields a
+//!   [`FleetDelta`] holding the previous and the current snapshot; the
+//!   `sessions_top` dashboard computes live rates from the two.
 //! * The **stall watchdog** ([`WatchdogSpec`]) — the paper's α(m) bound
 //!   gives every protocol family a *certified* expectation for how many
 //!   steps a healthy session needs ([`healthy_step_bound`]); a session
@@ -39,25 +41,20 @@
 //! whole rounds, bucket `i` is labelled `le = bound[i] − 1` (the first
 //! bucket is `le="0"`).
 //!
-//! At every round boundary — after `SessionEngine::step_round` returns —
-//! a shard's snapshot satisfies the conservation law
-//! `submitted = completed + disconnected + exhausted + active + queued`,
-//! and `admitted = recycle_hits + recycle_misses`. It holds only there:
-//! the `active` and `queued` gauges are stored once per round, while
-//! submissions and explicit disconnects between rounds move the counters
-//! at once.
-//!
-//! Snapshots are *eventually consistent*: a reader can observe a sample
-//! whose bucket increment landed but whose sum has not (or vice versa).
-//! Counts are derived from the bucket array itself, so every snapshot is
-//! a well-formed [`Histogram`]; transients only nudge the mean.
+//! A published row is its shard's state at a round boundary, so every
+//! snapshot — each shard's row and the aggregate — satisfies the
+//! conservation laws
+//! `submitted = completed + disconnected + exhausted + active + queued`
+//! and `admitted = recycle_hits + recycle_misses`.
+//! [`FleetRecord::check_conservation`] checks both, and
+//! `validate_telemetry` rejects any `{"fleet": …}` line that breaks them.
 
 use crate::metrics::Histogram;
 use crate::prof::{ProfPhase, ProfRecord};
 use crate::sessions::SessionSpec;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt::{Display, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stp_core::event::Step;
@@ -69,220 +66,32 @@ use stp_protocols::FamilySpec;
 /// JSON and compares `==` in tests.
 pub const NO_SAMPLES: f64 = -1.0;
 
-/// The submit-to-retire latency layout that [`ShardMetrics`] and
-/// [`ChurnReport`](crate::sessions::ChurnReport) share: width-1 buckets,
-/// so round-valued quantiles are exact up to the overflow bucket.
-pub(crate) fn latency_histogram() -> Histogram {
-    Histogram::linear(1.0, 1.0, 256)
-}
-
-/// A fixed-layout histogram whose buckets are atomic counters, so many
-/// threads can [`record`](AtomicHistogram::record) while another thread
-/// [`snapshot`](AtomicHistogram::snapshot)s — the concurrent sibling of
-/// [`Histogram`], sharing its bucket semantics (upper edges, overflow
-/// bucket) so snapshots merge with ordinary histograms.
-///
-/// Samples are `u64` (the fleet records round counts and step counts);
-/// min/max ride `fetch_min`/`fetch_max`. All orderings are relaxed: the
-/// histogram is telemetry, not synchronization.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicHistogram {
-    /// Creates an atomic histogram with the given upper bucket edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing (the
-    /// [`Histogram`] layout contract).
-    pub fn new(bounds: Vec<f64>) -> AtomicHistogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bounds must be strictly increasing"
-        );
-        let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        AtomicHistogram {
-            bounds,
-            counts,
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b <= v as f64);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Materializes a plain [`Histogram`] with the same layout. The
-    /// count is derived from the bucket array itself, so the result is
-    /// always internally consistent even while writers are racing.
-    pub fn snapshot(&self) -> Histogram {
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let count: u64 = counts.iter().sum();
-        let (min, max) = if count == 0 {
-            (0.0, 0.0)
-        } else {
-            (
-                self.min.load(Ordering::Relaxed) as f64,
-                self.max.load(Ordering::Relaxed) as f64,
-            )
-        };
-        Histogram {
-            bounds: self.bounds.clone(),
-            counts,
-            count,
-            sum: self.sum.load(Ordering::Relaxed) as f64,
-            min,
-            max,
-        }
-    }
-}
-
-/// The per-shard metrics registry: every counter and gauge the fleet
-/// dashboard shows, updated by the owning
-/// [`SessionEngine`](crate::sessions::SessionEngine) at round
-/// granularity and read by anyone holding the [`FleetRegistry`].
+/// One shard's slot in a [`FleetRegistry`]: the last [`FleetStats`] row
+/// the shard's [`SessionEngine`](crate::sessions::SessionEngine)
+/// published, under a lock. The engine publishes at the end of every
+/// round, so the row is always the shard's state at a round boundary.
 #[derive(Debug)]
 pub struct ShardMetrics {
-    shard: u16,
-    // Counters (monotone).
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    disconnected: AtomicU64,
-    exhausted: AtomicU64,
-    recycle_hits: AtomicU64,
-    recycle_misses: AtomicU64,
-    steps: AtomicU64,
-    stalls: AtomicU64,
-    // Gauges (stored once per round).
-    round: AtomicU64,
-    queue_depth: AtomicU64,
-    active_slots: AtomicU64,
-    oldest_active_age: AtomicU64,
-    // Distributions.
-    latency: AtomicHistogram,
-    round_cost: AtomicHistogram,
+    row: Mutex<FleetStats>,
 }
 
 impl ShardMetrics {
-    /// Fresh, zeroed metrics for one shard.
+    /// A zeroed row for one shard.
     pub fn new(shard: u16) -> ShardMetrics {
         ShardMetrics {
-            shard,
-            submitted: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            disconnected: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
-            recycle_hits: AtomicU64::new(0),
-            recycle_misses: AtomicU64::new(0),
-            steps: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            round: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            active_slots: AtomicU64::new(0),
-            oldest_active_age: AtomicU64::new(0),
-            latency: AtomicHistogram::new(latency_histogram().bounds),
-            // Per-round step cost spans orders of magnitude.
-            round_cost: AtomicHistogram::new(Histogram::exponential(1.0, 2.0, 16).bounds),
+            row: Mutex::new(FleetStats::new(shard)),
         }
     }
 
-    /// The shard these metrics belong to.
-    pub fn shard(&self) -> u16 {
-        self.shard
+    /// Replaces the published row with `row`. The held row keeps its
+    /// buffers, so publishing allocates nothing.
+    pub fn publish(&self, row: &FleetStats) {
+        self.row.lock().clone_from(row);
     }
 
-    /// A session was submitted to this shard.
-    pub fn note_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session was admitted into a slot (`recycled` says whether the
-    /// slot had run before — the recycle hit/miss split).
-    pub fn note_admitted(&self, recycled: bool) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        if recycled {
-            self.recycle_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.recycle_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A session completed; `latency_rounds` is its submit-to-retire
-    /// latency.
-    pub fn note_completed(&self, latency_rounds: u64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(latency_rounds);
-    }
-
-    /// A session walked away (TTL churn or an explicit disconnect).
-    pub fn note_disconnected(&self) {
-        self.disconnected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session ran out of step budget.
-    pub fn note_exhausted(&self) {
-        self.exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The watchdog flagged a session.
-    pub fn note_stall(&self) {
-        self.stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// End-of-round sample: the engine's round counter, the queue and
-    /// active-roster depths, the age (in rounds) of the oldest active
-    /// session, and the protocol steps the round executed.
-    pub fn end_round(&self, round: u64, queued: u64, active: u64, oldest_age: u64, steps: u64) {
-        self.round.store(round, Ordering::Relaxed);
-        self.queue_depth.store(queued, Ordering::Relaxed);
-        self.active_slots.store(active, Ordering::Relaxed);
-        self.oldest_active_age.store(oldest_age, Ordering::Relaxed);
-        self.steps.fetch_add(steps, Ordering::Relaxed);
-        self.round_cost.record(steps);
-    }
-
-    /// Materializes this shard's point-in-time [`FleetStats`].
+    /// A copy of the last published row.
     pub fn snapshot(&self) -> FleetStats {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        FleetStats {
-            shard: Some(self.shard),
-            shards: 1,
-            round: load(&self.round),
-            submitted: load(&self.submitted),
-            admitted: load(&self.admitted),
-            completed: load(&self.completed),
-            disconnected: load(&self.disconnected),
-            exhausted: load(&self.exhausted),
-            recycle_hits: load(&self.recycle_hits),
-            recycle_misses: load(&self.recycle_misses),
-            steps: load(&self.steps),
-            stalls: load(&self.stalls),
-            queued: load(&self.queue_depth),
-            active: load(&self.active_slots),
-            oldest_active_age: load(&self.oldest_active_age),
-            latency: self.latency.snapshot(),
-            round_cost: self.round_cost.snapshot(),
-        }
+        self.row.lock().clone()
     }
 }
 
@@ -292,7 +101,7 @@ impl ShardMetrics {
 /// None`) are the same type: [`merge`](FleetStats::merge) sums counters
 /// and the `queued`/`active` gauges, maxes `round` and
 /// `oldest_active_age`, and merges the distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetStats {
     /// The shard these counters describe; `None` for an aggregate.
     #[serde(default)]
@@ -332,7 +141,65 @@ pub struct FleetStats {
     pub round_cost: Histogram,
 }
 
+// Written out so that `clone_from` reuses the target's histogram
+// buffers: publishing a row into the registry allocates nothing.
+impl Clone for FleetStats {
+    fn clone(&self) -> FleetStats {
+        FleetStats {
+            latency: self.latency.clone(),
+            round_cost: self.round_cost.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &FleetStats) {
+        let hollow = || Histogram {
+            bounds: Vec::new(),
+            counts: Vec::new(),
+            count: 0,
+            sum: 0.0,
+            min: 0.0,
+            max: 0.0,
+        };
+        let mut latency = std::mem::replace(&mut self.latency, hollow());
+        let mut round_cost = std::mem::replace(&mut self.round_cost, hollow());
+        latency.clone_from(&source.latency);
+        round_cost.clone_from(&source.round_cost);
+        *self = FleetStats {
+            latency,
+            round_cost,
+            ..*source
+        };
+    }
+}
+
 impl FleetStats {
+    /// A zeroed row for one shard. Latency buckets are one round wide,
+    /// so round-valued quantiles are exact up to the overflow bucket;
+    /// per-round step costs span orders of magnitude, so their buckets
+    /// grow by powers of two.
+    pub fn new(shard: u16) -> FleetStats {
+        FleetStats {
+            shard: Some(shard),
+            shards: 1,
+            round: 0,
+            submitted: 0,
+            admitted: 0,
+            completed: 0,
+            disconnected: 0,
+            exhausted: 0,
+            recycle_hits: 0,
+            recycle_misses: 0,
+            steps: 0,
+            stalls: 0,
+            queued: 0,
+            active: 0,
+            oldest_active_age: 0,
+            latency: Histogram::linear(1.0, 1.0, 256),
+            round_cost: Histogram::exponential(1.0, 2.0, 16),
+        }
+    }
+
     /// p50 submit-to-retire latency in rounds, [`NO_SAMPLES`] when no
     /// session has completed.
     pub fn p50_latency_rounds(&self) -> f64 {
@@ -486,6 +353,39 @@ pub struct FleetRecord {
     pub p99_latency_rounds: f64,
 }
 
+impl FleetRecord {
+    /// Checks the two fleet conservation laws, which every row published
+    /// at a round boundary (and every aggregate of such rows) satisfies:
+    /// `submitted = completed + disconnected + exhausted + active +
+    /// queued` and `admitted = recycle_hits + recycle_misses`. The error
+    /// names the broken law and the line's figures.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let sum = |xs: &[u64]| xs.iter().map(|&x| u128::from(x)).sum::<u128>();
+        let parts = [
+            self.completed,
+            self.disconnected,
+            self.exhausted,
+            self.active,
+            self.queued,
+        ];
+        if u128::from(self.submitted) != sum(&parts) {
+            let [c, d, e, a, q] = parts;
+            return Err(format!(
+                "breaks submitted = completed + disconnected + exhausted + active + queued \
+                 ({} != {c} + {d} + {e} + {a} + {q})",
+                self.submitted
+            ));
+        }
+        if u128::from(self.admitted) != sum(&[self.recycle_hits, self.recycle_misses]) {
+            return Err(format!(
+                "breaks admitted = recycle_hits + recycle_misses ({} != {} + {})",
+                self.admitted, self.recycle_hits, self.recycle_misses
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The shared handle over every shard's [`ShardMetrics`]. Clones are
 /// cheap (`Arc`s), so the registry travels into shard threads while the
 /// dashboard keeps its own handle to sample from.
@@ -523,8 +423,8 @@ impl FleetRegistry {
         Arc::clone(&self.shards[shard as usize])
     }
 
-    /// A point-in-time copy of every shard — taken lock-free, without
-    /// stopping any stepping loop.
+    /// A copy of every shard's last published row, each read under its
+    /// own shard's lock; no stepping loop stops for it.
     pub fn snapshot(&self) -> FleetSnapshot {
         FleetSnapshot {
             shards: self.shards.iter().map(|m| m.snapshot()).collect(),
@@ -900,78 +800,48 @@ mod tests {
     use super::*;
     use stp_protocols::ResendPolicy;
 
-    #[test]
-    fn atomic_histogram_matches_plain_histogram() {
-        let atomic = AtomicHistogram::new(vec![1.0, 2.0, 4.0]);
-        let mut plain = Histogram::new(vec![1.0, 2.0, 4.0]);
-        for v in [0u64, 1, 1, 3, 9] {
-            atomic.record(v);
-            plain.record(v as f64);
+    // A row for `shard` whose completed sessions took `latencies` rounds.
+    fn row(shard: u16, latencies: &[u64]) -> FleetStats {
+        let mut row = FleetStats::new(shard);
+        for &l in latencies {
+            row.completed += 1;
+            row.latency.record(l as f64);
         }
-        assert_eq!(atomic.snapshot(), plain);
-    }
-
-    #[test]
-    fn atomic_histogram_empty_snapshot_is_well_formed() {
-        let h = AtomicHistogram::new(vec![1.0, 2.0]).snapshot();
-        assert_eq!(h.count, 0);
-        assert_eq!(h.min, 0.0);
-        assert_eq!(h.max, 0.0);
-        assert_eq!(h.quantile(0.99), 0.0);
-        // Merges with an ordinary empty histogram of the same layout.
-        let mut other = Histogram::new(vec![1.0, 2.0]);
-        other.merge(&h);
-        assert_eq!(other.count, 0);
-    }
-
-    #[test]
-    fn atomic_histogram_is_safe_under_concurrent_recording() {
-        let h = AtomicHistogram::new((0..32).map(|i| 1.0 + i as f64).collect());
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let h = &h;
-                scope.spawn(move || {
-                    for i in 0..1_000u64 {
-                        h.record((t * 7 + i) % 40);
-                    }
-                });
-            }
-        });
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 4_000);
-        assert_eq!(snap.counts.iter().sum::<u64>(), 4_000);
+        row
     }
 
     #[test]
     fn shard_metrics_round_trip_into_a_snapshot() {
         let m = ShardMetrics::new(3);
-        m.note_submitted();
-        m.note_submitted();
-        m.note_admitted(false);
-        m.note_admitted(true);
-        m.note_completed(4);
-        m.note_disconnected();
-        m.note_stall();
-        m.end_round(5, 7, 1, 2, 16);
+        assert_eq!(m.snapshot(), FleetStats::new(3));
+        let mut published = FleetStats {
+            submitted: 2,
+            admitted: 2,
+            recycle_hits: 1,
+            recycle_misses: 1,
+            disconnected: 1,
+            stalls: 1,
+            round: 5,
+            active: 0,
+            oldest_active_age: 2,
+            steps: 16,
+            ..row(3, &[4])
+        };
+        published.round_cost.record(16.0);
+        let buckets = m.row.lock().latency.counts.as_ptr();
+        m.publish(&published);
         let s = m.snapshot();
+        assert_eq!(s, published);
         assert_eq!(s.shard, Some(3));
         assert_eq!(s.shards, 1);
-        assert_eq!(s.submitted, 2);
-        assert_eq!(s.admitted, 2);
-        assert_eq!(s.recycle_hits, 1);
-        assert_eq!(s.recycle_misses, 1);
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.disconnected, 1);
-        assert_eq!(s.exhausted, 0);
-        assert_eq!(s.stalls, 1);
-        assert_eq!(s.round, 5);
-        assert_eq!(s.queued, 7);
-        assert_eq!(s.active, 1);
-        assert_eq!(s.oldest_active_age, 2);
-        assert_eq!(s.steps, 16);
         assert_eq!(s.latency.count, 1);
         assert_eq!(s.round_cost.count, 1);
         assert_eq!(s.p50_latency_rounds(), 4.0);
+        assert_eq!(
+            m.row.lock().latency.counts.as_ptr(),
+            buckets,
+            "publishing reuses the held row's buckets"
+        );
     }
 
     #[test]
@@ -992,7 +862,7 @@ mod tests {
         assert!(!json.contains("NaN"), "{json}");
         assert_eq!(record.p99_latency_rounds, NO_SAMPLES);
         // One completion flips both percentiles to real values.
-        registry.shard(0).note_completed(3);
+        registry.shard(0).publish(&row(0, &[3]));
         let stats = registry.snapshot().stats();
         assert_eq!(stats.p99_latency_rounds(), 3.0);
     }
@@ -1000,20 +870,35 @@ mod tests {
     #[test]
     fn fleet_stats_aggregate_sums_maxes_and_merges() {
         let registry = FleetRegistry::new(2);
-        registry.shard(0).note_submitted();
-        registry.shard(0).note_completed(2);
-        registry.shard(0).end_round(4, 1, 1, 9, 8);
+        let mut zero = FleetStats {
+            submitted: 1,
+            round: 4,
+            queued: 1,
+            active: 1,
+            oldest_active_age: 9,
+            steps: 8,
+            ..row(0, &[2])
+        };
+        zero.round_cost.record(8.0);
+        registry.shard(0).publish(&zero);
         // Shard 1 moves every counter, so a field `merge` forgot to
         // fold would read as shard 0's value.
-        let m = registry.shard(1);
-        m.note_submitted();
-        m.note_submitted();
-        m.note_admitted(true);
-        m.note_completed(6);
-        m.note_disconnected();
-        m.note_exhausted();
-        m.note_stall();
-        m.end_round(7, 2, 2, 3, 24);
+        let mut one = FleetStats {
+            submitted: 2,
+            admitted: 1,
+            recycle_hits: 1,
+            disconnected: 1,
+            exhausted: 1,
+            stalls: 1,
+            round: 7,
+            queued: 2,
+            active: 2,
+            oldest_active_age: 3,
+            steps: 24,
+            ..row(1, &[6])
+        };
+        one.round_cost.record(24.0);
+        registry.shard(1).publish(&one);
         let snap = registry.snapshot();
         let stats = snap.stats();
         assert_eq!(stats.shard, None, "the aggregate describes no one shard");
@@ -1045,9 +930,16 @@ mod tests {
     fn watch_ticks_yield_deltas_between_snapshots() {
         let registry = FleetRegistry::new(2);
         let mut watch = registry.watch();
-        registry.shard(0).note_completed(1);
-        registry.shard(0).end_round(1, 0, 0, 0, 10);
-        registry.shard(1).end_round(1, 0, 0, 0, 6);
+        registry.shard(0).publish(&FleetStats {
+            round: 1,
+            steps: 10,
+            ..row(0, &[1])
+        });
+        registry.shard(1).publish(&FleetStats {
+            round: 1,
+            steps: 6,
+            ..FleetStats::new(1)
+        });
         let d = watch.tick();
         assert_eq!(d.prev.stats().completed, 0);
         assert_eq!(d.snapshot.stats().completed, 1);
@@ -1069,6 +961,43 @@ mod tests {
         assert_eq!(d.prev, window.snapshot);
         assert_eq!(d.prev, d.snapshot);
         assert_eq!(d.sessions_per_sec(None), 0.0);
+    }
+
+    #[test]
+    fn conservation_check_names_the_broken_law() {
+        let ok = FleetStats {
+            submitted: 6,
+            admitted: 4,
+            recycle_hits: 1,
+            recycle_misses: 3,
+            disconnected: 1,
+            exhausted: 1,
+            active: 1,
+            queued: 1,
+            ..row(2, &[1, 5])
+        };
+        assert_eq!(ok.record("t").check_conservation(), Ok(()));
+        let lost = FleetStats {
+            submitted: 7,
+            ..ok.clone()
+        };
+        let err = lost.record("t").check_conservation().unwrap_err();
+        assert!(err.contains("submitted = completed"), "{err}");
+        assert!(err.contains("7 != 2 + 1 + 1 + 1 + 1"), "{err}");
+        let miscounted = FleetStats {
+            recycle_hits: 2,
+            ..ok
+        };
+        let err = miscounted.record("t").check_conservation().unwrap_err();
+        assert!(err.contains("admitted = recycle_hits + recycle_misses (4 != 2 + 3)"));
+        // Figures near `u64::MAX` do not overflow the sums.
+        let huge = FleetRecord {
+            submitted: 1,
+            completed: u64::MAX,
+            disconnected: u64::MAX,
+            ..FleetStats::new(0).record("t")
+        };
+        assert!(huge.check_conservation().is_err());
     }
 
     #[test]
@@ -1111,8 +1040,10 @@ mod tests {
     #[test]
     fn snapshots_serialize_and_round_trip() {
         let registry = FleetRegistry::new(2);
-        registry.shard(0).note_submitted();
-        registry.shard(0).note_completed(2);
+        registry.shard(0).publish(&FleetStats {
+            submitted: 1,
+            ..row(0, &[2])
+        });
         let snap = registry.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: FleetSnapshot = serde_json::from_str(&json).unwrap();
@@ -1126,10 +1057,20 @@ mod tests {
     #[test]
     fn prometheus_text_exposes_counters_gauges_and_the_histogram() {
         let registry = FleetRegistry::new(2);
-        registry.shard(0).note_submitted();
-        registry.shard(0).note_admitted(false);
-        registry.shard(0).note_completed(3);
-        registry.shard(1).end_round(2, 5, 1, 4, 16);
+        registry.shard(0).publish(&FleetStats {
+            submitted: 1,
+            admitted: 1,
+            recycle_misses: 1,
+            ..row(0, &[3])
+        });
+        registry.shard(1).publish(&FleetStats {
+            round: 2,
+            queued: 5,
+            active: 1,
+            oldest_active_age: 4,
+            steps: 16,
+            ..FleetStats::new(1)
+        });
         let text = prometheus_text(&registry.snapshot(), &fixed_prof());
         assert!(text.contains("# TYPE stp_sessions_submitted_total counter"));
         assert!(text.contains("stp_sessions_submitted_total{shard=\"0\"} 1"));
@@ -1154,7 +1095,7 @@ mod tests {
         // reads `le` as "≤", so that bucket is `le="3"` and the one
         // before it (`le="2"`) must not count the sample.
         let registry = FleetRegistry::new(1);
-        registry.shard(0).note_completed(3);
+        registry.shard(0).publish(&row(0, &[3]));
         let text = prometheus_text(&registry.snapshot(), &fixed_prof());
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines.contains(&"stp_session_latency_rounds_bucket{le=\"3\"} 1"));
@@ -1202,21 +1143,30 @@ mod tests {
         // same inputs, with each latency bucket's `le` moved to its
         // inclusive edge.
         let registry = FleetRegistry::new(2);
-        let m = registry.shard(0);
-        for _ in 0..3 {
-            m.note_submitted();
-        }
-        m.note_admitted(false);
-        m.note_admitted(true);
-        m.note_completed(0);
-        m.note_completed(3);
-        m.note_completed(300);
-        m.note_disconnected();
-        m.note_exhausted();
-        m.note_stall();
-        m.end_round(5, 1, 1, 2, 16);
-        registry.shard(1).note_submitted();
-        registry.shard(1).end_round(2, 5, 1, 4, 16);
+        registry.shard(0).publish(&FleetStats {
+            submitted: 3,
+            admitted: 2,
+            recycle_hits: 1,
+            recycle_misses: 1,
+            disconnected: 1,
+            exhausted: 1,
+            stalls: 1,
+            round: 5,
+            queued: 1,
+            active: 1,
+            oldest_active_age: 2,
+            steps: 16,
+            ..row(0, &[0, 3, 300])
+        });
+        registry.shard(1).publish(&FleetStats {
+            submitted: 1,
+            round: 2,
+            queued: 5,
+            active: 1,
+            oldest_active_age: 4,
+            steps: 16,
+            ..FleetStats::new(1)
+        });
         let page = prometheus_text(&registry.snapshot(), &fixed_prof());
         assert_eq!(page, include_str!("../tests/data/prometheus_page.txt"));
     }

@@ -51,8 +51,8 @@ pub use engine::{IsolatedReport, SweepEngine, SweepSpec};
 pub use error::SimError;
 pub use fault::burst_plan;
 pub use fleet::{
-    healthy_step_bound, prometheus_text, AtomicHistogram, FleetDelta, FleetRecord, FleetRegistry,
-    FleetSnapshot, FleetStats, FleetWatch, ShardMetrics, StallRecord, WatchdogSpec, NO_SAMPLES,
+    healthy_step_bound, prometheus_text, FleetDelta, FleetRecord, FleetRegistry, FleetSnapshot,
+    FleetStats, FleetWatch, ShardMetrics, StallRecord, WatchdogSpec, NO_SAMPLES,
 };
 pub use metrics::{Histogram, MetricsProbe, RunStats, SweepReport};
 pub use prof::{
@@ -73,9 +73,8 @@ pub use slo::{
     SloConfig, StabilizationEnvelope, StabilizationProbe,
 };
 pub use telemetry::{
-    ExperimentSummary, FrontierRecord, LocalProgress, MemorySink, ProgressMeter, ProgressSnapshot,
-    RunRecord, SessionsRecord, Sink, SpanRecord, StabilizationRecord, TelemetryLine,
-    TelemetryWriter,
+    ExperimentSummary, FrontierRecord, MemorySink, ProgressMeter, ProgressSnapshot, RunRecord,
+    SessionsRecord, Sink, SpanRecord, StabilizationRecord, TelemetryLine, TelemetryWriter,
 };
 pub use trace::{
     chrome_trace_json, write_chrome_trace, CounterTrack, LifecycleCounts, MsgFate, MsgSpan,

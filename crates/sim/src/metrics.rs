@@ -220,7 +220,7 @@ impl Probe for MetricsProbe {
 /// construction — recording never allocates — and two histograms with the
 /// same layout can be [`merge`](Histogram::merge)d, which is how
 /// per-worker reports combine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     /// Upper bucket edges, strictly increasing.
     pub bounds: Vec<f64>,
@@ -235,6 +235,27 @@ pub struct Histogram {
     pub min: f64,
     /// Largest sample, `0.0` while empty.
     pub max: f64,
+}
+
+// Written out so that `clone_from` reuses the target's bucket vectors:
+// a shard publishing its fleet row every round allocates nothing.
+impl Clone for Histogram {
+    fn clone(&self) -> Histogram {
+        Histogram {
+            bounds: self.bounds.clone(),
+            counts: self.counts.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Histogram) {
+        self.bounds.clone_from(&source.bounds);
+        self.counts.clone_from(&source.counts);
+        self.count = source.count;
+        self.sum = source.sum;
+        self.min = source.min;
+        self.max = source.max;
+    }
 }
 
 impl Histogram {

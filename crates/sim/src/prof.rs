@@ -1,6 +1,6 @@
 //! Phase-scoped hot-path profiler: attributes engine busy time to named
 //! phases (scheduler decision, per-channel-kind delivery/expiry, sender
-//! step, receiver step, probe dispatch, telemetry sink, …) with
+//! step, receiver step, probe dispatch, admission, retirement) with
 //! monotonic scoped timers, and meters allocations per phase when the
 //! counting allocator from the `stp-prof` crate is installed.
 //!
@@ -16,12 +16,11 @@
 //! phase *boundary* — consecutive marks, so `N` phases cost `N + 1`
 //! clock reads, not `2N` — and accumulates per-phase nanoseconds in
 //! plain thread-local arrays. When the window closes, the tallies are
-//! flushed into per-phase [`AtomicHistogram`]s (the PR 8 fleet layout:
-//! exponential power-of-two edges, relaxed atomics, snapshot-merge
-//! semantics) exactly once. Unsampled work runs the byte-identical
-//! unprofiled code path, so profiling changes *observed* time only, not
-//! behaviour — result digests with profiling on equal digests with it
-//! off (see `tests/prof_parity.rs`).
+//! flushed exactly once, under one lock, into per-phase [`Histogram`]s
+//! (exponential power-of-two edges) and totals. Unsampled work runs the
+//! byte-identical unprofiled code path, so profiling changes *observed*
+//! time only, not behaviour — result digests with profiling on equal
+//! digests with it off (see `tests/prof_parity.rs`).
 //!
 //! Allocation metering is opt-in at link time: the `stp-prof` crate's
 //! `CountingAlloc` global allocator calls [`note_alloc`] on every
@@ -34,8 +33,9 @@
 //! Everything here is observation: no profiler state feeds back into
 //! scheduling, delivery, or protocol decisions.
 
-use crate::fleet::{AtomicHistogram, NO_SAMPLES};
+use crate::fleet::NO_SAMPLES;
 use crate::metrics::Histogram;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +49,7 @@ use stp_channel::ChannelSpec;
 /// scheduler decision, channel work split by kind and by direction of
 /// cost (delivery vs expiry), the two protocol half-steps, then the
 /// engine-side phases that only some drivers have (probe dispatch,
-/// admission, retirement, telemetry). `Bookkeeping` absorbs everything
+/// admission, retirement). `Bookkeeping` absorbs everything
 /// between named regions — loop control, scratch clears, step counters —
 /// so a window's phase nanoseconds always sum to the window span and
 /// coverage is checkable rather than assumed.
@@ -96,9 +96,6 @@ pub enum Phase {
     Admission,
     /// Session-engine retirement: recycling a finished slot's columns.
     Retire,
-    /// Telemetry sink writes (JSONL emission) timed via
-    /// [`PhaseProfiler::time`].
-    TelemetrySink,
     /// Everything between named regions: loop control, scratch clears,
     /// step counters, completion checks.
     Bookkeeping,
@@ -106,7 +103,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases; also the "unattributed" allocation slot index.
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 19;
 
     /// Every phase, in display order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -128,7 +125,6 @@ impl Phase {
         Phase::ProbeDispatch,
         Phase::Admission,
         Phase::Retire,
-        Phase::TelemetrySink,
         Phase::Bookkeeping,
     ];
 
@@ -154,7 +150,6 @@ impl Phase {
             Phase::ProbeDispatch => "probe_dispatch",
             Phase::Admission => "admission",
             Phase::Retire => "retire",
-            Phase::TelemetrySink => "telemetry_sink",
             Phase::Bookkeeping => "bookkeeping",
         }
     }
@@ -237,22 +232,29 @@ fn alloc_totals() -> ([u64; ALLOC_SLOTS], [u64; ALLOC_SLOTS]) {
 // The profiler proper.
 
 /// Aggregated phase timings for one profiled workload: per-phase
-/// [`AtomicHistogram`]s of window nanoseconds plus exact totals, shared
+/// [`Histogram`]s of window nanoseconds plus exact totals, shared
 /// across worker threads behind an `Arc` and drained into a
 /// [`ProfRecord`] by [`report`](PhaseProfiler::report).
 ///
-/// All counters use relaxed atomics — the profiler is telemetry, not
-/// synchronization.
+/// The aggregates sit under one lock, taken once per flushed window —
+/// a sampled fraction of the work, so workers rarely meet there.
 #[derive(Debug)]
 pub struct PhaseProfiler {
     period: u64,
-    hists: Vec<AtomicHistogram>,
-    total_ns: Vec<AtomicU64>,
-    calls: Vec<AtomicU64>,
-    busy_ns: AtomicU64,
-    windows: AtomicU64,
+    tally: Mutex<Tally>,
     alloc_base_calls: [u64; ALLOC_SLOTS],
     alloc_base_bytes: [u64; ALLOC_SLOTS],
+}
+
+// What the flushed windows add up to.
+#[derive(Debug)]
+struct Tally {
+    // Per-phase window nanoseconds.
+    hists: Vec<Histogram>,
+    total_ns: [u64; Phase::COUNT],
+    calls: [u64; Phase::COUNT],
+    busy_ns: u64,
+    windows: u64,
 }
 
 impl PhaseProfiler {
@@ -276,16 +278,16 @@ impl PhaseProfiler {
         let (alloc_base_calls, alloc_base_bytes) = alloc_totals();
         PhaseProfiler {
             period,
-            hists: (0..Phase::COUNT)
+            tally: Mutex::new(Tally {
                 // Window nanoseconds: power-of-two edges from 16 ns to
                 // ~34 s cover one sampled run-ahead chunk up to a whole
                 // profiled sweep run.
-                .map(|_| AtomicHistogram::new(Histogram::exponential(16.0, 2.0, 32).bounds))
-                .collect(),
-            total_ns: (0..Phase::COUNT).map(|_| AtomicU64::new(0)).collect(),
-            calls: (0..Phase::COUNT).map(|_| AtomicU64::new(0)).collect(),
-            busy_ns: AtomicU64::new(0),
-            windows: AtomicU64::new(0),
+                hists: vec![Histogram::exponential(16.0, 2.0, 32); Phase::COUNT],
+                total_ns: [0; Phase::COUNT],
+                calls: [0; Phase::COUNT],
+                busy_ns: 0,
+                windows: 0,
+            }),
             alloc_base_calls,
             alloc_base_bytes,
         }
@@ -304,32 +306,34 @@ impl PhaseProfiler {
 
     /// Times `f` as one standalone window attributed entirely to
     /// `phase` — the coarse-grained entry point for phases outside the
-    /// step loop (telemetry sinks, admission drains, retirement).
+    /// step loop (admission drains, retirement).
     pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let prev = CURRENT_PHASE.with(|c| c.replace(phase.index()));
         let out = f();
         CURRENT_PHASE.with(|c| c.set(prev));
         let ns = start.elapsed().as_nanos() as u64;
+        let mut t = self.tally.lock();
         let i = phase.index();
-        self.hists[i].record(ns);
-        self.total_ns[i].fetch_add(ns, Ordering::Relaxed);
-        self.calls[i].fetch_add(1, Ordering::Relaxed);
-        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
-        self.windows.fetch_add(1, Ordering::Relaxed);
+        t.hists[i].record(ns as f64);
+        t.total_ns[i] += ns;
+        t.calls[i] += 1;
+        t.busy_ns += ns;
+        t.windows += 1;
         out
     }
 
     fn flush(&self, ns: &[u64; Phase::COUNT], hits: &[u64; Phase::COUNT], window_ns: u64) {
+        let mut t = self.tally.lock();
         for i in 0..Phase::COUNT {
             if hits[i] > 0 || ns[i] > 0 {
-                self.hists[i].record(ns[i]);
-                self.total_ns[i].fetch_add(ns[i], Ordering::Relaxed);
-                self.calls[i].fetch_add(hits[i], Ordering::Relaxed);
+                t.hists[i].record(ns[i] as f64);
+                t.total_ns[i] += ns[i];
+                t.calls[i] += hits[i];
             }
         }
-        self.busy_ns.fetch_add(window_ns, Ordering::Relaxed);
-        self.windows.fetch_add(1, Ordering::Relaxed);
+        t.busy_ns += window_ns;
+        t.windows += 1;
     }
 
     /// Drains the profiler into a serializable [`ProfRecord`] tagged
@@ -337,14 +341,14 @@ impl PhaseProfiler {
     /// keep accumulating and a later report includes earlier windows.
     pub fn report(&self, experiment: &str, workload: &str) -> ProfRecord {
         let (alloc_calls_now, alloc_bytes_now) = alloc_totals();
-        let busy_ns = self.busy_ns.load(Ordering::Relaxed);
+        let t = self.tally.lock();
+        let busy_ns = t.busy_ns;
         let mut attributed_ns = 0u64;
         let mut phases = Vec::new();
         let mut allocs_total = 0u64;
         let mut alloc_bytes_total = 0u64;
         for (i, phase) in Phase::ALL.iter().enumerate() {
-            let total = self.total_ns[i].load(Ordering::Relaxed);
-            let calls = self.calls[i].load(Ordering::Relaxed);
+            let (total, calls) = (t.total_ns[i], t.calls[i]);
             let allocs = alloc_calls_now[i].saturating_sub(self.alloc_base_calls[i]);
             let alloc_bytes = alloc_bytes_now[i].saturating_sub(self.alloc_base_bytes[i]);
             attributed_ns += total;
@@ -353,7 +357,7 @@ impl PhaseProfiler {
             if total == 0 && calls == 0 && allocs == 0 {
                 continue;
             }
-            let hist = self.hists[i].snapshot();
+            let hist = &t.hists[i];
             let (p50, p99) = if hist.count == 0 {
                 (NO_SAMPLES, NO_SAMPLES)
             } else {
@@ -386,7 +390,7 @@ impl PhaseProfiler {
             experiment: experiment.to_string(),
             workload: workload.to_string(),
             period: self.period,
-            windows: self.windows.load(Ordering::Relaxed),
+            windows: t.windows,
             busy_ns,
             attributed_ns,
             coverage: if busy_ns == 0 {
@@ -620,7 +624,7 @@ mod tests {
     #[test]
     fn time_records_standalone_window_and_alloc_attribution() {
         let prof = PhaseProfiler::new(1);
-        let out = prof.time(Phase::TelemetrySink, || {
+        let out = prof.time(Phase::Admission, || {
             // Stand in for the counting allocator: charge the active
             // phase directly.
             note_alloc(4096);
@@ -628,14 +632,14 @@ mod tests {
         });
         assert_eq!(out, 7);
         let rec = prof.report("test", "unit");
-        let sink = rec
+        let admission = rec
             .phases
             .iter()
-            .find(|p| p.phase == "telemetry_sink")
-            .expect("telemetry_sink row");
-        assert_eq!(sink.calls, 1);
-        assert!(sink.allocs >= 1);
-        assert!(sink.alloc_bytes >= 4096);
+            .find(|p| p.phase == "admission")
+            .expect("admission row");
+        assert_eq!(admission.calls, 1);
+        assert!(admission.allocs >= 1);
+        assert!(admission.alloc_bytes >= 4096);
         assert!(rec.alloc_metered);
         assert!(rec.allocs_total >= 1);
     }

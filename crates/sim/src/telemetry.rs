@@ -554,29 +554,6 @@ impl ProgressMeter {
         self.maybe_report(false);
     }
 
-    /// A per-worker batching handle: increments accumulate locally and
-    /// merge into the shared counter every 64 additions and when the
-    /// handle drops (merge-on-join). A sharded stepping loop holds one
-    /// handle per shard thread, so the hot path pays no atomics at all
-    /// between flushes.
-    pub fn local(&self) -> LocalProgress<'_> {
-        self.local_every(64)
-    }
-
-    /// [`ProgressMeter::local`] with an explicit flush batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flush_every` is zero.
-    pub fn local_every(&self, flush_every: usize) -> LocalProgress<'_> {
-        assert!(flush_every > 0, "a batch must flush eventually");
-        LocalProgress {
-            meter: self,
-            pending: 0,
-            flush_every,
-        }
-    }
-
     /// Forces a final report (e.g. after the merge).
     pub fn finish(&self) {
         self.maybe_report(true);
@@ -660,49 +637,6 @@ impl ProgressMeter {
             }
             (self.callback)(&snap);
         }
-    }
-}
-
-/// A per-worker batching view of a [`ProgressMeter`] — see
-/// [`ProgressMeter::local`]. Dropping the handle flushes whatever is
-/// pending, so joining a worker merges its tail automatically.
-pub struct LocalProgress<'a> {
-    meter: &'a ProgressMeter,
-    pending: usize,
-    flush_every: usize,
-}
-
-impl fmt::Debug for LocalProgress<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LocalProgress")
-            .field("pending", &self.pending)
-            .field("flush_every", &self.flush_every)
-            .finish_non_exhaustive()
-    }
-}
-
-impl LocalProgress<'_> {
-    /// Records `n` finished items locally, flushing to the shared meter
-    /// when the batch threshold is reached.
-    pub fn add(&mut self, n: usize) {
-        self.pending += n;
-        if self.pending >= self.flush_every {
-            self.flush();
-        }
-    }
-
-    /// Merges pending items into the shared meter now.
-    pub fn flush(&mut self) {
-        if self.pending > 0 {
-            self.meter.record_done(self.pending);
-            self.pending = 0;
-        }
-    }
-}
-
-impl Drop for LocalProgress<'_> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -902,9 +836,15 @@ mod tests {
     #[test]
     fn fleet_and_stall_lines_round_trip() {
         let registry = crate::fleet::FleetRegistry::new(2);
-        registry.shard(0).note_submitted();
-        registry.shard(0).note_admitted(false);
-        registry.shard(0).note_completed(3);
+        let mut row = crate::fleet::FleetStats {
+            submitted: 1,
+            admitted: 1,
+            recycle_misses: 1,
+            completed: 1,
+            ..crate::fleet::FleetStats::new(0)
+        };
+        row.latency.record(3.0);
+        registry.shard(0).publish(&row);
         let snap = registry.snapshot();
         let shard = snap.shards[0].record("sessions_top");
         assert_eq!(shard.shard, Some(0));
@@ -939,22 +879,6 @@ mod tests {
             },
         };
         round_trip(TelemetryLine::Stall(stall), "stall");
-    }
-
-    #[test]
-    fn local_progress_batches_and_flushes_on_drop() {
-        let meter = ProgressMeter::new(Duration::from_secs(3600), |_| {});
-        meter.begin(100);
-        {
-            let mut local = meter.local_every(10);
-            local.add(4);
-            assert_eq!(meter.snapshot().done, 0, "below the batch threshold");
-            local.add(6);
-            assert_eq!(meter.snapshot().done, 10, "threshold reached, flushed");
-            local.add(3);
-            assert_eq!(meter.snapshot().done, 10, "tail still pending");
-        } // drop flushes the tail (merge-on-join)
-        assert_eq!(meter.snapshot().done, 13);
     }
 
     #[test]

@@ -197,9 +197,9 @@ fn profiled_churn_digest_matches_unprofiled() {
         plain.digest, profiled.digest,
         "profiling must not change any session's outcome"
     );
-    assert_eq!(plain.completed, profiled.completed);
-    assert_eq!(plain.exhausted, profiled.exhausted);
-    assert_eq!(plain.disconnected, profiled.disconnected);
+    assert_eq!(plain.fleet.completed, profiled.fleet.completed);
+    assert_eq!(plain.fleet.exhausted, profiled.fleet.exhausted);
+    assert_eq!(plain.fleet.disconnected, profiled.fleet.disconnected);
     let record = prof.report("prof_parity", "churn");
     assert!(record.windows > 0, "sampled windows recorded");
     assert!(
