@@ -13,12 +13,17 @@
 //!   per-phase busy-time shares so a regression names the offending
 //!   phase.
 //!
-//! Prints one line per check and exits nonzero if anything failed.
+//! Prints one line per check and exits nonzero if anything failed. For
+//! each bench with a failed gate it then prints the record's phase
+//! shares beside their history medians, largest move first, so the
+//! report says which phase moved.
 //!
 //! Usage: `bench_gate [BENCH_history.jsonl]`
 
 use std::process::ExitCode;
-use stp_bench::gate::{baseline_violations, check_budget, check_floor, env_bound, Violation};
+use stp_bench::gate::{
+    baseline_violations, check_budget, check_floor, env_bound, phase_moves, Violation,
+};
 use stp_bench::history::{self, HistoryRecord, HISTORY_FILE};
 
 /// The static gates: `(bench, metric, env var, floor?)`. A floor gate
@@ -96,6 +101,7 @@ fn main() -> ExitCode {
             .cloned()
             .collect();
         let (current, prior) = runs.split_last().expect("bench has a record");
+        let mut bench_failed = false;
         println!(
             "bench_gate: {bench} @ {} on {} effective core(s), {} prior run(s)",
             current.commit,
@@ -116,7 +122,7 @@ fn main() -> ExitCode {
             } else {
                 check_budget(current, metric, bound)
             };
-            failed |= v.is_some();
+            bench_failed |= v.is_some();
             report(&v, bench, metric, bound, floor);
         }
 
@@ -129,8 +135,17 @@ fn main() -> ExitCode {
         }
         for v in &baseline {
             println!("bench_gate: FAIL {v}");
-            failed = true;
+            bench_failed = true;
         }
+        if bench_failed && !current.phases.is_empty() {
+            println!(
+                "bench_gate: {bench} phase shares, largest move from the history median first:"
+            );
+            for m in phase_moves(prior, current) {
+                println!("bench_gate:   {m}");
+            }
+        }
+        failed |= bench_failed;
     }
 
     if failed {

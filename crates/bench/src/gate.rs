@@ -69,6 +69,71 @@ impl fmt::Display for Violation {
     }
 }
 
+/// One phase of the record under test beside its own history: what a
+/// failed gate prints so the report says which phase moved.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseMove {
+    /// The phase (`scheduler_decide`, …).
+    pub phase: String,
+    /// Its busy-time share in the record under test.
+    pub share: f64,
+    /// The median of its share over the bench's prior records that carry
+    /// it; `None` when none do.
+    pub median: Option<f64>,
+}
+
+impl PhaseMove {
+    /// How far the share moved from its history median (0 without one).
+    pub fn delta(&self) -> f64 {
+        self.median.map_or(0.0, |m| self.share - m)
+    }
+}
+
+impl fmt::Display for PhaseMove {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.median {
+            Some(m) => write!(
+                f,
+                "phase:{} share {:.4} vs median {:.4} ({:+.4})",
+                self.phase,
+                self.share,
+                m,
+                self.delta()
+            ),
+            None => write!(
+                f,
+                "phase:{} share {:.4} (no history)",
+                self.phase, self.share
+            ),
+        }
+    }
+}
+
+/// The phase shares of `current` beside their medians over the same
+/// bench's records in `history`, the largest move (either way) first.
+/// A phase with no history counts as unmoved, so it sorts last.
+pub fn phase_moves(history: &[HistoryRecord], current: &HistoryRecord) -> Vec<PhaseMove> {
+    let mut moves: Vec<PhaseMove> = current
+        .phases
+        .iter()
+        .map(|p| {
+            let samples: Vec<f64> = history
+                .iter()
+                .filter(|r| r.bench == current.bench)
+                .filter_map(|r| r.phases.iter().find(|q| q.phase == p.phase))
+                .map(|q| q.share)
+                .collect();
+            PhaseMove {
+                phase: p.phase.clone(),
+                share: p.share,
+                median: (!samples.is_empty()).then(|| median(samples)),
+            }
+        })
+        .collect();
+    moves.sort_by(|a, b| b.delta().abs().total_cmp(&a.delta().abs()));
+    moves
+}
+
 /// Reads a bound from the environment; `None` (gate off) when unset,
 /// empty, or unparseable (unparseable is reported on stderr).
 pub fn env_bound(var: &str) -> Option<f64> {
@@ -324,6 +389,52 @@ mod tests {
         let violations = baseline_violations(&history, &bloated, DEFAULT_TOLERANCE);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].metric, "phase:sender_step");
+    }
+
+    #[test]
+    fn phase_moves_list_the_largest_move_first() {
+        let with_shares = |bench: &str, shares: &[(&str, f64)]| {
+            let mut r = HistoryRecord::new(bench);
+            r.phases = shares
+                .iter()
+                .map(|&(phase, share)| PhaseShare {
+                    phase: phase.to_string(),
+                    share,
+                    total_ns: (share * 1e9) as u64,
+                })
+                .collect();
+            r
+        };
+        let history = vec![
+            with_shares(
+                "bench_sweep",
+                &[("sender_step", 0.30), ("scheduler_decide", 0.40)],
+            ),
+            with_shares(
+                "bench_sweep",
+                &[("sender_step", 0.32), ("scheduler_decide", 0.38)],
+            ),
+            with_shares("bench_sweep", &[("sender_step", 0.31)]),
+            // Another bench's shares never count.
+            with_shares("bench_sessions", &[("admission", 0.90)]),
+        ];
+        let current = with_shares(
+            "bench_sweep",
+            &[
+                ("admission", 0.05),
+                ("sender_step", 0.33),
+                ("scheduler_decide", 0.20),
+            ],
+        );
+        let moves = phase_moves(&history, &current);
+        let order: Vec<&str> = moves.iter().map(|m| m.phase.as_str()).collect();
+        assert_eq!(order, ["scheduler_decide", "sender_step", "admission"]);
+        assert_eq!(moves[0].median, Some(0.39));
+        assert!((moves[0].delta() + 0.19).abs() < 1e-12);
+        assert_eq!(moves[1].median, Some(0.31));
+        assert_eq!(moves[2].median, None);
+        assert!(moves[0].to_string().contains("vs median 0.3900 (-0.1900)"));
+        assert!(moves[2].to_string().ends_with("(no history)"));
     }
 
     #[test]

@@ -376,7 +376,10 @@ pub enum TraceMode {
     Full,
     /// Record only `Write` events (output queries stay available).
     WritesOnly,
-    /// Record no events (stats-only sweeps).
+    /// Record no events (stats-only sweeps). A simulator world in this
+    /// mode with no probes and no provenance recording is unobserved: it
+    /// builds no event at all, and its trace's step count is brought up
+    /// to date at the end of each step or run call rather than per step.
     Off,
 }
 

@@ -5,12 +5,16 @@
 //! components, counts into the run's [`RunStats`], and reports everything
 //! observable to a [`StepSink`]. The sink decides what a caller sees:
 //!
-//! * the world's recorder keeps the trace, fans events out to probes and
-//!   records per-message provenance;
-//! * the session store's [`Quiet`] sink has empty hooks and no
-//!   provenance, so under monomorphization every hook call — and the
-//!   event it would have carried — compiles away, exactly as
+//! * an observed world's recorder keeps the trace, fans events out to
+//!   probes and records per-message provenance;
+//! * the [`Quiet`] sink has empty hooks and no provenance, so under
+//!   monomorphization every hook call — and the event it would have
+//!   carried — compiles away, exactly as
 //!   [`NoObs`](crate::prof::NoObs) does for the profiler's phase marks.
+//!   The session store steps every session through it, and so does an
+//!   unobserved world (trace [`Off`](stp_core::event::TraceMode::Off), no
+//!   probes, provenance off): the sweep engine's E1 cells run the same
+//!   kernel instance as the session engine.
 //!
 //! One step, in order:
 //!
@@ -86,8 +90,9 @@ pub(crate) trait StepSink {
     fn step_end<O: StepObs>(&mut self, t: Step, obs: &mut O);
 }
 
-/// The sink that observes nothing: the session store's step. Its hooks
-/// are empty, so the kernel monomorphized over it does only the counting.
+/// The sink that observes nothing: the step of the session store and of
+/// an unobserved world. Its hooks are empty, so the kernel monomorphized
+/// over it does only the counting.
 pub(crate) struct Quiet<'a> {
     pub(crate) input: &'a DataSeq,
 }

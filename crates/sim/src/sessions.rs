@@ -1336,9 +1336,10 @@ pub struct ChurnReport {
 }
 
 impl ChurnReport {
-    /// Shards the workload ran on: one busy-seconds entry each.
+    /// Shards the workload ran on: the shard rows merged into
+    /// [`ChurnReport::fleet`], each with one busy-seconds entry.
     pub fn shards(&self) -> usize {
-        self.shard_busy_secs.len()
+        self.fleet.shards
     }
 
     /// The parallel critical path: the busiest shard's seconds. This is
@@ -2180,6 +2181,43 @@ mod tests {
         assert_eq!(isolated.shard_busy_secs.len(), 3);
         assert!(isolated.critical_path_secs() > 0.0);
         assert!(isolated.sessions_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn every_run_mode_counts_its_shards_once() {
+        for shards in [1, 3, 4] {
+            let spec = small_churn(120, shards);
+            let meter = ProgressMeter::new(std::time::Duration::from_secs(3600), |_| {});
+            let fleet = FleetRegistry::new(shards);
+            let prof = Arc::new(PhaseProfiler::new(4));
+            let base = ChurnRun::default();
+            let modes = [
+                base,
+                ChurnRun {
+                    isolated: true,
+                    ..base
+                },
+                ChurnRun {
+                    meter: Some(&meter),
+                    ..base
+                },
+                ChurnRun {
+                    fleet: Some(&fleet),
+                    ..base
+                },
+                ChurnRun {
+                    profiler: Some(&prof),
+                    ..base
+                },
+            ];
+            for run in &modes {
+                let report = run_churn(&spec, run);
+                let n = usize::from(shards);
+                assert_eq!(report.shard_busy_secs.len(), n, "{run:?}");
+                assert_eq!(report.shards(), n, "{run:?}");
+                assert_eq!(report.fleet.shards, n, "{run:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The lock-step world executor.
 
 use crate::error::SimError;
-use crate::kernel::{self, Components, Scratch, StepSink};
+use crate::kernel::{self, Components, Quiet, Scratch, StepSink};
 use crate::metrics::RunStats;
 use crate::prof::{NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
 use stp_channel::{Channel, DelChannel, DupChannel, EagerScheduler, Scheduler};
@@ -20,6 +20,14 @@ use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 /// [`World::stats`] are maintained in every mode. A finished world can be
 /// rewound with [`World::reset`] and reused for another run, which is how
 /// the sweep engine amortizes allocation across a grid.
+///
+/// A world built with [`TraceMode::Off`], no probes and provenance off is
+/// *unobserved*: nothing can see an individual step, so it steps through
+/// the same quiet kernel as the session engine, which builds no event and
+/// tracks no copy. Its trace's [`Trace::steps`] is brought up to
+/// [`World::step_count`] at the end of every [`World::step`], `run*` call
+/// and [`World::reset`], not inside a run; a [`World::run_until`]
+/// condition reads [`World::step_count`] instead.
 #[derive(Debug)]
 pub struct World {
     sender: Box<dyn Sender>,
@@ -31,10 +39,12 @@ pub struct World {
     stats: RunStats,
     scratch: Scratch,
     rec: Recorder,
+    // Whether nothing observes a step (see the type docs), fixed at build.
+    unobserved: bool,
 }
 
-// The world's step sink: the trace, the probes, and the per-message
-// provenance state the kernel reports into.
+// An observed world's step sink: the trace, the probes, and the
+// per-message provenance state the kernel reports into.
 #[derive(Debug)]
 struct Recorder {
     trace: Trace,
@@ -89,6 +99,12 @@ impl Recorder {
         self.reads_seen = 0;
         self.deleted_ids.clear();
         self.start_run();
+    }
+
+    // Whether anything watches individual steps: a trace that keeps
+    // events, a probe, or the provenance recording.
+    fn observes(&self) -> bool {
+        self.mode != TraceMode::Off || !self.probes.is_empty() || self.provenance
     }
 
     fn start_run(&mut self) {
@@ -331,6 +347,7 @@ impl WorldBuilder {
             scheduler,
             stats,
             scratch: Scratch::default(),
+            unobserved: !rec.observes(),
             rec,
         })
     }
@@ -497,8 +514,12 @@ impl World {
     pub fn step(&mut self) {
         // The phases are irrelevant under `NoObs`; any pair works.
         self.step_with(&mut NoObs, Phase::DeliverPerfect, Phase::ExpirePerfect);
+        self.settle_steps();
     }
 
+    // One kernel step. An unobserved world takes the `Quiet` sink, the
+    // instance the session engine runs, and leaves the trace's step count
+    // to `settle_steps`; any other world reports to its recorder.
     fn step_with<O: StepObs>(&mut self, obs: &mut O, deliver: Phase, expire: Phase) {
         let components = Components {
             sender: &mut *self.sender,
@@ -506,22 +527,34 @@ impl World {
             channel: &mut *self.channel,
             scheduler: &mut *self.scheduler,
         };
-        kernel::step(
-            components,
-            &mut self.stats,
-            &mut self.scratch,
-            obs,
-            &mut self.rec,
-            deliver,
-            expire,
-        );
+        let (stats, scratch) = (&mut self.stats, &mut self.scratch);
+        if self.unobserved {
+            let mut quiet = Quiet {
+                input: self.rec.trace.input(),
+            };
+            kernel::step(components, stats, scratch, obs, &mut quiet, deliver, expire);
+        } else {
+            kernel::step(
+                components,
+                stats,
+                scratch,
+                obs,
+                &mut self.rec,
+                deliver,
+                expire,
+            );
+        }
+    }
+
+    // Brings the trace's step count up to the kernel's; every public call
+    // that steps ends here.
+    fn settle_steps(&mut self) {
+        self.rec.trace.set_steps(self.stats.steps);
     }
 
     /// Runs exactly `steps` global steps and returns the trace.
     pub fn run(&mut self, steps: Step) -> &Trace {
-        for _ in 0..steps {
-            self.step();
-        }
+        self.run_until(self.stats.steps.saturating_add(steps), |_| false);
         &self.rec.trace
     }
 
@@ -532,9 +565,7 @@ impl World {
     /// Returns the safety/liveness error if the run ended incomplete or
     /// unsafe (see [`require::check_complete`]).
     pub fn run_to_completion(&mut self, max_steps: Step) -> stp_core::Result<Trace> {
-        while self.stats.steps < max_steps && !self.is_complete() {
-            self.step();
-        }
+        self.run_until(max_steps, World::is_complete);
         require::check_complete(&self.rec.trace)?;
         Ok(self.rec.trace.clone())
     }
@@ -574,13 +605,17 @@ impl World {
         deliver: Phase,
         expire: Phase,
     ) -> bool {
-        while self.stats.steps < max_steps {
+        let reached = loop {
             if cond(self) {
-                return true;
+                break true;
+            }
+            if self.stats.steps >= max_steps {
+                break false;
             }
             self.step_with(obs, deliver, expire);
-        }
-        cond(self)
+        };
+        self.settle_steps();
+        reached
     }
 
     /// Consumes the world and returns the recorded trace.
@@ -592,8 +627,12 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stp_channel::{DropHeavyScheduler, DupStormScheduler, RandomScheduler, ReorderScheduler};
+    use stp_channel::{
+        ChannelSpec, DropHeavyScheduler, DupStormScheduler, RandomScheduler, ReorderScheduler,
+        SchedulerSpec,
+    };
     use stp_core::require::{check_complete, check_safety};
+    use stp_protocols::{ProtocolFamily, TightFamily};
 
     fn seq(v: &[u16]) -> DataSeq {
         DataSeq::from_indices(v.iter().copied())
@@ -902,5 +941,77 @@ mod tests {
         fresh.run(400);
         assert_eq!(pooled.trace(), fresh.trace());
         assert_eq!(pooled.stats(), fresh.stats());
+    }
+
+    // An E1 world for `x`: the m = 4 tight family on the dup channel under
+    // one of the E1 adversaries, recording in `mode`.
+    fn e1_world(x: &DataSeq, spec: &SchedulerSpec, seed: u64, mode: TraceMode) -> WorldBuilder {
+        let family = TightFamily::new(4, ResendPolicy::Once);
+        World::builder(x.clone())
+            .sender(family.sender_for(x))
+            .receiver(family.receiver())
+            .channel(ChannelSpec::Dup.build())
+            .scheduler(spec.build(seed))
+            .mode(mode)
+    }
+
+    // The three adversaries the E1 table sweeps.
+    fn e1_adversaries() -> [SchedulerSpec; 3] {
+        [
+            SchedulerSpec::DupStorm { p_deliver: 0.9 },
+            SchedulerSpec::Reorder,
+            SchedulerSpec::Random { p_deliver: 0.5 },
+        ]
+    }
+
+    #[test]
+    fn unobserved_observed_and_probed_worlds_agree_on_e1_sequences() {
+        use crate::metrics::MetricsProbe;
+        let family = TightFamily::new(4, ResendPolicy::Once);
+        for spec in e1_adversaries() {
+            for x in family.claimed_family().iter() {
+                for seed in 0..2 {
+                    let mut off = e1_world(x, &spec, seed, TraceMode::Off).build().unwrap();
+                    let mut full = e1_world(x, &spec, seed, TraceMode::Full).build().unwrap();
+                    let mut probed = e1_world(x, &spec, seed, TraceMode::Off)
+                        .probe(Box::new(MetricsProbe::new()))
+                        .build()
+                        .unwrap();
+                    assert!(off.unobserved && !full.unobserved && !probed.unobserved);
+                    for w in [&mut off, &mut full, &mut probed] {
+                        assert!(w.run_until(16_000, World::is_complete));
+                    }
+                    let at = format!("{spec:?} x={x:?} seed={seed}");
+                    assert_eq!(off.stats(), full.stats(), "{at}");
+                    assert_eq!(off.stats(), probed.stats(), "{at}");
+                    assert_eq!(off.step_count(), full.step_count(), "{at}");
+                    assert_eq!(off.step_count(), probed.step_count(), "{at}");
+                    assert_eq!(off.trace().steps(), full.trace().steps(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unobserved_trace_counts_steps_after_every_call() {
+        let x = seq(&[3, 1, 0, 2]);
+        let spec = SchedulerSpec::Random { p_deliver: 0.5 };
+        let mut w = e1_world(&x, &spec, 3, TraceMode::Off).build().unwrap();
+        assert!(w.unobserved);
+        let in_step = |w: &World| w.trace().steps() == w.step_count();
+        w.step();
+        assert!(in_step(&w) && w.step_count() == 1);
+        w.run(7);
+        assert!(in_step(&w) && w.step_count() == 8);
+        w.run_until(12, |_| false);
+        assert!(in_step(&w) && w.step_count() == 12);
+        let prof = PhaseProfiler::new(1);
+        let (deliver, expire) = (Phase::DeliverDup, Phase::ExpireDup);
+        w.run_until_profiled(16_000, World::is_complete, &prof, deliver, expire);
+        assert!(in_step(&w) && w.is_complete());
+        w.reset(&x, 4);
+        assert!(in_step(&w) && w.step_count() == 0);
+        w.run_until(16_000, World::is_complete);
+        assert!(in_step(&w) && w.is_complete());
     }
 }

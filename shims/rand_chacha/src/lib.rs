@@ -25,16 +25,20 @@ pub struct ChaCha8Rng {
 
 const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
-#[inline]
-fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(16);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(12);
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(8);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(7);
+// One ChaCha quarter-round over four local words. The block function
+// keeps its sixteen working words in locals rather than an indexed array,
+// so they can live in registers for all eight rounds.
+macro_rules! quarter_round {
+    ($a:ident, $b:ident, $c:ident, $d:ident) => {
+        $a = $a.wrapping_add($b);
+        $d = ($d ^ $a).rotate_left(16);
+        $c = $c.wrapping_add($d);
+        $b = ($b ^ $c).rotate_left(12);
+        $a = $a.wrapping_add($b);
+        $d = ($d ^ $a).rotate_left(8);
+        $c = $c.wrapping_add($d);
+        $b = ($b ^ $c).rotate_left(7);
+    };
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -62,20 +66,27 @@ impl ChaCha8Rng {
     }
 
     fn refill(&mut self) {
-        let mut working = self.state;
+        let s = self.state;
+        let (mut x0, mut x1, mut x2, mut x3) = (s[0], s[1], s[2], s[3]);
+        let (mut x4, mut x5, mut x6, mut x7) = (s[4], s[5], s[6], s[7]);
+        let (mut x8, mut x9, mut x10, mut x11) = (s[8], s[9], s[10], s[11]);
+        let (mut x12, mut x13, mut x14, mut x15) = (s[12], s[13], s[14], s[15]);
         for _ in 0..4 {
-            // 8 rounds = 4 double-rounds.
-            quarter_round(&mut working, 0, 4, 8, 12);
-            quarter_round(&mut working, 1, 5, 9, 13);
-            quarter_round(&mut working, 2, 6, 10, 14);
-            quarter_round(&mut working, 3, 7, 11, 15);
-            quarter_round(&mut working, 0, 5, 10, 15);
-            quarter_round(&mut working, 1, 6, 11, 12);
-            quarter_round(&mut working, 2, 7, 8, 13);
-            quarter_round(&mut working, 3, 4, 9, 14);
+            // 8 rounds = 4 double-rounds: a column round, then a diagonal one.
+            quarter_round!(x0, x4, x8, x12);
+            quarter_round!(x1, x5, x9, x13);
+            quarter_round!(x2, x6, x10, x14);
+            quarter_round!(x3, x7, x11, x15);
+            quarter_round!(x0, x5, x10, x15);
+            quarter_round!(x1, x6, x11, x12);
+            quarter_round!(x2, x7, x8, x13);
+            quarter_round!(x3, x4, x9, x14);
         }
-        for (i, out) in self.block.iter_mut().enumerate() {
-            *out = working[i].wrapping_add(self.state[i]);
+        let working = [
+            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
+        ];
+        for ((out, w), k) in self.block.iter_mut().zip(working).zip(s) {
+            *out = w.wrapping_add(k);
         }
         // 64-bit counter across words 12 and 13.
         let (lo, carry) = self.state[12].overflowing_add(1);
@@ -98,12 +109,26 @@ impl ChaCha8Rng {
 }
 
 impl RngCore for ChaCha8Rng {
+    /// The next two words, low word first.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
-        let lo = self.next_word() as u64;
-        let hi = self.next_word() as u64;
-        (hi << 32) | lo
+        if self.word >= 16 {
+            self.refill();
+        }
+        let i = self.word;
+        if i < 15 {
+            // Both words are in the current block.
+            self.word = i + 2;
+            (u64::from(self.block[i + 1]) << 32) | u64::from(self.block[i])
+        } else {
+            // The pair straddles a refill: word 15, then the next block's 0.
+            let lo = u64::from(self.next_word());
+            let hi = u64::from(self.next_word());
+            (hi << 32) | lo
+        }
     }
 
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.next_word()
     }
@@ -153,5 +178,90 @@ mod tests {
         let draws: Vec<u64> = (0..40).map(|_| a.next_u64()).collect();
         let distinct: std::collections::HashSet<_> = draws.iter().collect();
         assert!(distinct.len() > 30, "stream should not cycle early");
+    }
+
+    // The first 40 words of four seeds' streams. Every seeded table and
+    // digest in the workspace derives from these streams, so a change to
+    // them must be deliberate, never a side effect of a faster refill.
+    const GOLDEN: [(u64, [u32; 40]); 4] = [
+        (
+            0,
+            [
+                0x2d8ee5e8, 0xbf94d133, 0xa6da5a01, 0x3a738775, 0xc143ee06, 0x3d46ff10, 0xe9f6424f,
+                0x17c6ab23, 0x2fb6898b, 0x5ce2479b, 0x86bff662, 0x0ae8099f, 0xc72f90bd, 0x5f2f09fd,
+                0x28e5a01f, 0x95d53efa, 0x94efaf48, 0x1131e62b, 0x17d7a4e4, 0x9eec7e55, 0xcd4c18d1,
+                0xe553e127, 0x3505e613, 0xb9d551f1, 0xd28d82a2, 0x0a1ffcc2, 0xf64a441d, 0xfc9216ba,
+                0x4b017931, 0xb3c61fd5, 0x23eb502b, 0xe857b19d, 0x1bfcd6d6, 0x5a512cb9, 0x44766985,
+                0x029e3799, 0x3c8b61fe, 0xca6410bd, 0xbfdc08ce, 0xa2c1439d,
+            ],
+        ),
+        (
+            1,
+            [
+                0x48a8b558, 0xef72eaf4, 0x599a55b3, 0x8a33ba97, 0xe248f1ee, 0x0c40074e, 0x5b660e10,
+                0xdbb16098, 0x22a8ce78, 0x72858f91, 0x6ec9d0a6, 0x1a915dfc, 0xb6823c71, 0xf28532b6,
+                0xc2831367, 0x42bd7361, 0x5a625dcb, 0x7f116bb1, 0xa2be493e, 0x5ba35ac4, 0xcd12893d,
+                0x523a2de0, 0x3e6f9097, 0x8089abf0, 0xb4ff0ba3, 0x54ea731b, 0xfb3bd3ae, 0x8c4fb67a,
+                0xdbb02d18, 0x8c65dc52, 0xb7d8eaea, 0xffa639a3, 0x775614fb, 0xad4ed273, 0x538b0497,
+                0x44631cf0, 0x3b929907, 0x8839aafc, 0x2fda71a1, 0xd8b5a1a6,
+            ],
+        ),
+        (
+            42,
+            [
+                0x87c91afc, 0x31159ef9, 0xb4169001, 0x17559844, 0x9ad9a69f, 0xf7d0afbf, 0xfd37495a,
+                0xb9207ad5, 0x61329c11, 0x072db0db, 0xeca26593, 0x4051bc3b, 0xcc4703b6, 0xbfaab970,
+                0x8f89d223, 0xaff5425d, 0x6b947e05, 0xf6875512, 0x953f9601, 0x26706e48, 0x6a9f2b2f,
+                0x54ff14b5, 0x150e06ce, 0x9cf9c5f7, 0x8e1d738c, 0xe3507e34, 0x4c28e1a6, 0xc89c0205,
+                0x38520378, 0xb51fdc8f, 0xb1c896b5, 0x6384b6fe, 0x13e28956, 0xa1d6606a, 0xc62320de,
+                0x009499f6, 0xeecf5513, 0x66e879a9, 0x49ee5d3a, 0xc96ff513,
+            ],
+        ),
+        (
+            u64::MAX,
+            [
+                0x60ef8644, 0x167fca9c, 0xf2f83696, 0xf792fa24, 0xdbcbe0b1, 0x71e8f282, 0x9492a6e7,
+                0xebaa0dca, 0xff25b8bb, 0x438b9759, 0x5dd8c0cf, 0x3d92cea8, 0x2f5b3043, 0xe533584b,
+                0xe79afbc9, 0x62a4544f, 0x3c8465a9, 0x3691a39c, 0x8277c5fc, 0x0b89def3, 0xe9acb0a3,
+                0x61938162, 0xe7495616, 0x874658cb, 0x133857ef, 0xc6735925, 0x76eb6256, 0x74fbf0a0,
+                0x8fcdd7f3, 0x626f49c1, 0xe21e2c38, 0x8324ecf5, 0x1a6419fe, 0x4183f3b7, 0x632d4591,
+                0xbcecc670, 0xcdcb6c3e, 0xeccfbd68, 0x9ac553a6, 0x2da4bf48,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn streams_match_the_golden_words() {
+        for (seed, words) in GOLDEN {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let drawn: Vec<u32> = (0..40).map(|_| rng.next_u32()).collect();
+            assert_eq!(drawn, words, "seed={seed}");
+        }
+    }
+
+    #[test]
+    fn interleaved_draws_match_the_golden_words() {
+        // Fifteen single words, then a `next_u64` on word 15 that straddles
+        // the refill, then `next_u64`s at odd and even offsets of the second
+        // block. A `next_u64` is the low word first, then the high word.
+        for (seed, words) in GOLDEN {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut at = 0;
+            for _ in 0..15 {
+                assert_eq!(rng.next_u32(), words[at], "seed={seed} word={at}");
+                at += 1;
+            }
+            for i in 0..11 {
+                if i % 2 == 0 {
+                    let pair = (u64::from(words[at + 1]) << 32) | u64::from(words[at]);
+                    assert_eq!(rng.next_u64(), pair, "seed={seed} words={at}..");
+                    at += 2;
+                } else {
+                    assert_eq!(rng.next_u32(), words[at], "seed={seed} word={at}");
+                    at += 1;
+                }
+            }
+            assert_eq!(at, 32);
+        }
     }
 }
