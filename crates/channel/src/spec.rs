@@ -59,18 +59,6 @@ impl ChannelSpec {
             ChannelSpec::Timed { deadline } => Box::new(TimedChannel::new(*deadline)),
         }
     }
-
-    /// Spec-driven per-slot provisioning: when `prev` shows `slot` already
-    /// holds a channel built from this exact spec, it is [`Channel::reset`]
-    /// in place (queue capacity retained, bit-identical to a fresh build);
-    /// otherwise the slot is rebuilt. The session store recycles channel
-    /// slots under churn through this path.
-    pub fn provision(&self, slot: &mut Option<Box<dyn Channel>>, prev: Option<&ChannelSpec>) {
-        match slot {
-            Some(ch) if prev == Some(self) => ch.reset(),
-            _ => *slot = Some(self.build()),
-        }
-    }
 }
 
 /// A buildable description of an adversarial scheduler. Randomized
@@ -166,23 +154,6 @@ impl SchedulerSpec {
             }
         }
     }
-
-    /// Spec-driven per-slot provisioning: when `prev` shows `slot` already
-    /// holds a scheduler built from this exact spec, it is
-    /// [`Scheduler::reset`] in place, re-deriving randomized state from
-    /// `seed`; otherwise the slot is rebuilt. Counterpart of
-    /// [`ChannelSpec::provision`] for the adversary column.
-    pub fn provision(
-        &self,
-        slot: &mut Option<Box<dyn Scheduler>>,
-        prev: Option<&SchedulerSpec>,
-        seed: u64,
-    ) {
-        match slot {
-            Some(s) if prev == Some(self) => s.reset(seed),
-            _ => *slot = Some(self.build(seed)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -244,6 +215,33 @@ mod tests {
     }
 
     #[test]
+    fn scheduler_provision_matches_fresh_build() {
+        // A recycled session slot reseeds its scheduler in place with
+        // `Scheduler::reset`; that must be indistinguishable from a fresh
+        // build at the new seed, and a different spec builds a new one.
+        let mut ch = DupChannel::new();
+        for i in 0..4 {
+            ch.send_s(SMsg(i));
+        }
+        let spec = SchedulerSpec::DropHeavy {
+            p_drop: 0.3,
+            p_deliver: 0.6,
+        };
+        let mut slot = spec.build(1);
+        let _: Vec<_> = (0..10).map(|t| slot.decide(t, &ch)).collect();
+        slot.reset(2);
+        let recycled: Vec<_> = (0..10).map(|t| slot.decide(t, &ch)).collect();
+        let mut fresh = spec.build(2);
+        let from_fresh: Vec<_> = (0..10).map(|t| fresh.decide(t, &ch)).collect();
+        assert_eq!(recycled, from_fresh);
+        let mut slot = SchedulerSpec::Eager.build(0);
+        for t in 0..5 {
+            let d = slot.decide(t, &ch);
+            assert!(d.deliver_to_r.is_some());
+        }
+    }
+
+    #[test]
     fn idle_spec_never_acts() {
         let mut ch = DupChannel::new();
         ch.send_s(SMsg(0));
@@ -254,56 +252,29 @@ mod tests {
     }
 
     #[test]
-    fn channel_provision_resets_matching_slots_and_rebuilds_mismatches() {
-        use crate::chan::ChannelKind;
-        let dup = ChannelSpec::Dup;
-        let timed = ChannelSpec::Timed { deadline: 2 };
-
-        let mut slot = None;
-        dup.provision(&mut slot, None);
-        let ch = slot.as_mut().unwrap();
-        assert_eq!(ch.kind(), ChannelKind::ReorderDuplicate);
-        ch.send_s(SMsg(1));
-        assert_eq!(ch.pending_to_r(), 1);
-
-        // Same spec: reset in place, queues emptied.
-        dup.provision(&mut slot, Some(&dup));
-        assert_eq!(slot.as_ref().unwrap().pending_to_r(), 0);
-
-        // Different spec: slot rebuilt as the new kind.
-        timed.provision(&mut slot, Some(&dup));
-        assert_eq!(slot.as_ref().unwrap().kind(), ChannelKind::Timed);
-    }
-
-    #[test]
-    fn scheduler_provision_matches_fresh_build() {
-        let mut ch = DupChannel::new();
-        for i in 0..4 {
-            ch.send_s(SMsg(i));
-        }
-        let spec = SchedulerSpec::DropHeavy {
-            p_drop: 0.3,
-            p_deliver: 0.6,
-        };
-        let mut slot = None;
-        spec.provision(&mut slot, None, 1);
-        let _: Vec<_> = (0..10)
-            .map(|t| slot.as_mut().unwrap().decide(t, &ch))
-            .collect();
-        // Re-provisioning with the same spec reseeds in place…
-        spec.provision(&mut slot, Some(&spec), 2);
-        let recycled: Vec<_> = (0..10)
-            .map(|t| slot.as_mut().unwrap().decide(t, &ch))
-            .collect();
-        // …and must be indistinguishable from a fresh build at that seed.
-        let mut fresh = spec.build(2);
-        let from_fresh: Vec<_> = (0..10).map(|t| fresh.decide(t, &ch)).collect();
-        assert_eq!(recycled, from_fresh);
-        // A different spec replaces the slot.
-        SchedulerSpec::Eager.provision(&mut slot, Some(&spec), 0);
-        for t in 0..5 {
-            let d = slot.as_mut().unwrap().decide(t, &ch);
-            assert!(d.deliver_to_r.is_some());
+    fn channel_reset_matches_fresh_build() {
+        use stp_core::alphabet::RMsg;
+        let specs = [
+            ChannelSpec::Dup,
+            ChannelSpec::Del,
+            ChannelSpec::Fifo,
+            ChannelSpec::LossyFifo,
+            ChannelSpec::Perfect,
+            ChannelSpec::Timed { deadline: 2 },
+        ];
+        for spec in specs {
+            let mut ch = spec.build();
+            ch.send_s(SMsg(1));
+            ch.send_r(RMsg(0));
+            ch.tick();
+            assert_eq!(ch.pending_to_r(), 1, "{spec:?}");
+            // Reset in place: queues emptied, the same state as a fresh
+            // build of the same spec.
+            ch.reset();
+            let fresh = spec.build();
+            assert_eq!(ch.kind(), fresh.kind(), "{spec:?}");
+            assert_eq!(ch.pending_to_r() + ch.pending_to_s(), 0, "{spec:?}");
+            assert_eq!(ch.state_key(), fresh.state_key(), "{spec:?}");
         }
     }
 

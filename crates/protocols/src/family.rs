@@ -418,32 +418,6 @@ impl FamilySpec {
             FamilySpec::Stabilizing { d, max_len } => max_len * d + 1,
         }
     }
-
-    /// Spec-driven construction into pre-allocated slots: when `prev`
-    /// shows the slots already hold this family's machines, the pair is
-    /// reset in place for `x` (the [`Sender::reset`] contract — bit-
-    /// identical to a fresh build, no re-boxing); otherwise fresh machines
-    /// are built into the slots. This is the family half of the session
-    /// store's slot-recycling path — the channel half lives on
-    /// `ChannelSpec::provision`.
-    pub fn provision(
-        &self,
-        prev: Option<&FamilySpec>,
-        x: &DataSeq,
-        sender: &mut Option<Box<dyn Sender>>,
-        receiver: &mut Option<Box<dyn Receiver>>,
-    ) {
-        if prev == Some(self) {
-            if let (Some(s), Some(r)) = (sender.as_mut(), receiver.as_mut()) {
-                s.reset(x);
-                r.reset();
-                return;
-            }
-        }
-        let family = self.build();
-        *sender = Some(family.sender_for(x));
-        *receiver = Some(family.receiver());
-    }
 }
 
 impl fmt::Display for FamilySpec {
@@ -588,39 +562,39 @@ mod tests {
     }
 
     #[test]
-    fn provision_resets_in_place_on_matching_spec_and_rebuilds_otherwise() {
-        use stp_core::proto::SenderEvent;
-        let abp = FamilySpec::Abp {
-            domain: 3,
-            max_len: 4,
-        };
-        let tight = FamilySpec::Tight {
-            d: 3,
-            policy: ResendPolicy::Once,
-        };
+    fn reset_machines_match_a_fresh_build() {
+        use stp_core::proto::{ReceiverEvent, SenderEvent};
+        let specs = [
+            FamilySpec::Abp {
+                domain: 3,
+                max_len: 4,
+            },
+            FamilySpec::Tight {
+                d: 3,
+                policy: ResendPolicy::Once,
+            },
+            FamilySpec::Stabilizing { d: 3, max_len: 4 },
+        ];
         let x = DataSeq::from_indices([1, 2]);
         let y = DataSeq::from_indices([2, 0, 1]);
-
-        // Fresh provisioning into empty slots.
-        let (mut sender, mut receiver) = (None, None);
-        abp.provision(None, &x, &mut sender, &mut receiver);
-        assert!(sender.is_some() && receiver.is_some());
-        sender.as_mut().unwrap().on_event(SenderEvent::Init);
-
-        // Matching spec: reset in place must equal a fresh build.
-        abp.provision(Some(&abp), &y, &mut sender, &mut receiver);
-        let fresh = abp.build().sender_for(&y);
-        assert_eq!(
-            sender.as_ref().unwrap().fingerprint(),
-            fresh.fingerprint(),
-            "in-place reset must be bit-identical to a fresh build"
-        );
-
-        // Different spec: slots are rebuilt for the new family.
-        tight.provision(Some(&abp), &y, &mut sender, &mut receiver);
-        let fresh = tight.build().sender_for(&y);
-        assert_eq!(sender.as_ref().unwrap().fingerprint(), fresh.fingerprint());
-        assert_eq!(sender.as_ref().unwrap().alphabet().size(), 3);
+        for spec in specs {
+            let family = spec.build();
+            let (mut sender, mut receiver) = (family.sender_for(&x), family.receiver());
+            sender.on_event(SenderEvent::Init);
+            receiver.on_event(ReceiverEvent::Init);
+            // Reset in place onto another input: bit-identical to
+            // machines freshly built for it.
+            sender.reset(&y);
+            receiver.reset();
+            let fresh = family.sender_for(&y);
+            assert_eq!(sender.fingerprint(), fresh.fingerprint(), "{spec}");
+            assert_eq!(sender.alphabet(), fresh.alphabet(), "{spec}");
+            assert_eq!(
+                receiver.fingerprint(),
+                family.receiver().fingerprint(),
+                "{spec}"
+            );
+        }
     }
 
     #[test]

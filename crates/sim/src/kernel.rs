@@ -1,9 +1,11 @@
 //! The step kernel: the paper's §2.2 global step, written once.
 //!
-//! [`World`](crate::World) and [`SessionEngine`](crate::SessionEngine)
-//! both advance a run by calling [`step`]. The kernel borrows the four
-//! components, counts into the run's [`RunStats`], and reports everything
-//! observable to a [`StepSink`]. The sink decides what a caller sees:
+//! [`World`](crate::World) is the only caller: every run advances by
+//! calling [`step`], including each session of the
+//! [`SessionEngine`](crate::SessionEngine), whose slots are pooled worlds.
+//! The kernel borrows the four components, counts into the run's
+//! [`RunStats`], and reports everything observable to a [`StepSink`]. The
+//! sink decides what a caller sees:
 //!
 //! * an observed world's recorder keeps the trace, fans events out to
 //!   probes and records per-message provenance;
@@ -11,10 +13,9 @@
 //!   monomorphization every hook call — and the event it would have
 //!   carried — compiles away, exactly as
 //!   [`NoObs`](crate::prof::NoObs) does for the profiler's phase marks.
-//!   The session store steps every session through it, and so does an
-//!   unobserved world (trace [`Off`](stp_core::event::TraceMode::Off), no
-//!   probes, provenance off): the sweep engine's E1 cells run the same
-//!   kernel instance as the session engine.
+//!   An unobserved world (trace [`Off`](stp_core::event::TraceMode::Off),
+//!   no probes, provenance off) steps through it: the sweep engine's E1
+//!   cells and every session slot.
 //!
 //! One step, in order:
 //!
@@ -90,8 +91,8 @@ pub(crate) trait StepSink {
     fn step_end<O: StepObs>(&mut self, t: Step, obs: &mut O);
 }
 
-/// The sink that observes nothing: the step of the session store and of
-/// an unobserved world. Its hooks are empty, so the kernel monomorphized
+/// The sink that observes nothing: the step of an unobserved world, and so
+/// of every session slot. Its hooks are empty, so the kernel monomorphized
 /// over it does only the counting.
 pub(crate) struct Quiet<'a> {
     pub(crate) input: &'a DataSeq,

@@ -1,33 +1,28 @@
-//! The massively-multi-session engine: a data-oriented session store
-//! fronted by a sharded submit/poll API.
+//! The massively-multi-session engine: a session store fronted by a
+//! sharded submit/poll API.
 //!
-//! One [`World`] owns one sender/receiver pair; sweeps
-//! iterate worlds one at a time. This module is the scaling step the
-//! ROADMAP's "millions of users opening sessions, transmitting, and
-//! disconnecting under churn" workload needs: a [`SessionEngine`] holds
-//! *columns* (struct-of-arrays) of sender state, receiver state, channel
-//! queues and per-session adversary RNG — the same columnar layout
-//! [`crate::trace`] uses for spans — and grants every active session a
-//! quantum of protocol steps per *round*, running each one ahead of that
-//! schedule at admission and releasing its outcome in the round the
-//! schedule fixes (see [`SessionEngine`]). Each step is the kernel
-//! [`World::step`](crate::World::step)
-//! runs, with a sink that observes nothing, so a session's [`RunStats`]
-//! are bit-identical to a pooled single-world run of the same
-//! [`SessionSpec`] (the `sessions_parity` suite checks the stopping rule
-//! and slot recycling around the kernel over the full seed × channel ×
-//! family grid).
+//! One [`World`] runs one transmission: two processors, a channel and an
+//! adversary, advanced one global step at a time (§2.2). A
+//! [`SessionEngine`] holds a pool of such worlds, one per slot, each
+//! built unobserved (trace off, no probe, no provenance), so every step
+//! runs the kernel's quiet sink and a session's [`RunStats`] are those of
+//! [`SessionSpec::build_world`] run to the same stopping point. Around the
+//! worlds the engine keeps dense per-slot columns (budgets, rounds, due
+//! rounds, fates) and grants every active session a quantum of protocol
+//! steps per *round*, running each one ahead of that schedule at
+//! admission and releasing its outcome in the round the schedule fixes
+//! (see [`SessionEngine`]). The `sessions_parity` suite checks the
+//! engine's stopping rule and slot recycling over the full seed × channel
+//! × family grid.
 //!
-//! Slots are recycled under churn through the spec-driven provisioning
-//! trio — [`FamilySpec::provision`], [`ChannelSpec::provision`],
-//! [`SchedulerSpec::provision`] — which generalizes the pooled-world
-//! reset machinery from the sweep engine: a retiring session's slot goes
-//! onto its *recipe's* free list, and a later admission with the same
-//! recipe resets the boxed machines in place instead of re-boxing them.
+//! Slots are recycled under churn: a retiring session's slot goes onto
+//! its *recipe's* free list (the (family, channel, scheduler) triple),
+//! and a later admission with the same recipe rewinds the slot's world
+//! with [`World::reset`] instead of building a new one.
 //!
 //! [`SessionServer`] shards the store: `submit` routes round-robin,
 //! `poll`/`disconnect` route by the shard bits of the [`SessionId`], and
-//! each shard steps independently under its own lock. [`ChurnSpec`] is
+//! each shard steps independently. [`ChurnSpec`] is
 //! the seeded open/transmit/disconnect workload generator the
 //! `bench_sessions` lanes run; session `k`'s spec is derived purely from
 //! `(workload seed, k)`, so the set of sessions — and each session's
@@ -39,24 +34,21 @@ use crate::fleet::{
     healthy_step_bound, FleetRegistry, FleetSnapshot, FleetStats, ShardMetrics, StallRecord,
     WatchdogSpec,
 };
-use crate::kernel::{self, Components, Quiet, Scratch};
 use crate::metrics::RunStats;
-use crate::prof::{delivery_phase, expiry_phase, NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
+use crate::prof::{delivery_phase, expiry_phase, Phase, PhaseProfiler};
 use crate::telemetry::{ProgressMeter, SessionsRecord};
 use crate::world::World;
-use parking_lot::Mutex;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use stp_channel::{Channel, ChannelSpec, Scheduler, SchedulerSpec};
+use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::data::DataSeq;
 use stp_core::event::{Step, TraceMode};
-use stp_core::proto::{Receiver, Sender};
 use stp_protocols::FamilySpec;
 
 /// Everything needed to run one STP session: the protocol family, the
@@ -87,20 +79,42 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
-    /// Bridges to the legacy single-world path: builds a [`World`] (trace
-    /// off) that runs exactly this session. The parity suite holds the
-    /// session store to this world's behaviour, bit for bit.
+    /// Builds the [`World`] (trace off) that runs exactly this session:
+    /// the world a session slot is built as, so a stall record's replay
+    /// and the slot that ran the session start from the same machine.
     pub fn build_world(&self) -> World {
-        let family = self.family.build();
-        World::builder(self.input.clone())
-            .sender(family.sender_for(&self.input))
-            .receiver(family.receiver())
-            .channel(self.channel.build())
-            .scheduler(self.scheduler.build(self.seed))
-            .mode(TraceMode::Off)
-            .build()
-            .expect("all components supplied")
+        let SessionSpec {
+            family,
+            input,
+            channel,
+            scheduler,
+            seed,
+            ..
+        } = self;
+        unobserved_world(family, channel, scheduler, input.clone(), *seed)
     }
+}
+
+// The unobserved world running `input` under the recipe (family, channel,
+// scheduler) with adversary seed `seed`: how the session store builds a
+// slot, and how `SessionSpec::build_world` builds a replay.
+fn unobserved_world(
+    family: &FamilySpec,
+    channel: &ChannelSpec,
+    scheduler: &SchedulerSpec,
+    input: DataSeq,
+    seed: u64,
+) -> World {
+    let family = family.build();
+    let sender = family.sender_for(&input);
+    World::builder(input)
+        .sender(sender)
+        .receiver(family.receiver())
+        .channel(channel.build())
+        .scheduler(scheduler.build(seed))
+        .mode(TraceMode::Off)
+        .build()
+        .expect("all components supplied")
 }
 
 impl SweepSpec {
@@ -222,7 +236,7 @@ pub enum SessionStatus {
 }
 
 // An interned (family, channel, scheduler) triple plus the free slots
-// that last ran it — the unit of reset-in-place recycling.
+// whose worlds last ran it — the unit of reset-in-place recycling.
 struct Recipe {
     family: FamilySpec,
     channel: ChannelSpec,
@@ -255,22 +269,24 @@ struct QueuedSession {
     ttl_rounds: Option<u64>,
 }
 
-/// One shard of the session store: fixed-capacity slot columns, a recipe
-/// table, an admission queue, and a completion buffer.
+/// One shard of the session store: fixed-capacity slots, a recipe table,
+/// an admission queue, and a completion buffer.
 ///
-/// The store is data-oriented: every per-session quantity lives in its
-/// own column (`Vec`), indexed by slot. Boxed protocol machines,
-/// channels and schedulers are *columns of slots* that provisioning
-/// reuses in place whenever the incoming session's recipe matches what
-/// the slot last ran. Per-session randomized adversary state (the
-/// "per-session RNG") lives inside the scheduler column, reseeded per
-/// admission.
+/// Each slot holds an unobserved [`World`] (trace off, no probe, no
+/// provenance), which owns the session's processors, channel, adversary
+/// and counters; the engine steps it only through
+/// [`World::run_until`] and [`World::run_until_profiled`]. Admission
+/// rewinds the slot's world with [`World::reset`] when it last ran the
+/// incoming session's recipe, and builds a new one otherwise. Everything
+/// the per-round walk reads lives in dense columns beside the worlds,
+/// indexed by slot: the due round, fate, expiry, stall threshold, serial,
+/// budget, rounds and seed.
 ///
 /// The engine keeps a round-robin schedule — each active session is
 /// granted `quantum` protocol steps per round — but does not execute it
 /// one quantum at a time. A session's outcome is a pure function of its
 /// [`SessionSpec`], so admission runs the session *ahead* right after
-/// provisioning, while its slot's machines are cache-hot: up to its fate,
+/// readying its slot, while the slot's world is cache-hot: up to its fate,
 /// its TTL cap (`ttl × quantum` steps) or 4 quanta (`HORIZON_QUANTA`),
 /// whichever comes first. It then records the round the schedule retires
 /// the session in (`admitted + (n − 1) / quantum` for a fate at step
@@ -298,15 +314,11 @@ pub struct SessionEngine {
     quantum: u32,
     round: u64,
     recipes: Vec<Recipe>,
-    // Slot columns (struct-of-arrays), all `capacity` long.
-    senders: Vec<Option<Box<dyn Sender>>>,
-    receivers: Vec<Option<Box<dyn Receiver>>>,
-    channels: Vec<Option<Box<dyn Channel>>>,
-    schedulers: Vec<Option<Box<dyn Scheduler>>>,
+    // Slot columns, all `capacity` long. A slot's world is `None` until
+    // its first admission and kept, for reuse, after it retires.
+    worlds: Vec<Option<World>>,
     slot_recipe: Vec<u32>,
-    inputs: Vec<DataSeq>,
     serials: Vec<u64>,
-    stats: Vec<RunStats>,
     deadline: Vec<Step>,
     expires: Vec<u64>,
     submitted: Vec<u64>,
@@ -329,8 +341,6 @@ pub struct SessionEngine {
     completed: Vec<SessionOutcome>,
     next_serial: u64,
     recycled: u64,
-    // Shared expiry scratch, reused across every slot in the shard.
-    scratch: Scratch,
     // The shard's fleet row. `round`, `submitted`, the admission split
     // and the gauges are filled from the fields above (see `fill_row`);
     // the rest is counted here.
@@ -370,24 +380,15 @@ impl SessionEngine {
     pub fn new(shard: u16, capacity: usize, quantum: u32) -> SessionEngine {
         assert!(capacity > 0, "a shard needs at least one slot");
         assert!(quantum > 0, "a round must step at least once");
-        let none_senders = (0..capacity).map(|_| None).collect();
-        let none_receivers = (0..capacity).map(|_| None).collect();
-        let none_channels = (0..capacity).map(|_| None).collect();
-        let none_schedulers = (0..capacity).map(|_| None).collect();
         SessionEngine {
             shard,
             capacity,
             quantum,
             round: 0,
             recipes: Vec::new(),
-            senders: none_senders,
-            receivers: none_receivers,
-            channels: none_channels,
-            schedulers: none_schedulers,
+            worlds: (0..capacity).map(|_| None).collect(),
             slot_recipe: vec![NO_RECIPE; capacity],
-            inputs: vec![DataSeq::from_indices([]); capacity],
             serials: vec![0; capacity],
-            stats: vec![RunStats::empty(0); capacity],
             deadline: vec![0; capacity],
             expires: vec![u64::MAX; capacity],
             submitted: vec![0; capacity],
@@ -402,7 +403,6 @@ impl SessionEngine {
             completed: Vec::new(),
             next_serial: 0,
             recycled: 0,
-            scratch: Scratch::default(),
             row: FleetStats::new(shard),
             metrics: None,
             watchdog: None,
@@ -759,51 +759,30 @@ impl SessionEngine {
         if prev != NO_RECIPE {
             self.recycled += 1;
         }
-        self.inputs[slot] = input;
-        self.seeds[slot] = seed;
-        if prev == rid {
-            // Recipe-keyed fast path (the recipe's own free list hit, the
-            // overwhelmingly common case under steady churn): interned
-            // equality already proves the slot's machines were built from
-            // this exact triple, so reset them in place without the three
-            // spec comparisons `provision` would repeat per admission.
-            // Behaviourally identical to the provision path by the reset
-            // contract — `sessions_parity` pins this bit-for-bit.
-            self.reset_slot(slot);
-        } else {
-            let (prev_family, prev_channel, prev_scheduler) = if prev == NO_RECIPE {
-                (None, None, None)
-            } else {
-                let r = &self.recipes[prev as usize];
-                (Some(&r.family), Some(&r.channel), Some(&r.scheduler))
-            };
-            self.recipes[rid as usize].family.provision(
-                prev_family,
-                &self.inputs[slot],
-                &mut self.senders[slot],
-                &mut self.receivers[slot],
-            );
-            self.recipes[rid as usize]
-                .channel
-                .provision(&mut self.channels[slot], prev_channel);
-            self.recipes[rid as usize].scheduler.provision(
-                &mut self.schedulers[slot],
-                prev_scheduler,
-                seed,
-            );
+        let input_len = input.len();
+        let Recipe {
+            family,
+            channel,
+            scheduler,
+            ..
+        } = &self.recipes[rid as usize];
+        match &mut self.worlds[slot] {
+            // Interned equality proves the world was built from this
+            // exact recipe; the reset contract makes the rewound world
+            // run bit-identically to a fresh build.
+            Some(world) if prev == rid => world.reset(&input, seed),
+            world => *world = Some(unobserved_world(family, channel, scheduler, input, seed)),
         }
 
-        let input_len = self.inputs[slot].len();
+        self.seeds[slot] = seed;
         self.slot_recipe[slot] = rid;
         self.admitted_round[slot] = self.round;
         self.stall_at[slot] = match &self.watchdog {
-            Some(w) => self.round.saturating_add(w.threshold_rounds(
-                healthy_step_bound(&self.recipes[rid as usize].family, input_len),
-                self.quantum,
-            )),
+            Some(w) => self.round.saturating_add(
+                w.threshold_rounds(healthy_step_bound(family, input_len), self.quantum),
+            ),
             None => u64::MAX,
         };
-        self.stats[slot].reset(input_len);
         self.serials[slot] = serial;
         self.deadline[slot] = max_steps;
         self.expires[slot] = ttl_rounds.map_or(u64::MAX, |ttl| self.round.saturating_add(ttl));
@@ -813,25 +792,11 @@ impl SessionEngine {
         slot
     }
 
-    // Resets the slot's machines in place for its current input and
-    // seed — the admission fast path, and the rewind of a disconnect.
-    fn reset_slot(&mut self, slot: usize) {
-        self.senders[slot]
-            .as_mut()
-            .expect("occupied slot has a sender")
-            .reset(&self.inputs[slot]);
-        self.receivers[slot]
-            .as_mut()
-            .expect("occupied slot has a receiver")
-            .reset();
-        self.channels[slot]
-            .as_mut()
-            .expect("occupied slot has a channel")
-            .reset();
-        self.schedulers[slot]
-            .as_mut()
-            .expect("occupied slot has a scheduler")
-            .reset(self.seeds[slot]);
+    // The world in an occupied (active or once-admitted) slot.
+    fn world(&self, slot: usize) -> &World {
+        self.worlds[slot]
+            .as_ref()
+            .expect("admitted slot has a world")
     }
 
     fn retire(&mut self, pos: usize, fate: SessionFate) {
@@ -850,7 +815,7 @@ impl SessionEngine {
         let outcome = SessionOutcome {
             id: SessionId::new(self.shard, serial),
             fate,
-            stats: self.stats[slot].clone(),
+            stats: self.world(slot).stats(),
             submitted_round: self.submitted[slot],
             retired_round: self.round,
         };
@@ -861,22 +826,23 @@ impl SessionEngine {
     }
 
     // Flags the session in `slot` as stalled, exactly once per
-    // admission: reconstructs its full SessionSpec from the recipe table
-    // and the slot columns (complete replay provenance), buffers the
-    // StallRecord for `drain_stalls`, and disarms the slot's threshold.
-    // The session keeps running — the watchdog observes, it does not
-    // kill.
+    // admission: reconstructs its full SessionSpec from the recipe table,
+    // the slot's world and its columns (complete replay provenance),
+    // buffers the StallRecord for `drain_stalls`, and disarms the slot's
+    // threshold. The session keeps running — the watchdog observes, it
+    // does not kill.
     fn flag_stall(&mut self, slot: usize) {
         self.stall_at[slot] = u64::MAX;
         let r = &self.recipes[self.slot_recipe[slot] as usize];
-        let expected = healthy_step_bound(&r.family, self.inputs[slot].len());
+        let input = self.world(slot).trace().input();
+        let expected = healthy_step_bound(&r.family, input.len());
         let threshold = self
             .watchdog
             .as_ref()
             .map_or(0, |w| w.threshold_rounds(expected, self.quantum));
         let spec = SessionSpec {
             family: r.family.clone(),
-            input: self.inputs[slot].clone(),
+            input: input.clone(),
             channel: r.channel.clone(),
             scheduler: r.scheduler.clone(),
             seed: self.seeds[slot],
@@ -904,53 +870,56 @@ impl SessionEngine {
     // has a fate or reached its TTL cap, so the cap is exact.)
     fn scheduled_steps(&self, slot: usize, round: u64) -> Step {
         let rounds = round - self.admitted_round[slot];
-        self.stats[slot]
-            .steps
+        self.world(slot)
+            .step_count()
             .min(rounds.saturating_mul(u64::from(self.quantum)))
     }
 
-    // Runs the session in `slot` one horizon ahead (see `run_chunk`),
-    // every `prof.period()`-th chunk as a profiled window charged to the
-    // step phases.
-    fn run_ahead(&mut self, slot: usize, prof: Option<&PhaseProfiler>) {
-        if let Some(p) = prof {
-            self.prof_tick += 1;
-            if p.sample(self.prof_tick) {
-                let channel = &self.recipes[self.slot_recipe[slot] as usize].channel;
-                let (deliver, expire) = (delivery_phase(channel), expiry_phase(channel));
-                let mut obs = ProfObs::begin();
-                self.run_chunk(slot, &mut obs, deliver, expire);
-                obs.finish(p);
-                return;
-            }
-        }
-        // Phases are irrelevant under `NoObs` (marks compile away).
-        self.run_chunk(
-            slot,
-            &mut NoObs,
-            Phase::DeliverPerfect,
-            Phase::ExpirePerfect,
-        );
-    }
-
     // Steps the session in `slot` until its fate, its TTL cap or
-    // `HORIZON_QUANTA` more quanta, then records when the walk acts on it
-    // next (`due`). A session that expires in its admission round (TTL
-    // 0) stops at 0 steps, and the walk's expiry check, which comes
-    // before any fate, retires it.
-    fn run_chunk<O: StepObs>(&mut self, slot: usize, obs: &mut O, deliver: Phase, expire: Phase) {
+    // `HORIZON_QUANTA` more quanta, every `prof.period()`-th chunk as a
+    // profiled window charged to the step phases, then records when the
+    // walk acts on it next (`due`). The world's stopping rule is the
+    // session's: completion is checked before each step and after the
+    // last, and the budget caps the count. A session that expires in its
+    // admission round (TTL 0) stops at 0 steps, and the walk's expiry
+    // check, which comes before any fate, retires it.
+    fn run_ahead(&mut self, slot: usize, prof: Option<&PhaseProfiler>) {
+        let sampled = match prof {
+            Some(p) => {
+                self.prof_tick += 1;
+                p.sample(self.prof_tick).then_some(p)
+            }
+            None => None,
+        };
         let q = u64::from(self.quantum);
         let admitted = self.admitted_round[slot];
         let cap = match self.expires[slot] {
             u64::MAX => Step::MAX,
             expires => (expires - admitted).saturating_mul(q),
         };
-        let limit = self.stats[slot]
-            .steps
+        let deadline = self.deadline[slot];
+        let world = self.worlds[slot].as_mut().expect("active slot has a world");
+        let limit = world
+            .step_count()
             .saturating_add(HORIZON_QUANTA * q)
-            .min(cap);
-        let fate = self.advance(slot, limit, obs, deliver, expire);
-        let steps = self.stats[slot].steps;
+            .min(cap)
+            .min(deadline);
+        let complete = match sampled {
+            Some(p) => {
+                let channel = &self.recipes[self.slot_recipe[slot] as usize].channel;
+                let (deliver, expire) = (delivery_phase(channel), expiry_phase(channel));
+                world.run_until_profiled(limit, World::is_complete, p, deliver, expire)
+            }
+            None => world.run_until(limit, World::is_complete),
+        };
+        let steps = world.step_count();
+        let fate = if complete {
+            Some(SessionFate::Completed)
+        } else if steps >= deadline {
+            Some(SessionFate::Exhausted)
+        } else {
+            None
+        };
         self.fate[slot] = fate;
         self.due[slot] = match fate {
             Some(_) => admitted + steps.saturating_sub(1) / q,
@@ -960,75 +929,20 @@ impl SessionEngine {
         };
     }
 
-    // Steps the session in `slot` up to `limit` steps through the shared
-    // kernel with the `Quiet` sink (no event is built, no provenance
-    // tracked), keeping `World::run_until(max_steps, is_complete)`'s
-    // stopping rule: completion is checked before each step and after the
-    // last, and the budget caps the count. Returns the fate it stopped at.
-    fn advance<O: StepObs>(
-        &mut self,
-        slot: usize,
-        limit: Step,
-        obs: &mut O,
-        deliver: Phase,
-        expire: Phase,
-    ) -> Option<SessionFate> {
-        let sender = &mut **self.senders[slot].as_mut().expect("active slot has sender");
-        let receiver = &mut **self.receivers[slot]
-            .as_mut()
-            .expect("active slot has receiver");
-        let channel = &mut **self.channels[slot]
-            .as_mut()
-            .expect("active slot has channel");
-        let scheduler = &mut **self.schedulers[slot]
-            .as_mut()
-            .expect("active slot has scheduler");
-        let stats = &mut self.stats[slot];
-        let deadline = self.deadline[slot];
-        let mut sink = Quiet {
-            input: &self.inputs[slot],
-        };
-        loop {
-            if sender.is_done() && stats.written >= stats.input_len {
-                return Some(SessionFate::Completed);
-            }
-            if stats.steps >= deadline {
-                return Some(SessionFate::Exhausted);
-            }
-            if stats.steps >= limit {
-                return None;
-            }
-            let components = Components {
-                sender: &mut *sender,
-                receiver: &mut *receiver,
-                channel: &mut *channel,
-                scheduler: &mut *scheduler,
-            };
-            kernel::step(
-                components,
-                stats,
-                &mut self.scratch,
-                obs,
-                &mut sink,
-                deliver,
-                expire,
-            );
-        }
-    }
-
     // Puts the session in `slot` back at the step count the schedule has
-    // reached: resets its machines through the admission reset path and
-    // replays that many steps, all of which precede the session's fate.
+    // reached: rewinds its world and replays that many steps, all of
+    // which precede the session's fate.
     fn rewind(&mut self, slot: usize) {
         let steps = self.scheduled_steps(slot, self.round);
-        if steps == self.stats[slot].steps {
+        let seed = self.seeds[slot];
+        let world = self.worlds[slot].as_mut().expect("active slot has a world");
+        if steps == world.step_count() {
             return;
         }
-        self.reset_slot(slot);
-        self.stats[slot].reset(self.inputs[slot].len());
-        let (deliver, expire) = (Phase::DeliverPerfect, Phase::ExpirePerfect);
-        let fate = self.advance(slot, steps, &mut NoObs, deliver, expire);
-        debug_assert_eq!(fate, None, "the schedule stops short of the fate");
+        let input = world.trace().input().clone();
+        world.reset(&input, seed);
+        let complete = world.run_until(steps, World::is_complete);
+        debug_assert!(!complete, "the schedule stops short of the fate");
     }
 }
 
@@ -1036,7 +950,7 @@ impl SessionEngine {
 /// and the per-round step quantum.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerSpec {
-    /// Independent shards (each its own [`SessionEngine`] and lock).
+    /// Independent shards (each its own [`SessionEngine`]).
     #[serde(default = "default_shards")]
     pub shards: u16,
     /// Slots per shard.
@@ -1077,13 +991,17 @@ impl Default for ServerSpec {
 ///
 /// `submit` routes round-robin across shards; `poll` and `disconnect`
 /// route by the id's shard bits. Shards step in lockstep under
-/// [`SessionServer::step_rounds`] / [`SessionServer::run_until_idle`];
-/// each shard is an independently locked [`SessionEngine`], so callers on
-/// different shards never contend.
+/// [`SessionServer::step_rounds`] / [`SessionServer::run_until_idle`].
+///
+/// The server is single-threaded: a shard's worlds hold the component
+/// trait objects, which are not `Send`, so each shard is a
+/// [`SessionEngine`] in a `RefCell` and the router a `Cell`. To run
+/// shards on separate threads, build one engine per thread, as
+/// [`run_churn`] does.
 #[derive(Debug)]
 pub struct SessionServer {
-    engines: Vec<Mutex<SessionEngine>>,
-    router: AtomicUsize,
+    engines: Vec<RefCell<SessionEngine>>,
+    router: Cell<usize>,
 }
 
 impl SessionServer {
@@ -1101,24 +1019,23 @@ impl SessionServer {
                 if let Some(w) = spec.watchdog {
                     engine.arm_watchdog(w);
                 }
-                Mutex::new(engine)
+                RefCell::new(engine)
             })
             .collect();
         SessionServer {
             engines,
-            router: AtomicUsize::new(0),
+            router: Cell::new(0),
         }
     }
 
     /// A [`FleetSnapshot`] of every shard's [`FleetStats`] row
-    /// ([`SessionEngine::fleet_stats`]), each read under its shard's
-    /// lock.
+    /// ([`SessionEngine::fleet_stats`]).
     pub fn snapshot(&self) -> FleetSnapshot {
         FleetSnapshot {
             shards: self
                 .engines
                 .iter()
-                .map(|e| e.lock().fleet_stats().clone())
+                .map(|e| e.borrow_mut().fleet_stats().clone())
                 .collect(),
         }
     }
@@ -1127,7 +1044,7 @@ impl SessionServer {
     pub fn drain_stalls(&self) -> Vec<StallRecord> {
         let mut out = Vec::new();
         for engine in &self.engines {
-            out.append(&mut engine.lock().drain_stalls());
+            out.append(&mut engine.borrow_mut().drain_stalls());
         }
         out
     }
@@ -1139,7 +1056,9 @@ impl SessionServer {
 
     /// Accepts a session on the next shard in round-robin order.
     pub fn submit(&self, spec: SessionSpec) -> SessionId {
-        let shard = self.router.fetch_add(1, Ordering::Relaxed) % self.engines.len();
+        let next = self.router.get();
+        self.router.set(next.wrapping_add(1));
+        let shard = next % self.engines.len();
         self.submit_to(shard as u16, spec)
     }
 
@@ -1149,7 +1068,7 @@ impl SessionServer {
     ///
     /// Panics if `shard` is out of range.
     pub fn submit_to(&self, shard: u16, spec: SessionSpec) -> SessionId {
-        let serial = self.engines[shard as usize].lock().submit(spec);
+        let serial = self.engines[shard as usize].borrow_mut().submit(spec);
         SessionId::new(shard, serial)
     }
 
@@ -1159,7 +1078,7 @@ impl SessionServer {
     /// [`SessionStatus::Unknown`].
     pub fn poll(&self, id: SessionId) -> SessionStatus {
         match self.engines.get(id.shard() as usize) {
-            Some(engine) => engine.lock().poll(id.serial()),
+            Some(engine) => engine.borrow().poll(id.serial()),
             None => SessionStatus::Unknown,
         }
     }
@@ -1168,7 +1087,7 @@ impl SessionServer {
     /// scans the owning shard's rosters, O(queued + active + undrained).
     pub fn disconnect(&self, id: SessionId) -> bool {
         match self.engines.get(id.shard() as usize) {
-            Some(engine) => engine.lock().disconnect(id.serial()),
+            Some(engine) => engine.borrow_mut().disconnect(id.serial()),
             None => false,
         }
     }
@@ -1177,7 +1096,7 @@ impl SessionServer {
     pub fn step_rounds(&self, rounds: u64) {
         for _ in 0..rounds {
             for engine in &self.engines {
-                engine.lock().step_round();
+                engine.borrow_mut().step_round();
             }
         }
     }
@@ -1186,35 +1105,35 @@ impl SessionServer {
     /// stopping after `max_rounds`; reports whether idle was reached.
     pub fn run_until_idle(&self, max_rounds: u64) -> bool {
         for _ in 0..max_rounds {
-            if self.engines.iter().all(|e| e.lock().is_idle()) {
+            if self.engines.iter().all(|e| e.borrow().is_idle()) {
                 return true;
             }
             for engine in &self.engines {
-                engine.lock().step_round();
+                engine.borrow_mut().step_round();
             }
         }
-        self.engines.iter().all(|e| e.lock().is_idle())
+        self.engines.iter().all(|e| e.borrow().is_idle())
     }
 
     /// Sessions currently in slots, across all shards.
     pub fn active_sessions(&self) -> usize {
-        self.engines.iter().map(|e| e.lock().active_len()).sum()
+        self.engines.iter().map(|e| e.borrow().active_len()).sum()
     }
 
     /// Sessions waiting for slots, across all shards.
     pub fn queued_sessions(&self) -> usize {
-        self.engines.iter().map(|e| e.lock().queued_len()).sum()
+        self.engines.iter().map(|e| e.borrow().queued_len()).sum()
     }
 
     /// Drains every shard's outcomes; each outcome is handed out exactly
     /// once, shard-major. A lone shard's buffer is handed out as it is.
     pub fn drain_completed(&self) -> Vec<SessionOutcome> {
         if let [engine] = self.engines.as_slice() {
-            return engine.lock().drain_completed();
+            return engine.borrow_mut().drain_completed();
         }
         let mut out = Vec::new();
         for engine in &self.engines {
-            out.append(&mut engine.lock().drain_completed());
+            out.append(&mut engine.borrow_mut().drain_completed());
         }
         out
     }
@@ -1575,6 +1494,7 @@ pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
 mod tests {
     use super::*;
     use crate::fleet::FleetDelta;
+    use std::sync::atomic::Ordering;
     use stp_protocols::ResendPolicy;
 
     fn tight_spec(input: &[u16], seed: u64) -> SessionSpec {
@@ -2088,8 +2008,7 @@ mod tests {
                     // Bounded work per visit: at most 4 quanta
                     // (`HORIZON_QUANTA`) past the previous visit, so at
                     // most 4 by the end of the admission round.
-                    let slot = engine.active[0] as usize;
-                    let ran = engine.stats[slot].steps;
+                    let ran = engine.world(engine.active[0] as usize).step_count();
                     assert!(
                         ran - progress <= 4 * qs && ran <= (k + 3) * qs,
                         "{ctx}: {ran} steps run, {progress} a round earlier"
@@ -2380,14 +2299,9 @@ mod tests {
         assert_eq!(last.submitted, 4_000);
     }
 
-    // A metered single-shard churn over dup, lossy-fifo and del (the
-    // last two also under a deleting adversary), with an explicit
-    // disconnect of a queued and of a running session every few rounds.
-    // `check` sees the engine and its metrics at every round boundary,
-    // right after `step_round`.
-    fn metered_churn_with_disconnects(
-        mut check: impl FnMut(&SessionEngine, &crate::fleet::FleetStats),
-    ) {
+    // `small_churn(3_000, 1)` over dup, lossy-fifo and del, the last two
+    // also under a deleting adversary.
+    fn drop_heavy_churn() -> ChurnSpec {
         let mut spec = small_churn(3_000, 1);
         let drop_heavy = SchedulerSpec::DropHeavy {
             p_drop: 0.2,
@@ -2411,6 +2325,34 @@ mod tests {
                 scheduler: drop_heavy,
             },
         ]);
+        spec
+    }
+
+    #[test]
+    fn churn_outcomes_are_pinned() {
+        // Every session's outcome is a pure function of its spec, so a
+        // change to the store that moves any of them moves the digest,
+        // the step total or a fate count. A change that moves these
+        // constants changes what sessions do, and has to say why.
+        let report = run_churn(&drop_heavy_churn(), &ChurnRun::default());
+        let fleet = &report.fleet;
+        assert_eq!(format!("{:016x}", report.digest), "309a622f483b937e");
+        assert_eq!(fleet.steps, 32_543);
+        assert_eq!(
+            (fleet.completed, fleet.exhausted, fleet.disconnected),
+            (2_951, 0, 49)
+        );
+    }
+
+    // A metered single-shard churn over dup, lossy-fifo and del (the
+    // last two also under a deleting adversary), with an explicit
+    // disconnect of a queued and of a running session every few rounds.
+    // `check` sees the engine and its metrics at every round boundary,
+    // right after `step_round`.
+    fn metered_churn_with_disconnects(
+        mut check: impl FnMut(&SessionEngine, &crate::fleet::FleetStats),
+    ) {
+        let spec = drop_heavy_churn();
         let claimed = spec.claimed_inputs();
         let metrics = Arc::new(ShardMetrics::new(0));
         let mut engine = SessionEngine::new(0, 32, 8);
@@ -2439,6 +2381,22 @@ mod tests {
             check(&engine, &metrics.snapshot());
         }
         assert!(queued_cuts > 10 && running_cuts > 10);
+    }
+
+    #[test]
+    fn session_worlds_stay_unobserved() {
+        // A slot built with a recording mode would put the trace, probe
+        // and provenance sink on the churn hot path.
+        let mut checked = 0;
+        metered_churn_with_disconnects(|engine, _| {
+            for world in engine.worlds.iter().flatten() {
+                assert_eq!(world.mode(), TraceMode::Off);
+                assert!(world.trace().events().is_empty());
+                assert!(world.msg_events().is_empty());
+                checked += 1;
+            }
+        });
+        assert!(checked > 1_000, "{checked} worlds checked");
     }
 
     #[test]
@@ -2473,8 +2431,8 @@ mod tests {
                 if !matches!(recipe.channel, ChannelSpec::Del | ChannelSpec::LossyFifo) {
                     continue;
                 }
-                let st = &engine.stats[slot];
-                let channel = engine.channels[slot].as_ref().expect("active slot");
+                let world = engine.world(slot);
+                let (st, channel) = (world.stats(), world.channel());
                 let in_flight = channel.pending_to_r() + channel.pending_to_s();
                 assert_eq!(
                     (st.sends_s + st.sends_r) as u64,

@@ -23,8 +23,9 @@ use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 ///
 /// A world built with [`TraceMode::Off`], no probes and provenance off is
 /// *unobserved*: nothing can see an individual step, so it steps through
-/// the same quiet kernel as the session engine, which builds no event and
-/// tracks no copy. Its trace's [`Trace::steps`] is brought up to
+/// the kernel's quiet sink, which builds no event and tracks no copy.
+/// Every session slot of the [`SessionEngine`](crate::SessionEngine) is
+/// such a world. Its trace's [`Trace::steps`] is brought up to
 /// [`World::step_count`] at the end of every [`World::step`], `run*` call
 /// and [`World::reset`], not inside a run; a [`World::run_until`]
 /// condition reads [`World::step_count`] instead.
@@ -512,38 +513,8 @@ impl World {
 
     /// Executes one global step.
     pub fn step(&mut self) {
-        // The phases are irrelevant under `NoObs`; any pair works.
-        self.step_with(&mut NoObs, Phase::DeliverPerfect, Phase::ExpirePerfect);
-        self.settle_steps();
-    }
-
-    // One kernel step. An unobserved world takes the `Quiet` sink, the
-    // instance the session engine runs, and leaves the trace's step count
-    // to `settle_steps`; any other world reports to its recorder.
-    fn step_with<O: StepObs>(&mut self, obs: &mut O, deliver: Phase, expire: Phase) {
-        let components = Components {
-            sender: &mut *self.sender,
-            receiver: &mut *self.receiver,
-            channel: &mut *self.channel,
-            scheduler: &mut *self.scheduler,
-        };
-        let (stats, scratch) = (&mut self.stats, &mut self.scratch);
-        if self.unobserved {
-            let mut quiet = Quiet {
-                input: self.rec.trace.input(),
-            };
-            kernel::step(components, stats, scratch, obs, &mut quiet, deliver, expire);
-        } else {
-            kernel::step(
-                components,
-                stats,
-                scratch,
-                obs,
-                &mut self.rec,
-                deliver,
-                expire,
-            );
-        }
+        // Stepping once past the current count: the condition never holds.
+        self.run_until(self.stats.steps.saturating_add(1), |_| false);
     }
 
     // Brings the trace's step count up to the kernel's; every public call
@@ -600,22 +571,57 @@ impl World {
     fn run_until_with<F: FnMut(&World) -> bool, O: StepObs>(
         &mut self,
         max_steps: Step,
+        cond: F,
+        obs: &mut O,
+        deliver: Phase,
+        expire: Phase,
+    ) -> bool {
+        let reached = if self.unobserved {
+            self.run_loop::<true, F, O>(max_steps, cond, obs, deliver, expire)
+        } else {
+            self.run_loop::<false, F, O>(max_steps, cond, obs, deliver, expire)
+        };
+        self.settle_steps();
+        reached
+    }
+
+    // The stopping rule, one loop per sink: `cond` is checked before
+    // every step and after the last, and `max_steps` caps the count.
+    // `QUIET` (an unobserved world) steps with the `Quiet` sink and leaves
+    // the trace's step count to `settle_steps`; otherwise every step
+    // reports to the recorder. The sink is chosen once per run, not per
+    // step.
+    fn run_loop<const QUIET: bool, F: FnMut(&World) -> bool, O: StepObs>(
+        &mut self,
+        max_steps: Step,
         mut cond: F,
         obs: &mut O,
         deliver: Phase,
         expire: Phase,
     ) -> bool {
-        let reached = loop {
+        loop {
             if cond(self) {
-                break true;
+                return true;
             }
             if self.stats.steps >= max_steps {
-                break false;
+                return false;
             }
-            self.step_with(obs, deliver, expire);
-        };
-        self.settle_steps();
-        reached
+            let components = Components {
+                sender: &mut *self.sender,
+                receiver: &mut *self.receiver,
+                channel: &mut *self.channel,
+                scheduler: &mut *self.scheduler,
+            };
+            let (stats, scratch) = (&mut self.stats, &mut self.scratch);
+            if QUIET {
+                let input = self.rec.trace.input();
+                let mut quiet = Quiet { input };
+                kernel::step(components, stats, scratch, obs, &mut quiet, deliver, expire);
+            } else {
+                let rec = &mut self.rec;
+                kernel::step(components, stats, scratch, obs, rec, deliver, expire);
+            }
+        }
     }
 
     /// Consumes the world and returns the recorded trace.

@@ -1,13 +1,14 @@
 //! Parity: the session store against the pooled-world sweep engine.
 //!
-//! Both run the same step kernel. This suite pins what the session
-//! store adds around it, which no other test covers: the stopping rule
-//! of its run-ahead (completion checked before each step, the budget
-//! capping the count, exactly as `World::run_until(max_steps,
-//! is_complete)`; the store runs each session ahead of its round-robin
+//! Both step pooled unobserved worlds. This suite pins what the session
+//! store adds around them, which no other test covers: how its run-ahead
+//! maps a session's budget, TTL cap and horizon onto
+//! `World::run_until(limit, is_complete)` and reads the fate off the
+//! stopped world (the store runs each session ahead of its round-robin
 //! quantum schedule and releases the outcome in the round the schedule
-//! fixes, so the stats are the same however far ahead it ran) and
-//! recipe-keyed slot provisioning. A
+//! fixes, so the stats are the same however far ahead it ran), and
+//! recipe-keyed slot recycling (a slot's world is rewound when it last
+//! ran the same recipe, rebuilt otherwise). A
 //! [`SessionEngine`] stepping a session to retirement must produce
 //! [`RunStats`] *bit-identical* to the [`SweepEngine`] running the same
 //! (family, input, channel, scheduler, seed) cell. The grid is 32 seeds
@@ -16,8 +17,8 @@
 //! injected noise take the kernel's corruption path through both sinks —
 //! and every cell is compared twice: once on virgin slots, and again on
 //! a second lap through the same (deliberately small) engine so every
-//! slot has been recycled — reset-in-place provisioning must not leak
-//! any state from the first lap.
+//! slot has been recycled — a rewound world must not leak any state
+//! from the first lap.
 
 use stp_core::event::{CorruptionKind, Event};
 use stp_protocols::ResendPolicy;
