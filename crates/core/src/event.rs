@@ -361,8 +361,6 @@ pub trait Probe: fmt::Debug {
 /// * [`TraceMode::Full`] — every event is recorded; the trace is a complete
 ///   replayable witness (the default, and the only mode under which traces
 ///   from different executors can be compared bit-for-bit).
-/// * [`TraceMode::WritesOnly`] — only `Write` events are recorded; the
-///   trace still supports output/write-step queries but is not replayable.
 /// * [`TraceMode::Off`] — no events are recorded at all; the trace retains
 ///   the input sequence and the step count, nothing else.
 ///
@@ -374,23 +372,17 @@ pub enum TraceMode {
     /// Record every event (replayable witness).
     #[default]
     Full,
-    /// Record only `Write` events (output queries stay available).
-    WritesOnly,
     /// Record no events (stats-only sweeps). A simulator world in this
     /// mode with no probes and no provenance recording is unobserved: it
-    /// builds no event at all, and its trace's step count is brought up
-    /// to date at the end of each step or run call rather than per step.
+    /// builds no event at all and keeps no trace.
     Off,
 }
 
 impl TraceMode {
-    /// Whether `event` should be recorded under this mode.
-    pub fn records(self, event: &Event) -> bool {
-        match self {
-            TraceMode::Full => true,
-            TraceMode::WritesOnly => matches!(event, Event::Write { .. }),
-            TraceMode::Off => false,
-        }
+    /// Whether `event` should be recorded under this mode: every event
+    /// under [`TraceMode::Full`], none under [`TraceMode::Off`].
+    pub fn records(self, _event: &Event) -> bool {
+        self == TraceMode::Full
     }
 }
 
@@ -777,8 +769,6 @@ mod tests {
         let send = Event::SendS { msg: SMsg(0) };
         assert!(TraceMode::Full.records(&write));
         assert!(TraceMode::Full.records(&send));
-        assert!(TraceMode::WritesOnly.records(&write));
-        assert!(!TraceMode::WritesOnly.records(&send));
         assert!(!TraceMode::Off.records(&write));
         assert!(!TraceMode::Off.records(&send));
         assert_eq!(TraceMode::default(), TraceMode::Full);
@@ -807,9 +797,8 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         let back: Event = serde_json::from_str(&json).unwrap();
         assert_eq!(back, e);
-        // Full traces record expiries; writes-only and off traces do not.
+        // Full traces record expiries; off traces do not.
         assert!(TraceMode::Full.records(&e));
-        assert!(!TraceMode::WritesOnly.records(&e));
         assert!(!TraceMode::Off.records(&e));
     }
 
@@ -832,7 +821,6 @@ mod tests {
             // Full traces record corruptions (they are part of the
             // replayable witness); stats-only traces do not.
             assert!(TraceMode::Full.records(&e));
-            assert!(!TraceMode::WritesOnly.records(&e));
             assert!(!TraceMode::Off.records(&e));
         }
         // Display strings are distinct per kind.

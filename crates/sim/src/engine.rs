@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let spec = storm_spec()
-            .trace_mode(TraceMode::WritesOnly)
+            .trace_mode(TraceMode::Off)
             .threads(3)
             .also_scheduler(SchedulerSpec::Reorder);
         let json = serde_json::to_string_pretty(&spec).expect("serializes");

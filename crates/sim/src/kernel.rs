@@ -3,19 +3,19 @@
 //! [`World`](crate::World) is the only caller: every run advances by
 //! calling [`step`], including each session of the
 //! [`SessionEngine`](crate::SessionEngine), whose slots are pooled worlds.
-//! The kernel borrows the four components, counts into the run's
-//! [`RunStats`], and reports everything observable to a [`StepSink`]. The
-//! sink decides what a caller sees:
+//! The kernel borrows the four components and the input tape, counts into
+//! the run's [`RunStats`], and reports everything observable to a
+//! [`StepSink`]. The sink decides what a caller sees:
 //!
 //! * an observed world's recorder keeps the trace, fans events out to
 //!   probes and records per-message provenance;
-//! * the [`Quiet`] sink has empty hooks and no provenance, so under
-//!   monomorphization every hook call — and the event it would have
-//!   carried — compiles away, exactly as
+//! * the [`Quiet`] sink is a unit struct with empty hooks and no
+//!   provenance, so under monomorphization every hook call — and the event
+//!   it would have carried — compiles away, exactly as
 //!   [`NoObs`](crate::prof::NoObs) does for the profiler's phase marks.
 //!   An unobserved world (trace [`Off`](stp_core::event::TraceMode::Off),
-//!   no probes, provenance off) steps through it: the sweep engine's E1
-//!   cells and every session slot.
+//!   no probes, provenance off) holds no recorder and steps through it:
+//!   the sweep engine's E1 cells and every session slot.
 //!
 //! One step, in order:
 //!
@@ -59,9 +59,6 @@ pub(crate) struct Scratch {
 /// (`sent`, `dropped`, `delivered`) only when [`StepSink::provenance`]
 /// holds, after the channel operation they describe.
 pub(crate) trait StepSink {
-    /// The input tape, against which every write is checked for safety.
-    fn input(&self) -> &DataSeq;
-
     /// Whether the sink follows individual copies by
     /// [`MsgId`](stp_core::event::MsgId).
     fn provenance(&self) -> bool;
@@ -92,18 +89,11 @@ pub(crate) trait StepSink {
 }
 
 /// The sink that observes nothing: the step of an unobserved world, and so
-/// of every session slot. Its hooks are empty, so the kernel monomorphized
-/// over it does only the counting.
-pub(crate) struct Quiet<'a> {
-    pub(crate) input: &'a DataSeq,
-}
+/// of every session slot. It holds nothing and its hooks are empty, so the
+/// kernel monomorphized over it does only the counting.
+pub(crate) struct Quiet;
 
-impl StepSink for Quiet<'_> {
-    #[inline(always)]
-    fn input(&self) -> &DataSeq {
-        self.input
-    }
-
+impl StepSink for Quiet {
     #[inline(always)]
     fn provenance(&self) -> bool {
         false
@@ -131,7 +121,8 @@ impl StepSink for Quiet<'_> {
     fn step_end<O: StepObs>(&mut self, _t: Step, _obs: &mut O) {}
 }
 
-/// Executes global step `stats.steps` of a run.
+/// Executes global step `stats.steps` of a run on the input tape `input`,
+/// against which every write is checked for safety.
 ///
 /// `obs` marks phase boundaries for the profiler (`NoObs` compiles them
 /// away); `deliver`/`expire` carry the channel kind so channel cost
@@ -140,6 +131,7 @@ impl StepSink for Quiet<'_> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step<O: StepObs, K: StepSink>(
     c: Components<'_>,
+    input: &DataSeq,
     stats: &mut RunStats,
     scratch: &mut Scratch,
     obs: &mut O,
@@ -270,7 +262,7 @@ pub(crate) fn step<O: StepObs, K: StepSink>(
     // exactly what `require::check_safety` verifies on full traces.
     for &item in r_out.write.iter() {
         let pos = stats.written;
-        stats.safe &= sink.input().get(pos) == Some(item);
+        stats.safe &= input.get(pos) == Some(item);
         stats.write_steps.push(t);
         sink.event(t, Event::Write { item, pos });
         stats.written += 1;

@@ -4,16 +4,16 @@
 //! One [`World`] runs one transmission: two processors, a channel and an
 //! adversary, advanced one global step at a time (§2.2). A
 //! [`SessionEngine`] holds a pool of such worlds, one per slot, each
-//! built unobserved (trace off, no probe, no provenance), so every step
-//! runs the kernel's quiet sink and a session's [`RunStats`] are those of
-//! [`SessionSpec::build_world`] run to the same stopping point. Around the
-//! worlds the engine keeps dense per-slot columns (budgets, rounds, due
-//! rounds, fates) and grants every active session a quantum of protocol
-//! steps per *round*, running each one ahead of that schedule at
-//! admission and releasing its outcome in the round the schedule fixes
-//! (see [`SessionEngine`]). The `sessions_parity` suite checks the
-//! engine's stopping rule and slot recycling over the full seed × channel
-//! × family grid.
+//! built unobserved (trace off, no probe, no provenance): it holds no
+//! recorder, every step runs the kernel's quiet sink, and a session's
+//! [`RunStats`] are those of [`SessionSpec::build_world`] run to the same
+//! stopping point. Around the worlds the engine keeps dense per-slot
+//! columns (budgets, rounds, due rounds, fates) and grants every active
+//! session a quantum of protocol steps per *round*, running each one ahead
+//! of that schedule at admission and releasing its outcome in the round
+//! the schedule fixes (see [`SessionEngine`]). The `sessions_parity`
+//! suite checks the engine's stopping rule and slot recycling over the
+//! full seed × channel × family grid.
 //!
 //! Slots are recycled under churn: a retiring session's slot goes onto
 //! its *recipe's* free list (the (family, channel, scheduler) triple),
@@ -273,7 +273,7 @@ struct QueuedSession {
 /// an admission queue, and a completion buffer.
 ///
 /// Each slot holds an unobserved [`World`] (trace off, no probe, no
-/// provenance), which owns the session's processors, channel, adversary
+/// provenance, hence no recorder), which owns the session's processors, channel, adversary
 /// and counters; the engine steps it only through
 /// [`World::run_until`] and [`World::run_until_profiled`]. Admission
 /// rewinds the slot's world with [`World::reset`] when it last ran the
@@ -834,7 +834,7 @@ impl SessionEngine {
     fn flag_stall(&mut self, slot: usize) {
         self.stall_at[slot] = u64::MAX;
         let r = &self.recipes[self.slot_recipe[slot] as usize];
-        let input = self.world(slot).trace().input();
+        let input = self.world(slot).input();
         let expected = healthy_step_bound(&r.family, input.len());
         let threshold = self
             .watchdog
@@ -939,7 +939,7 @@ impl SessionEngine {
         if steps == world.step_count() {
             return;
         }
-        let input = world.trace().input().clone();
+        let input = world.input().clone();
         world.reset(&input, seed);
         let complete = world.run_until(steps, World::is_complete);
         debug_assert!(!complete, "the schedule stops short of the fate");
@@ -2391,7 +2391,6 @@ mod tests {
         metered_churn_with_disconnects(|engine, _| {
             for world in engine.worlds.iter().flatten() {
                 assert_eq!(world.mode(), TraceMode::Off);
-                assert!(world.trace().events().is_empty());
                 assert!(world.msg_events().is_empty());
                 checked += 1;
             }

@@ -13,7 +13,7 @@ use stp_core::require;
 use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 
 /// A complete simulated system: two processors, a channel, an adversary,
-/// and the trace being recorded.
+/// the input tape, and — if anything watches the run — its recorder.
 ///
 /// Assemble one with [`World::builder`]; the [`TraceMode`] chosen there
 /// decides what the trace remembers, while the aggregate counters behind
@@ -22,13 +22,14 @@ use stp_protocols::{ResendPolicy, TightReceiver, TightSender};
 /// the sweep engine amortizes allocation across a grid.
 ///
 /// A world built with [`TraceMode::Off`], no probes and provenance off is
-/// *unobserved*: nothing can see an individual step, so it steps through
-/// the kernel's quiet sink, which builds no event and tracks no copy.
-/// Every session slot of the [`SessionEngine`](crate::SessionEngine) is
-/// such a world. Its trace's [`Trace::steps`] is brought up to
-/// [`World::step_count`] at the end of every [`World::step`], `run*` call
-/// and [`World::reset`], not inside a run; a [`World::run_until`]
-/// condition reads [`World::step_count`] instead.
+/// *unobserved*: it holds no recorder at all — no trace, no probe list, no
+/// provenance buffers — and steps through the kernel's unit `Quiet` sink,
+/// which builds no event and tracks no copy. It is the bare step machine;
+/// every session slot of the [`SessionEngine`](crate::SessionEngine) is
+/// one. Read such a world through [`World::stats`] and
+/// [`World::is_complete`]: every call that returns a trace
+/// ([`World::trace`], [`World::run`], [`World::run_to_completion`],
+/// [`World::into_trace`]) panics on it.
 #[derive(Debug)]
 pub struct World {
     sender: Box<dyn Sender>,
@@ -39,9 +40,10 @@ pub struct World {
     // sweeps can skip event recording entirely.
     stats: RunStats,
     scratch: Scratch,
-    rec: Recorder,
-    // Whether nothing observes a step (see the type docs), fixed at build.
-    unobserved: bool,
+    input: DataSeq,
+    // Present only if the builder asked for a trace, a probe or provenance;
+    // the step sink is chosen by matching on it.
+    rec: Option<Box<Recorder>>,
 }
 
 // An observed world's step sink: the trace, the probes, and the
@@ -70,15 +72,29 @@ struct Recorder {
     deleted_ids: Vec<MsgId>,
 }
 
+// Every call that returns a trace reads the recorder through here.
+fn observed<R>(rec: Option<R>) -> R {
+    rec.expect(
+        "this world was built unobserved (TraceMode::Off, no probe, no provenance) \
+         and keeps no trace; read World::stats() or World::is_complete() instead",
+    )
+}
+
 impl Recorder {
+    // The recorder a world built with these settings needs: none unless a
+    // trace, a probe or provenance would read it. This is the one place
+    // observation is switched.
     fn new(
-        input: DataSeq,
+        input: &DataSeq,
         mode: TraceMode,
         probes: Vec<Box<dyn Probe>>,
         provenance: bool,
-    ) -> Recorder {
+    ) -> Option<Box<Recorder>> {
+        if mode == TraceMode::Off && probes.is_empty() && !provenance {
+            return None;
+        }
         let mut rec = Recorder {
-            trace: Trace::new(input),
+            trace: Trace::new(input.clone()),
             mode,
             probes,
             provenance,
@@ -90,7 +106,7 @@ impl Recorder {
             deleted_ids: Vec::new(),
         };
         rec.start_run();
-        rec
+        Some(Box::new(rec))
     }
 
     fn reset(&mut self, input: &DataSeq) {
@@ -100,12 +116,6 @@ impl Recorder {
         self.reads_seen = 0;
         self.deleted_ids.clear();
         self.start_run();
-    }
-
-    // Whether anything watches individual steps: a trace that keeps
-    // events, a probe, or the provenance recording.
-    fn observes(&self) -> bool {
-        self.mode != TraceMode::Off || !self.probes.is_empty() || self.provenance
     }
 
     fn start_run(&mut self) {
@@ -127,11 +137,6 @@ impl Recorder {
 }
 
 impl StepSink for Recorder {
-    #[inline]
-    fn input(&self) -> &DataSeq {
-        self.trace.input()
-    }
-
     #[inline]
     fn provenance(&self) -> bool {
         self.provenance
@@ -337,10 +342,10 @@ impl WorldBuilder {
         let mut channel = self.channel.ok_or_else(|| missing("channel"))?;
         let scheduler = self.scheduler.ok_or_else(|| missing("scheduler"))?;
         let stats = RunStats::empty(self.input.len());
-        let rec = Recorder::new(self.input, self.mode, self.probes, self.provenance);
         // Provenance must be switched on before the first send of the run;
         // the flag survives channel resets, so this is a build-time choice.
-        channel.set_provenance(rec.provenance);
+        channel.set_provenance(self.provenance);
+        let rec = Recorder::new(&self.input, self.mode, self.probes, self.provenance);
         Ok(World {
             sender,
             receiver,
@@ -348,7 +353,7 @@ impl WorldBuilder {
             scheduler,
             stats,
             scratch: Scratch::default(),
-            unobserved: !rec.observes(),
+            input: self.input,
             rec,
         })
     }
@@ -410,12 +415,15 @@ impl World {
         self.channel.reset();
         self.scheduler.reset(seed);
         self.stats.reset(input.len());
-        self.rec.reset(input);
+        self.input.clone_from(input);
+        if let Some(rec) = &mut self.rec {
+            rec.reset(input);
+        }
     }
 
     /// The trace-recording mode this world was assembled with.
     pub fn mode(&self) -> TraceMode {
-        self.rec.mode
+        self.rec.as_ref().map_or(TraceMode::Off, |rec| rec.mode)
     }
 
     /// The current global step (number of steps executed so far).
@@ -423,11 +431,19 @@ impl World {
         self.stats.steps
     }
 
-    /// The trace recorded so far. Under [`TraceMode::WritesOnly`] it holds
-    /// only `Write` events; under [`TraceMode::Off`] it holds no events at
-    /// all — use [`World::stats`] for the aggregates in those modes.
+    /// The trace recorded so far. Under [`TraceMode::Off`] it holds no
+    /// events at all — use [`World::stats`] for the aggregates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world is unobserved (see the type docs).
     pub fn trace(&self) -> &Trace {
-        &self.rec.trace
+        &observed(self.rec.as_deref()).trace
+    }
+
+    /// The input tape of the current run.
+    pub(crate) fn input(&self) -> &DataSeq {
+        &self.input
     }
 
     /// Aggregate statistics of the run so far, maintained incrementally in
@@ -497,10 +513,8 @@ impl World {
     /// how a harness reads a `MetricsProbe`'s statistics back out of a
     /// pooled world.
     pub fn probe_of<P: Probe + 'static>(&self) -> Option<&P> {
-        self.rec
-            .probes
-            .iter()
-            .find_map(|p| p.as_any().downcast_ref())
+        let rec = self.rec.as_ref()?;
+        rec.probes.iter().find_map(|p| p.as_any().downcast_ref())
     }
 
     /// The run's provenance stream so far: every [`MsgEvent`] with the
@@ -508,7 +522,7 @@ impl World {
     /// was built with [`WorldBuilder::provenance`]; cleared by
     /// [`World::reset`].
     pub fn msg_events(&self) -> &[(Step, MsgEvent)] {
-        &self.rec.msg_events
+        self.rec.as_ref().map_or(&[], |rec| &rec.msg_events)
     }
 
     /// Executes one global step.
@@ -517,16 +531,14 @@ impl World {
         self.run_until(self.stats.steps.saturating_add(1), |_| false);
     }
 
-    // Brings the trace's step count up to the kernel's; every public call
-    // that steps ends here.
-    fn settle_steps(&mut self) {
-        self.rec.trace.set_steps(self.stats.steps);
-    }
-
     /// Runs exactly `steps` global steps and returns the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the run if the world is unobserved (see the type docs).
     pub fn run(&mut self, steps: Step) -> &Trace {
         self.run_until(self.stats.steps.saturating_add(steps), |_| false);
-        &self.rec.trace
+        self.trace()
     }
 
     /// Runs until [`World::is_complete`] or `max_steps`, whichever first.
@@ -535,10 +547,15 @@ impl World {
     ///
     /// Returns the safety/liveness error if the run ended incomplete or
     /// unsafe (see [`require::check_complete`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics after the run if the world is unobserved (see the type docs).
     pub fn run_to_completion(&mut self, max_steps: Step) -> stp_core::Result<Trace> {
         self.run_until(max_steps, World::is_complete);
-        require::check_complete(&self.rec.trace)?;
-        Ok(self.rec.trace.clone())
+        let trace = self.trace();
+        require::check_complete(trace)?;
+        Ok(trace.clone())
     }
 
     /// Runs until `cond` holds or `max_steps` elapsed; reports whether the
@@ -546,7 +563,7 @@ impl World {
     pub fn run_until<F: FnMut(&World) -> bool>(&mut self, max_steps: Step, cond: F) -> bool {
         // The phases are irrelevant under `NoObs`; any pair works.
         let (deliver, expire) = (Phase::DeliverPerfect, Phase::ExpirePerfect);
-        self.run_until_with(max_steps, cond, &mut NoObs, deliver, expire)
+        self.run_loop(max_steps, cond, &mut NoObs, deliver, expire)
     }
 
     /// Like [`World::run_until`], but the whole run is one profiling
@@ -563,35 +580,16 @@ impl World {
         expire: Phase,
     ) -> bool {
         let mut obs = ProfObs::begin();
-        let reached = self.run_until_with(max_steps, cond, &mut obs, deliver, expire);
+        let reached = self.run_loop(max_steps, cond, &mut obs, deliver, expire);
         obs.finish(prof);
         reached
     }
 
-    fn run_until_with<F: FnMut(&World) -> bool, O: StepObs>(
-        &mut self,
-        max_steps: Step,
-        cond: F,
-        obs: &mut O,
-        deliver: Phase,
-        expire: Phase,
-    ) -> bool {
-        let reached = if self.unobserved {
-            self.run_loop::<true, F, O>(max_steps, cond, obs, deliver, expire)
-        } else {
-            self.run_loop::<false, F, O>(max_steps, cond, obs, deliver, expire)
-        };
-        self.settle_steps();
-        reached
-    }
-
-    // The stopping rule, one loop per sink: `cond` is checked before
-    // every step and after the last, and `max_steps` caps the count.
-    // `QUIET` (an unobserved world) steps with the `Quiet` sink and leaves
-    // the trace's step count to `settle_steps`; otherwise every step
-    // reports to the recorder. The sink is chosen once per run, not per
-    // step.
-    fn run_loop<const QUIET: bool, F: FnMut(&World) -> bool, O: StepObs>(
+    // The stopping rule: `cond` is checked before every step and after the
+    // last, and `max_steps` caps the count. An unobserved world steps with
+    // the `Quiet` sink, an observed one reports every step to its recorder;
+    // `rec` is fixed at build, so the match goes the same way all run.
+    fn run_loop<F: FnMut(&World) -> bool, O: StepObs>(
         &mut self,
         max_steps: Step,
         mut cond: F,
@@ -612,21 +610,25 @@ impl World {
                 channel: &mut *self.channel,
                 scheduler: &mut *self.scheduler,
             };
-            let (stats, scratch) = (&mut self.stats, &mut self.scratch);
-            if QUIET {
-                let input = self.rec.trace.input();
-                let mut quiet = Quiet { input };
-                kernel::step(components, stats, scratch, obs, &mut quiet, deliver, expire);
-            } else {
-                let rec = &mut self.rec;
-                kernel::step(components, stats, scratch, obs, rec, deliver, expire);
+            let (input, stats, scratch) = (&self.input, &mut self.stats, &mut self.scratch);
+            match &mut self.rec {
+                None => kernel::step(
+                    components, input, stats, scratch, obs, &mut Quiet, deliver, expire,
+                ),
+                Some(rec) => kernel::step(
+                    components, input, stats, scratch, obs, &mut **rec, deliver, expire,
+                ),
             }
         }
     }
 
     /// Consumes the world and returns the recorded trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world is unobserved (see the type docs).
     pub fn into_trace(self) -> Trace {
-        self.rec.trace
+        observed(self.rec).trace
     }
 }
 
@@ -815,27 +817,23 @@ mod tests {
             .unwrap();
         full.run_until(5_000, World::is_complete);
         off.run_until(5_000, World::is_complete);
-        assert!(off.trace().events().is_empty());
         assert!(off.is_complete());
         assert_eq!(off.stats(), full.stats(), "mode must not change behaviour");
     }
 
     #[test]
-    fn writes_only_mode_keeps_output_queries_alive() {
+    #[should_panic(expected = "keeps no trace; read World::stats() or World::is_complete()")]
+    fn run_to_completion_on_an_unobserved_world_panics() {
+        // The completion check reads the trace, which an unobserved world
+        // does not keep.
         let input = seq(&[1, 0]);
         let mut w = tight(&input, 2, ResendPolicy::Once)
             .channel(Box::new(DupChannel::new()))
             .scheduler(Box::new(EagerScheduler::new()))
-            .mode(TraceMode::WritesOnly)
+            .mode(TraceMode::Off)
             .build()
             .unwrap();
-        w.run_until(1_000, World::is_complete);
-        assert_eq!(w.trace().output(), input);
-        assert!(w
-            .trace()
-            .events()
-            .iter()
-            .all(|e| matches!(e.event, Event::Write { .. })));
+        let _ = w.run_to_completion(1_000);
     }
 
     #[test]
@@ -983,7 +981,7 @@ mod tests {
                         .probe(Box::new(MetricsProbe::new()))
                         .build()
                         .unwrap();
-                    assert!(off.unobserved && !full.unobserved && !probed.unobserved);
+                    assert!(off.rec.is_none() && full.rec.is_some() && probed.rec.is_some());
                     for w in [&mut off, &mut full, &mut probed] {
                         assert!(w.run_until(16_000, World::is_complete));
                     }
@@ -992,32 +990,32 @@ mod tests {
                     assert_eq!(off.stats(), probed.stats(), "{at}");
                     assert_eq!(off.step_count(), full.step_count(), "{at}");
                     assert_eq!(off.step_count(), probed.step_count(), "{at}");
-                    assert_eq!(off.trace().steps(), full.trace().steps(), "{at}");
                 }
             }
         }
     }
 
     #[test]
-    fn unobserved_trace_counts_steps_after_every_call() {
+    fn only_an_observed_world_holds_a_recorder() {
+        use crate::metrics::MetricsProbe;
         let x = seq(&[3, 1, 0, 2]);
-        let spec = SchedulerSpec::Random { p_deliver: 0.5 };
-        let mut w = e1_world(&x, &spec, 3, TraceMode::Off).build().unwrap();
-        assert!(w.unobserved);
-        let in_step = |w: &World| w.trace().steps() == w.step_count();
-        w.step();
-        assert!(in_step(&w) && w.step_count() == 1);
-        w.run(7);
-        assert!(in_step(&w) && w.step_count() == 8);
-        w.run_until(12, |_| false);
-        assert!(in_step(&w) && w.step_count() == 12);
-        let prof = PhaseProfiler::new(1);
-        let (deliver, expire) = (Phase::DeliverDup, Phase::ExpireDup);
-        w.run_until_profiled(16_000, World::is_complete, &prof, deliver, expire);
-        assert!(in_step(&w) && w.is_complete());
-        w.reset(&x, 4);
-        assert!(in_step(&w) && w.step_count() == 0);
-        w.run_until(16_000, World::is_complete);
-        assert!(in_step(&w) && w.is_complete());
+        let spec = SchedulerSpec::Reorder;
+        let recorded = |b: WorldBuilder| b.build().unwrap().rec.is_some();
+        assert!(!recorded(e1_world(&x, &spec, 0, TraceMode::Off)));
+        assert!(recorded(e1_world(&x, &spec, 0, TraceMode::Full)));
+        let probed = e1_world(&x, &spec, 0, TraceMode::Off).probe(Box::new(MetricsProbe::new()));
+        assert!(recorded(probed));
+        assert!(recorded(
+            e1_world(&x, &spec, 0, TraceMode::Off).provenance(true)
+        ));
+    }
+
+    #[test]
+    fn a_world_fits_its_slot_budget() {
+        // Four boxed components (64 B), `RunStats` (96), `Scratch` (48),
+        // the input (24) and the optional recorder box (8): every session
+        // slot is one of these.
+        let size = std::mem::size_of::<World>();
+        assert!(size <= 240, "World is {size} B");
     }
 }

@@ -17,7 +17,7 @@ use stp_sim::trace::{MsgFate, MsgSpans};
 use stp_sim::World;
 
 const SEEDS: u64 = 32;
-const MODES: [TraceMode; 3] = [TraceMode::Full, TraceMode::WritesOnly, TraceMode::Off];
+const MODES: [TraceMode; 2] = [TraceMode::Full, TraceMode::Off];
 
 struct Lane {
     name: &'static str,
@@ -130,20 +130,17 @@ fn spans_reconcile_with_run_stats_on_every_lane_seed_and_mode() {
 #[test]
 fn spans_are_identical_across_trace_modes() {
     // The provenance stream is mode-independent: turning the event trace
-    // off (or down to writes) must not change a single span.
+    // off must not change a single span.
     for lane in &LANES {
         for seed in (0..SEEDS).step_by(4) {
             let full = run_lane(lane, seed, TraceMode::Full);
-            let full_spans = spans_of(&full).spans();
-            for mode in [TraceMode::WritesOnly, TraceMode::Off] {
-                let other = run_lane(lane, seed, mode);
-                assert_eq!(
-                    full_spans,
-                    spans_of(&other).spans(),
-                    "{} seed {seed}: spans must not depend on {mode:?}",
-                    lane.name
-                );
-            }
+            let off = run_lane(lane, seed, TraceMode::Off);
+            assert_eq!(
+                spans_of(&full).spans(),
+                spans_of(&off).spans(),
+                "{} seed {seed}: spans must not depend on the trace mode",
+                lane.name
+            );
         }
     }
 }
