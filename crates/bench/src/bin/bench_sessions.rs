@@ -10,7 +10,9 @@
 //! breakdown) to `BENCH_history.jsonl` for `bench_gate`'s baselines,
 //! and, when `STP_TELEMETRY` is set, emits one `{"sessions": …}` line
 //! per lane, the metered lane's per-shard + aggregate `{"fleet": …}`
-//! snapshots, and the profiled lane's `{"prof": …}` report.
+//! snapshots, and the profiled lane's `{"prof": …}` report. Progress
+//! goes to stderr as one line per lane and lap; to watch a churn run's
+//! retirements live, read the fleet row (`sessions_top` does).
 //!
 //! ## Timing model
 //!
@@ -178,10 +180,8 @@ fn workload(shards: u16) -> ChurnSpec {
 
 fn main() {
     let (host_cores_effective, host_cores_present) = host_parallelism();
-    let meter = stp_bench::telemetry::progress();
     // Every lane times each shard in isolation (see the module docs).
     let isolated = ChurnRun {
-        meter: Some(&meter),
         isolated: true,
         ..ChurnRun::default()
     };

@@ -1,8 +1,7 @@
 //! E11 — fault campaigns: recovery envelopes, composite-campaign
 //! survival, and a shrunk replayable witness.
 fn main() {
-    let meter = stp_bench::telemetry::progress();
-    let envelopes = stp_bench::e11::run_envelopes_observed(&[4, 8, 16, 32], 0, &meter);
+    let envelopes = stp_bench::e11::run_envelopes(&[4, 8, 16, 32], 0);
     println!("E11a — recovery envelopes (silence window fired by OnWrite after item 0)");
     println!("{}", stp_bench::e11::render_envelopes(&envelopes));
     let composite = stp_bench::e11::run_composite(8);

@@ -118,8 +118,7 @@ fn main() -> ExitCode {
         && e10.iter().any(|r| r.bounded_points < r.points);
     export_summary("e10", e10.len(), check("e10", e10_ok));
     println!("E11a — recovery envelopes (OnWrite-triggered silence)");
-    let meter = stp_bench::telemetry::progress();
-    let e11a = stp_bench::e11::run_envelopes_observed(&[4, 8, 16, 32], 0, &meter);
+    let e11a = stp_bench::e11::run_envelopes(&[4, 8, 16, 32], 0);
     println!("{}", stp_bench::e11::render_envelopes(&e11a));
     println!("E11b — composite campaign survival");
     let e11b = stp_bench::e11::run_composite(8);

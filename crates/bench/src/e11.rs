@@ -24,7 +24,7 @@ use stp_core::event::Step;
 use stp_protocols::{HybridFamily, NaiveFamily, ProtocolFamily, ResendPolicy, TightFamily};
 use stp_sim::{
     classify, is_one_minimal, probe_recovery, run_with_plan, shrink_to_witness, CampaignJudge,
-    ProgressMeter, SloConfig, Witness,
+    SloConfig, Witness,
 };
 
 /// One recovery-envelope measurement.
@@ -45,16 +45,6 @@ pub struct E11Row {
 /// Measures the envelopes: strike right after item `index` is written,
 /// sweep the input length.
 pub fn run_envelopes(sizes: &[usize], index: usize) -> Vec<E11Row> {
-    let silent = ProgressMeter::new(std::time::Duration::from_secs(3600), |_| {});
-    run_envelopes_observed(sizes, index, &silent)
-}
-
-/// [`run_envelopes`] with live progress: each probe is one full
-/// fault-injected execution, and the large sizes dominate, so the meter
-/// ticks once per probe rather than once per size.
-pub fn run_envelopes_observed(sizes: &[usize], index: usize, meter: &ProgressMeter) -> Vec<E11Row> {
-    meter.begin(sizes.len() * 2);
-    meter.worker_started();
     let mut rows = Vec::new();
     for &n in sizes {
         let input = DataSeq::from_indices(0..n as u16);
@@ -69,7 +59,6 @@ pub fn run_envelopes_observed(sizes: &[usize], index: usize, meter: &ProgressMet
             &cfg,
             index,
         );
-        meter.record_done(1);
         rows.push(E11Row {
             protocol: "tight-del (bounded)".into(),
             n,
@@ -88,7 +77,6 @@ pub fn run_envelopes_observed(sizes: &[usize], index: usize, meter: &ProgressMet
             &cfg,
             index,
         );
-        meter.record_done(1);
         rows.push(E11Row {
             protocol: "hybrid-weakly-bounded".into(),
             n,
@@ -97,8 +85,6 @@ pub fn run_envelopes_observed(sizes: &[usize], index: usize, meter: &ProgressMet
             completion: p.as_ref().and_then(|p| p.steps_to_completion),
         });
     }
-    meter.worker_finished();
-    meter.finish();
     rows
 }
 

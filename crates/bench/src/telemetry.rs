@@ -8,8 +8,7 @@
 //! sink are reported on stderr and never abort an experiment: telemetry
 //! is an observer, not a participant.
 
-use std::time::Duration;
-use stp_sim::{ExperimentSummary, ProgressMeter, SweepOutcome, TelemetryLine, TelemetryWriter};
+use stp_sim::{ExperimentSummary, SweepOutcome, TelemetryLine, TelemetryWriter};
 
 /// The writer configured by `STP_TELEMETRY`, or `None` when telemetry is
 /// off or the sink failed to open (reported on stderr).
@@ -58,12 +57,6 @@ pub fn export(experiment: &str, lines: impl IntoIterator<Item = TelemetryLine>) 
             eprintln!("telemetry: export failed for {experiment}: {e}");
         }
     }
-}
-
-/// A progress meter that prints to stderr once per second — stdout stays
-/// reserved for tables and telemetry.
-pub fn progress() -> ProgressMeter {
-    ProgressMeter::stderr(Duration::from_secs(1))
 }
 
 #[cfg(test)]

@@ -2,6 +2,10 @@
 //! one run, must match the committed `results/run_all.txt` byte for byte.
 //! Every table is seeded, so a difference means a verdict, a statistic or
 //! a table layout changed.
+//!
+//! `STP_BLESS=1 cargo test -p stp-bench --test run_all_golden` writes this
+//! run's output over `results/run_all.txt` instead, so a deliberate
+//! change shows up as a diff of the committed file.
 
 use std::path::Path;
 use std::process::Command;
@@ -18,6 +22,10 @@ fn run_all_matches_committed_results() {
         String::from_utf8_lossy(&out.stderr)
     );
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/run_all.txt");
+    if std::env::var("STP_BLESS").as_deref() == Ok("1") {
+        std::fs::write(&golden, &out.stdout).expect("bless results/run_all.txt");
+        return;
+    }
     let want = std::fs::read(&golden).expect("results/run_all.txt");
     if out.stdout != want {
         let got = String::from_utf8_lossy(&out.stdout);

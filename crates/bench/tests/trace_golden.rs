@@ -3,6 +3,10 @@
 //! files byte for byte. Everything in the recorded run is seeded, so a
 //! difference means spans, frontier points, statistics or a wire form
 //! changed.
+//!
+//! `STP_BLESS=1 cargo test -p stp-bench --test trace_golden` writes the
+//! recorded files over `tests/data/trace_seed7/` instead, so a deliberate
+//! change shows up as a diff of the committed files.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,9 +25,14 @@ fn record_seed7_matches_golden_files() {
         .expect("trace_query starts");
     assert!(status.success(), "trace_query record exited with {status}");
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/trace_seed7");
+    let bless = std::env::var("STP_BLESS").as_deref() == Ok("1");
     for file in FILES {
-        let want = std::fs::read(golden.join(file)).expect("golden file");
         let got = std::fs::read(out.join(file)).expect("recorded file");
+        if bless {
+            std::fs::write(golden.join(file), &got).expect("bless golden file");
+            continue;
+        }
+        let want = std::fs::read(golden.join(file)).expect("golden file");
         assert!(
             got == want,
             "{file} differs from tests/data/trace_seed7/{file} \

@@ -12,9 +12,7 @@ use stp_channel::{ChannelSpec, SchedulerSpec};
 use stp_core::event::TraceMode;
 use stp_prof::CountingAlloc;
 use stp_protocols::{FamilySpec, ProtocolFamily, ResendPolicy, TightFamily};
-use stp_sim::{
-    delivery_phase, expiry_phase, MetricsProbe, PhaseProfiler, SweepEngine, SweepSpec, World,
-};
+use stp_sim::{MetricsProbe, PhaseProfiler, SweepEngine, SweepSpec, World};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -58,13 +56,7 @@ fn assert_warm_steps_allocate_nothing(
             for seed in 0..SEEDS {
                 world.reset(x, seed);
                 let done = match prof {
-                    Some(p) => world.run_until_profiled(
-                        max_steps,
-                        World::is_complete,
-                        p,
-                        delivery_phase(channel),
-                        expiry_phase(channel),
-                    ),
+                    Some(p) => world.run_until_profiled(max_steps, World::is_complete, p),
                     None => world.run_until(max_steps, World::is_complete),
                 };
                 assert!(done, "{label}: {x:?} seed {seed} did not complete");

@@ -34,7 +34,7 @@
 //! deal in turn on the calling thread and times it, so throughput can be
 //! judged from the critical path rather than from wall-clock.
 
-use crate::prof::{delivery_phase, expiry_phase, PhaseProfiler};
+use crate::prof::PhaseProfiler;
 use crate::runner::{MemberRun, SweepOutcome};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
@@ -383,16 +383,10 @@ fn run_cell(
     };
     match prof {
         // A sampled cell: the whole run is one profiling window, with
-        // channel cost split by the spec's channel kind. Unsampled cells
+        // channel cost split by the world's channel kind. Unsampled cells
         // take the unchanged fast path.
         Some(p) => {
-            world.run_until_profiled(
-                spec.max_steps,
-                World::is_complete,
-                p,
-                delivery_phase(&spec.channel),
-                expiry_phase(&spec.channel),
-            );
+            world.run_until_profiled(spec.max_steps, World::is_complete, p);
         }
         None => {
             world.run_until(spec.max_steps, World::is_complete);

@@ -55,9 +55,7 @@ pub use fleet::{
     FleetStats, FleetWatch, ShardMetrics, StallRecord, WatchdogSpec, NO_SAMPLES,
 };
 pub use metrics::{Histogram, MetricsProbe, RunStats, SweepReport};
-pub use prof::{
-    delivery_phase, expiry_phase, folded, note_alloc, Phase, PhaseProfiler, ProfPhase, ProfRecord,
-};
+pub use prof::{folded, note_alloc, Phase, PhaseProfiler, ProfPhase, ProfRecord};
 pub use replay::{replay, script_from_trace, scripted_world};
 pub use runner::{run_family_member, MemberRun, SweepOutcome};
 pub use sessions::{
@@ -73,8 +71,8 @@ pub use slo::{
     SloConfig, StabilizationEnvelope, StabilizationProbe,
 };
 pub use telemetry::{
-    ExperimentSummary, FrontierRecord, MemorySink, ProgressMeter, ProgressSnapshot, RunRecord,
-    SessionsRecord, Sink, SpanRecord, StabilizationRecord, TelemetryLine, TelemetryWriter,
+    ExperimentSummary, FrontierRecord, MemorySink, RunRecord, SessionsRecord, Sink, SpanRecord,
+    StabilizationRecord, TelemetryLine, TelemetryWriter,
 };
 pub use trace::{
     chrome_trace_json, write_chrome_trace, CounterTrack, LifecycleCounts, MsgFate, MsgSpan,

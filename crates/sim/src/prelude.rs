@@ -29,8 +29,8 @@ pub use crate::slo::{
     probe_recovery, recovery_envelope, RecoveryEnvelope, RecoveryProbe, SloConfig,
 };
 pub use crate::telemetry::{
-    ExperimentSummary, FrontierRecord, MemorySink, ProgressMeter, ProgressSnapshot, RunRecord,
-    SessionsRecord, Sink, SpanRecord, TelemetryLine, TelemetryWriter,
+    ExperimentSummary, FrontierRecord, MemorySink, RunRecord, SessionsRecord, Sink, SpanRecord,
+    TelemetryLine, TelemetryWriter,
 };
 pub use crate::trace::{
     chrome_trace_json, write_chrome_trace, CounterTrack, LifecycleCounts, MsgFate, MsgSpan,

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use stp_channel::ChannelSpec;
+use stp_channel::ChannelKind;
 
 /// An engine phase the profiler can charge time (and allocations) to.
 ///
@@ -57,18 +57,18 @@ use stp_channel::ChannelSpec;
 pub enum Phase {
     /// Scheduler `note_progress` + `decide`.
     SchedulerDecide,
-    /// Delivery-side channel work on a [`ChannelSpec::Dup`] channel:
+    /// Delivery-side channel work on a [`ChannelKind::ReorderDuplicate`] channel:
     /// deletions, corruptions, dequeues, and send enqueues.
     DeliverDup,
-    /// Delivery-side channel work on a [`ChannelSpec::Del`] channel.
+    /// Delivery-side channel work on a [`ChannelKind::ReorderDelete`] channel.
     DeliverDel,
-    /// Delivery-side channel work on a [`ChannelSpec::Fifo`] channel.
+    /// Delivery-side channel work on a [`ChannelKind::Fifo`] channel.
     DeliverFifo,
-    /// Delivery-side channel work on a [`ChannelSpec::LossyFifo`] channel.
+    /// Delivery-side channel work on a [`ChannelKind::LossyFifo`] channel.
     DeliverLossyFifo,
-    /// Delivery-side channel work on a [`ChannelSpec::Perfect`] channel.
+    /// Delivery-side channel work on a [`ChannelKind::Perfect`] channel.
     DeliverPerfect,
-    /// Delivery-side channel work on a [`ChannelSpec::Timed`] channel.
+    /// Delivery-side channel work on a [`ChannelKind::Timed`] channel.
     DeliverTimed,
     /// Sender automaton: event construction and `on_event`, plus input
     /// tape reads.
@@ -76,18 +76,18 @@ pub enum Phase {
     /// Receiver automaton: event construction and `on_event`, plus
     /// output tape writes.
     ReceiverStep,
-    /// Expiry-side channel work on a [`ChannelSpec::Dup`] channel:
+    /// Expiry-side channel work on a [`ChannelKind::ReorderDuplicate`] channel:
     /// `tick`, `take_expirations`, and expiry recording.
     ExpireDup,
-    /// Expiry-side channel work on a [`ChannelSpec::Del`] channel.
+    /// Expiry-side channel work on a [`ChannelKind::ReorderDelete`] channel.
     ExpireDel,
-    /// Expiry-side channel work on a [`ChannelSpec::Fifo`] channel.
+    /// Expiry-side channel work on a [`ChannelKind::Fifo`] channel.
     ExpireFifo,
-    /// Expiry-side channel work on a [`ChannelSpec::LossyFifo`] channel.
+    /// Expiry-side channel work on a [`ChannelKind::LossyFifo`] channel.
     ExpireLossyFifo,
-    /// Expiry-side channel work on a [`ChannelSpec::Perfect`] channel.
+    /// Expiry-side channel work on a [`ChannelKind::Perfect`] channel.
     ExpirePerfect,
-    /// Expiry-side channel work on a [`ChannelSpec::Timed`] channel.
+    /// Expiry-side channel work on a [`ChannelKind::Timed`] channel.
     ExpireTimed,
     /// Probe fan-out at the end of a [`World`](crate::world::World) step.
     ProbeDispatch,
@@ -162,26 +162,26 @@ impl Phase {
 }
 
 /// The delivery-side phase for a channel kind.
-pub fn delivery_phase(spec: &ChannelSpec) -> Phase {
-    match spec {
-        ChannelSpec::Dup => Phase::DeliverDup,
-        ChannelSpec::Del => Phase::DeliverDel,
-        ChannelSpec::Fifo => Phase::DeliverFifo,
-        ChannelSpec::LossyFifo => Phase::DeliverLossyFifo,
-        ChannelSpec::Perfect => Phase::DeliverPerfect,
-        ChannelSpec::Timed { .. } => Phase::DeliverTimed,
+pub fn delivery_phase(kind: ChannelKind) -> Phase {
+    match kind {
+        ChannelKind::ReorderDuplicate => Phase::DeliverDup,
+        ChannelKind::ReorderDelete => Phase::DeliverDel,
+        ChannelKind::Fifo => Phase::DeliverFifo,
+        ChannelKind::LossyFifo => Phase::DeliverLossyFifo,
+        ChannelKind::Perfect => Phase::DeliverPerfect,
+        ChannelKind::Timed => Phase::DeliverTimed,
     }
 }
 
 /// The expiry-side phase for a channel kind.
-pub fn expiry_phase(spec: &ChannelSpec) -> Phase {
-    match spec {
-        ChannelSpec::Dup => Phase::ExpireDup,
-        ChannelSpec::Del => Phase::ExpireDel,
-        ChannelSpec::Fifo => Phase::ExpireFifo,
-        ChannelSpec::LossyFifo => Phase::ExpireLossyFifo,
-        ChannelSpec::Perfect => Phase::ExpirePerfect,
-        ChannelSpec::Timed { .. } => Phase::ExpireTimed,
+pub fn expiry_phase(kind: ChannelKind) -> Phase {
+    match kind {
+        ChannelKind::ReorderDuplicate => Phase::ExpireDup,
+        ChannelKind::ReorderDelete => Phase::ExpireDel,
+        ChannelKind::Fifo => Phase::ExpireFifo,
+        ChannelKind::LossyFifo => Phase::ExpireLossyFifo,
+        ChannelKind::Perfect => Phase::ExpirePerfect,
+        ChannelKind::Timed => Phase::ExpireTimed,
     }
 }
 
@@ -581,18 +581,18 @@ mod tests {
 
     #[test]
     fn channel_kinds_map_to_distinct_phases() {
-        let specs = [
-            ChannelSpec::Dup,
-            ChannelSpec::Del,
-            ChannelSpec::Fifo,
-            ChannelSpec::LossyFifo,
-            ChannelSpec::Perfect,
-            ChannelSpec::Timed { deadline: 4 },
+        let kinds = [
+            ChannelKind::ReorderDuplicate,
+            ChannelKind::ReorderDelete,
+            ChannelKind::Fifo,
+            ChannelKind::LossyFifo,
+            ChannelKind::Perfect,
+            ChannelKind::Timed,
         ];
-        let deliver: HashSet<Phase> = specs.iter().map(delivery_phase).collect();
-        let expire: HashSet<Phase> = specs.iter().map(expiry_phase).collect();
-        assert_eq!(deliver.len(), specs.len());
-        assert_eq!(expire.len(), specs.len());
+        let deliver: HashSet<Phase> = kinds.into_iter().map(delivery_phase).collect();
+        let expire: HashSet<Phase> = kinds.into_iter().map(expiry_phase).collect();
+        assert_eq!(deliver.len(), kinds.len());
+        assert_eq!(expire.len(), kinds.len());
         assert!(deliver.is_disjoint(&expire));
     }
 

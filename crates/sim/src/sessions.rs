@@ -35,8 +35,8 @@ use crate::fleet::{
     WatchdogSpec,
 };
 use crate::metrics::RunStats;
-use crate::prof::{delivery_phase, expiry_phase, Phase, PhaseProfiler};
-use crate::telemetry::{ProgressMeter, SessionsRecord};
+use crate::prof::{Phase, PhaseProfiler};
+use crate::telemetry::SessionsRecord;
 use crate::world::World;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -905,11 +905,7 @@ impl SessionEngine {
             .min(cap)
             .min(deadline);
         let complete = match sampled {
-            Some(p) => {
-                let channel = &self.recipes[self.slot_recipe[slot] as usize].channel;
-                let (deliver, expire) = (delivery_phase(channel), expiry_phase(channel));
-                world.run_until_profiled(limit, World::is_complete, p, deliver, expire)
-            }
+            Some(p) => world.run_until_profiled(limit, World::is_complete, p),
             None => world.run_until(limit, World::is_complete),
         };
         let steps = world.step_count();
@@ -1339,7 +1335,6 @@ fn run_shard(
     spec: &ChurnSpec,
     shard: u16,
     claimed: &[Vec<DataSeq>],
-    meter: Option<&ProgressMeter>,
     metrics: Option<Arc<ShardMetrics>>,
     prof: Option<&Arc<PhaseProfiler>>,
 ) -> ChurnReport {
@@ -1366,12 +1361,8 @@ fn run_shard(
             k += shards;
         }
         engine.step_round();
-        let drained = engine.drain_completed();
-        for outcome in &drained {
+        for outcome in &engine.drain_completed() {
             digest = digest.wrapping_add(outcome_digest(outcome));
-        }
-        if let Some(m) = meter.filter(|_| !drained.is_empty()) {
-            m.record_done(drained.len());
         }
     }
     let wall_secs = started.elapsed().as_secs_f64();
@@ -1393,14 +1384,13 @@ fn run_shard(
 /// timing fields differ between threaded and isolated runs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChurnRun<'a> {
-    /// Live progress, ticked once per round that drained outcomes; shard
-    /// threads announce themselves so liveness shows in every snapshot.
-    pub meter: Option<&'a ProgressMeter>,
     /// A registry each shard publishes its [`FleetStats`] row into at
     /// the end of every round (the metered lane). Another thread holding
     /// a clone can sample [`FleetRegistry::snapshot`] /
-    /// [`FleetRegistry::watch`] while the workload runs. Its shard count
-    /// must equal `spec.server.shards`.
+    /// [`FleetRegistry::watch`] while the workload runs; the aggregate's
+    /// `completed + exhausted + disconnected` against `submitted` is the
+    /// run's live progress. Its shard count must equal
+    /// `spec.server.shards`.
     pub fleet: Option<&'a FleetRegistry>,
     /// A phase profiler every shard engine shares: each
     /// `period()`-th run-ahead chunk becomes a profiled window, so the
@@ -1414,7 +1404,8 @@ pub struct ChurnRun<'a> {
     pub isolated: bool,
 }
 
-/// Runs the churn workload as `run` says.
+/// Runs the churn workload as `run` says. Nothing is printed while it
+/// runs: live progress is read from `run.fleet`'s rows.
 ///
 /// # Panics
 ///
@@ -1423,7 +1414,6 @@ pub struct ChurnRun<'a> {
 /// `spec.server.shards`.
 pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
     let ChurnRun {
-        meter,
         fleet,
         profiler: prof,
         isolated,
@@ -1442,13 +1432,10 @@ pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
             "fleet registry shard count must match the workload's"
         );
     }
-    if let Some(m) = meter {
-        m.begin(spec.sessions as usize);
-    }
     let wall = Instant::now();
     let outs: Vec<ChurnReport> = if isolated || shards == 1 {
         (0..shards)
-            .map(|s| run_shard(spec, s, &claimed, meter, fleet.map(|f| f.shard(s)), prof))
+            .map(|s| run_shard(spec, s, &claimed, fleet.map(|f| f.shard(s)), prof))
             .collect()
     } else {
         std::thread::scope(|scope| {
@@ -1456,16 +1443,7 @@ pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
                 .map(|s| {
                     let claimed = &claimed;
                     let metrics = fleet.map(|f| f.shard(s));
-                    scope.spawn(move || {
-                        if let Some(m) = meter {
-                            m.worker_started();
-                        }
-                        let out = run_shard(spec, s, claimed, meter, metrics, prof);
-                        if let Some(m) = meter {
-                            m.worker_finished();
-                        }
-                        out
-                    })
+                    scope.spawn(move || run_shard(spec, s, claimed, metrics, prof))
                 })
                 .collect();
             handles
@@ -1475,9 +1453,6 @@ pub fn run_churn(spec: &ChurnSpec, run: &ChurnRun<'_>) -> ChurnReport {
         })
     };
     let wall_secs = wall.elapsed().as_secs_f64();
-    if let Some(m) = meter {
-        m.finish();
-    }
     let mut report = outs
         .into_iter()
         .reduce(|mut report, shard| {
@@ -2106,7 +2081,6 @@ mod tests {
     fn every_run_mode_counts_its_shards_once() {
         for shards in [1, 3, 4] {
             let spec = small_churn(120, shards);
-            let meter = ProgressMeter::new(std::time::Duration::from_secs(3600), |_| {});
             let fleet = FleetRegistry::new(shards);
             let prof = Arc::new(PhaseProfiler::new(4));
             let base = ChurnRun::default();
@@ -2114,10 +2088,6 @@ mod tests {
                 base,
                 ChurnRun {
                     isolated: true,
-                    ..base
-                },
-                ChurnRun {
-                    meter: Some(&meter),
                     ..base
                 },
                 ChurnRun {
@@ -2270,16 +2240,26 @@ mod tests {
         let done = std::sync::atomic::AtomicBool::new(false);
         let (report, last) = std::thread::scope(|scope| {
             let sampler = scope.spawn(|| {
+                // Live progress is the aggregate's retired count: it
+                // never goes back between consecutive samples.
+                let mut retired = 0;
                 for sample in 0u64.. {
                     let finished = done.load(Ordering::Acquire);
                     let snap = fleet.snapshot();
-                    for row in snap.shards.iter().chain([&snap.stats()]) {
+                    let stats = snap.stats();
+                    for row in snap.shards.iter().chain([&stats]) {
                         if let Err(law) = row.record("t").check_conservation() {
                             panic!("sample {sample}, shard {:?}: {law}", row.shard);
                         }
                     }
+                    let now = stats.completed + stats.exhausted + stats.disconnected;
+                    assert!(
+                        now >= retired,
+                        "sample {sample}: progress {retired} -> {now}"
+                    );
+                    retired = now;
                     if finished {
-                        return snap.stats();
+                        return stats;
                     }
                 }
                 unreachable!("the sampler stops once the run is done")
@@ -2297,6 +2277,10 @@ mod tests {
         // The last sample was taken after the run ended.
         assert_eq!(last, report.fleet);
         assert_eq!(last.submitted, 4_000);
+        assert_eq!(
+            last.completed + last.exhausted + last.disconnected,
+            spec.sessions
+        );
     }
 
     // `small_churn(3_000, 1)` over dup, lossy-fifo and del, the last two

@@ -1,25 +1,22 @@
-//! JSONL telemetry export and live progress.
+//! JSONL telemetry export.
 //!
-//! Two independent facilities:
+//! [`TelemetryWriter`] serializes [`TelemetryLine`]s — per-run records
+//! ([`RunRecord`]), per-message lifecycle spans ([`SpanRecord`]),
+//! knowledge-frontier samples ([`FrontierRecord`]), sweep-wide
+//! [`SweepReport`]s (folded from a sweep's runs by
+//! [`SweepOutcome::report`] at export) and the other record kinds — as
+//! JSON Lines through a pluggable [`Sink`] (file, stdout, in-memory).
+//! Each line is one self-describing object with a single key —
+//! `{"run": …}`, `{"span": …}`, `{"frontier": …}`, `{"report": …}`, … —
+//! so a consumer can dispatch without a schema registry. The writer is
+//! opt-in via the `STP_TELEMETRY` environment variable
+//! ([`TelemetryWriter::from_env`]), which keeps the experiment
+//! binaries' stdout byte-identical when telemetry is off.
 //!
-//! * **Export** — [`TelemetryWriter`] serializes [`TelemetryLine`]s —
-//!   per-run records ([`RunRecord`]), per-message lifecycle spans
-//!   ([`SpanRecord`]), knowledge-frontier samples ([`FrontierRecord`]),
-//!   sweep-wide [`SweepReport`]s (folded from a sweep's runs by
-//!   [`SweepOutcome::report`] at export) and the other record kinds —
-//!   as JSON Lines through a pluggable [`Sink`] (file, stdout,
-//!   in-memory). Each
-//!   line is one self-describing object with a single key —
-//!   `{"run": …}`, `{"span": …}`, `{"frontier": …}`, `{"report": …}`, … —
-//!   so a consumer can dispatch without a schema registry. The writer is
-//!   opt-in via the `STP_TELEMETRY` environment variable
-//!   ([`TelemetryWriter::from_env`]), which keeps the experiment
-//!   binaries' stdout byte-identical when telemetry is off.
-//! * **Progress** — [`ProgressMeter`] is a thread-safe runs-done /
-//!   runs-total counter with a throttled reporting callback (default:
-//!   one line to *stderr* per interval) that the churn workload
-//!   ([`ChurnRun::meter`](crate::sessions::ChurnRun::meter)) and the SLO
-//!   harness drive while their work is in flight.
+//! A churn workload's live progress is its shards'
+//! [`FleetStats`](crate::fleet::FleetStats) rows:
+//! `completed + exhausted + disconnected` against `submitted`, as
+//! `sessions_top` shows it.
 
 use crate::fleet::{FleetRecord, StallRecord};
 use crate::metrics::{RunStats, SweepReport};
@@ -31,8 +28,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 use stp_core::data::DataSeq;
 use stp_core::event::{ProcessId, Step};
 
@@ -427,225 +422,9 @@ impl TelemetryWriter {
     }
 }
 
-/// A point-in-time view of sweep progress, handed to the meter's
-/// reporting callback.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ProgressSnapshot {
-    /// Runs finished so far.
-    pub done: usize,
-    /// Runs in the grid.
-    pub total: usize,
-    /// Worker threads currently alive.
-    pub workers_alive: usize,
-    /// Seconds since the sweep began.
-    pub elapsed_secs: f64,
-    /// Observed throughput, runs per second (`0.0` until time has passed).
-    pub runs_per_sec: f64,
-    /// Estimated seconds to completion (`0.0` when done or unknowable).
-    pub eta_secs: f64,
-}
-
-impl fmt::Display for ProgressSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pct = if self.total == 0 {
-            100.0
-        } else {
-            100.0 * self.done as f64 / self.total as f64
-        };
-        write!(
-            f,
-            "sweep {}/{} ({pct:.1}%) · {:.0} runs/s · ETA {:.1}s · {} workers",
-            self.done, self.total, self.runs_per_sec, self.eta_secs, self.workers_alive
-        )
-    }
-}
-
-/// A thread-safe progress counter with a throttled reporting callback.
-///
-/// Workers call [`ProgressMeter::worker_started`] /
-/// [`ProgressMeter::worker_finished`] around their lifetime and
-/// [`ProgressMeter::record_done`] per finished run; the meter invokes the
-/// callback at most once per interval (plus once at
-/// [`ProgressMeter::finish`]), so per-run overhead is an atomic increment
-/// and a clock read.
-pub struct ProgressMeter {
-    total: AtomicUsize,
-    done: AtomicUsize,
-    workers: AtomicUsize,
-    interval: Duration,
-    clock: Mutex<MeterClock>,
-    // Single-reporter guard: the callback runs under this lock, so two
-    // shards can never emit interleaved partial lines. Throttled callers
-    // that lose the race skip — their counts are already in the atomics.
-    report_lock: Mutex<()>,
-    callback: Box<dyn Fn(&ProgressSnapshot) + Send + Sync>,
-}
-
-#[derive(Debug)]
-struct MeterClock {
-    started: Instant,
-    last_report: Option<Instant>,
-    // Runs done as of the last report, so the throttled line can show the
-    // *recent* throughput rather than the lifetime average.
-    last_done: usize,
-}
-
-impl fmt::Debug for ProgressMeter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProgressMeter")
-            .field("done", &self.done.load(Ordering::Relaxed))
-            .field("total", &self.total.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl ProgressMeter {
-    /// A meter that invokes `callback` at most once per `interval`.
-    pub fn new(
-        interval: Duration,
-        callback: impl Fn(&ProgressSnapshot) + Send + Sync + 'static,
-    ) -> ProgressMeter {
-        ProgressMeter {
-            total: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            workers: AtomicUsize::new(0),
-            interval,
-            clock: Mutex::new(MeterClock {
-                started: Instant::now(),
-                last_report: None,
-                last_done: 0,
-            }),
-            report_lock: Mutex::new(()),
-            callback: Box::new(callback),
-        }
-    }
-
-    /// A meter that prints one line per interval to *stderr* (stdout is
-    /// reserved for experiment tables and telemetry).
-    pub fn stderr(interval: Duration) -> ProgressMeter {
-        ProgressMeter::new(interval, |snap| eprintln!("{snap}"))
-    }
-
-    /// Arms the meter for a grid of `total` runs, zeroing the counters
-    /// and restarting the clock. Call once before handing the meter to
-    /// workers; a meter can be re-armed for a subsequent sweep.
-    pub fn begin(&self, total: usize) {
-        self.total.store(total, Ordering::Relaxed);
-        self.done.store(0, Ordering::Relaxed);
-        let mut clock = self.clock.lock();
-        clock.started = Instant::now();
-        clock.last_report = None;
-        clock.last_done = 0;
-    }
-
-    /// A worker thread came up.
-    pub fn worker_started(&self) {
-        self.workers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker thread exited.
-    pub fn worker_finished(&self) {
-        self.workers.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` finished runs and reports if the interval elapsed.
-    pub fn record_done(&self, n: usize) {
-        self.done.fetch_add(n, Ordering::Relaxed);
-        self.maybe_report(false);
-    }
-
-    /// Forces a final report (e.g. after the merge).
-    pub fn finish(&self) {
-        self.maybe_report(true);
-    }
-
-    /// The current progress, computed from the atomics and the clock.
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        let elapsed = self.clock.lock().started.elapsed();
-        self.snapshot_at(elapsed)
-    }
-
-    fn snapshot_at(&self, elapsed: Duration) -> ProgressSnapshot {
-        let done = self.done.load(Ordering::Relaxed);
-        let total = self.total.load(Ordering::Relaxed);
-        let elapsed_secs = elapsed.as_secs_f64();
-        let runs_per_sec = if elapsed_secs > 0.0 {
-            done as f64 / elapsed_secs
-        } else {
-            0.0
-        };
-        let remaining = total.saturating_sub(done);
-        let eta_secs = if remaining == 0 || runs_per_sec <= 0.0 {
-            0.0
-        } else {
-            remaining as f64 / runs_per_sec
-        };
-        ProgressSnapshot {
-            done,
-            total,
-            workers_alive: self.workers.load(Ordering::Relaxed),
-            elapsed_secs,
-            runs_per_sec,
-            eta_secs,
-        }
-    }
-
-    fn maybe_report(&self, force: bool) {
-        // One reporter at a time: a forced report waits its turn, a
-        // throttled one skips if another thread is already reporting.
-        let _reporting = if force {
-            self.report_lock.lock()
-        } else {
-            match self.report_lock.try_lock() {
-                Some(guard) => guard,
-                None => return,
-            }
-        };
-        // The critical section is two clock reads; workers contend here
-        // only once per finished run.
-        let mut clock = self.clock.lock();
-        let due = match clock.last_report {
-            None => true,
-            Some(at) => at.elapsed() >= self.interval,
-        };
-        if force || due {
-            let done = self.done.load(Ordering::Relaxed);
-            // Throughput over the window since the previous report —
-            // tracks ramp-up and tail-off better than the lifetime
-            // average. The first report (no previous window) and a
-            // zero-width window (forced report right after a throttled
-            // one) fall back to the cumulative rate, which `snapshot_at`
-            // guards against zero elapsed time itself.
-            let window_rate = clock.last_report.and_then(|at| {
-                let width = at.elapsed().as_secs_f64();
-                let delta = done.saturating_sub(clock.last_done);
-                (width > 0.0).then(|| delta as f64 / width)
-            });
-            clock.last_report = Some(Instant::now());
-            clock.last_done = done;
-            let elapsed = clock.started.elapsed();
-            drop(clock);
-            let mut snap = self.snapshot_at(elapsed);
-            if let Some(rate) = window_rate {
-                snap.runs_per_sec = rate;
-                let remaining = snap.total.saturating_sub(snap.done);
-                snap.eta_secs = if remaining == 0 || rate <= 0.0 {
-                    0.0
-                } else {
-                    remaining as f64 / rate
-                };
-            }
-            (self.callback)(&snap);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize as TestCounter;
-    use std::sync::Arc;
-    use stp_core::event::Step;
 
     fn stats(steps: Step, written: usize) -> RunStats {
         RunStats {
@@ -882,37 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_forced_reports_never_interleave() {
-        // Each callback appends an open marker, sleeps, then a close
-        // marker under the meter's report lock; interleaving would break
-        // the strict open/close alternation.
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let seen = events.clone();
-        let meter = Arc::new(ProgressMeter::new(Duration::from_secs(0), move |_| {
-            seen.lock().push("open");
-            std::thread::sleep(Duration::from_millis(2));
-            seen.lock().push("close");
-        }));
-        meter.begin(64);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let meter = Arc::clone(&meter);
-                scope.spawn(move || {
-                    for _ in 0..4 {
-                        meter.record_done(1);
-                        meter.finish();
-                    }
-                });
-            }
-        });
-        let events = events.lock();
-        assert!(!events.is_empty());
-        for pair in events.chunks(2) {
-            assert_eq!(pair, ["open", "close"], "reports interleaved: {events:?}");
-        }
-    }
-
-    #[test]
     fn garbage_lines_fail_to_parse() {
         assert!(TelemetryLine::parse("{\"neither\": 1}").is_err());
         assert!(TelemetryLine::parse("not json").is_err());
@@ -945,74 +693,5 @@ mod tests {
             TelemetryLine::parse(line).unwrap();
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn progress_meter_counts_and_estimates() {
-        let reports = Arc::new(TestCounter::new(0));
-        let seen = reports.clone();
-        let meter = ProgressMeter::new(Duration::from_secs(3600), move |_| {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        meter.begin(10);
-        meter.worker_started();
-        meter.record_done(4); // first report is always due
-        assert_eq!(reports.load(Ordering::Relaxed), 1);
-        meter.record_done(1); // throttled: interval not elapsed
-        assert_eq!(reports.load(Ordering::Relaxed), 1);
-        let snap = meter.snapshot();
-        assert_eq!(snap.done, 5);
-        assert_eq!(snap.total, 10);
-        assert_eq!(snap.workers_alive, 1);
-        meter.worker_finished();
-        meter.finish(); // forced
-        assert_eq!(reports.load(Ordering::Relaxed), 2);
-        assert_eq!(meter.snapshot().workers_alive, 0);
-        // Re-arming zeroes the counters.
-        meter.begin(3);
-        assert_eq!(meter.snapshot().done, 0);
-    }
-
-    #[test]
-    fn progress_reports_stay_finite_from_the_first_tick() {
-        let snaps = Arc::new(Mutex::new(Vec::new()));
-        let seen = snaps.clone();
-        let meter = ProgressMeter::new(Duration::from_secs(0), move |s| {
-            seen.lock().push(s.clone());
-        });
-        meter.begin(8);
-        // First tick: no previous report window, elapsed possibly ~0.
-        meter.record_done(1);
-        std::thread::sleep(Duration::from_millis(5));
-        // Second tick: windowed rate over the 5ms window.
-        meter.record_done(7);
-        meter.finish();
-        let snaps = snaps.lock();
-        assert!(snaps.len() >= 2);
-        for s in snaps.iter() {
-            assert!(s.runs_per_sec.is_finite(), "{s:?}");
-            assert!(s.runs_per_sec >= 0.0, "{s:?}");
-            assert!(s.eta_secs.is_finite(), "{s:?}");
-            assert!(s.eta_secs >= 0.0, "{s:?}");
-        }
-        let last = snaps.last().unwrap();
-        assert_eq!(last.done, 8);
-        assert_eq!(last.eta_secs, 0.0, "nothing remains");
-    }
-
-    #[test]
-    fn snapshot_display_is_human_readable() {
-        let snap = ProgressSnapshot {
-            done: 3,
-            total: 12,
-            workers_alive: 4,
-            elapsed_secs: 1.5,
-            runs_per_sec: 2.0,
-            eta_secs: 4.5,
-        };
-        let s = snap.to_string();
-        assert!(s.contains("3/12"), "{s}");
-        assert!(s.contains("25.0%"), "{s}");
-        assert!(s.contains("4 workers"), "{s}");
     }
 }

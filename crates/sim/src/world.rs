@@ -3,7 +3,7 @@
 use crate::error::SimError;
 use crate::kernel::{self, Components, Quiet, Scratch, StepSink};
 use crate::metrics::RunStats;
-use crate::prof::{NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
+use crate::prof::{delivery_phase, expiry_phase, NoObs, Phase, PhaseProfiler, ProfObs, StepObs};
 use stp_channel::{Channel, DelChannel, DupChannel, EagerScheduler, Scheduler};
 use stp_core::alphabet::{RMsg, SMsg};
 use stp_core::data::DataSeq;
@@ -567,8 +567,8 @@ impl World {
     }
 
     /// Like [`World::run_until`], but the whole run is one profiling
-    /// window of `prof`: channel cost lands in the per-kind
-    /// `deliver`/`expire` phases (see [`crate::prof::delivery_phase`]),
+    /// window of `prof`: channel cost lands in the deliver/expire phases
+    /// of the world's channel kind (see [`crate::prof::delivery_phase`]),
     /// the rest in the shared taxonomy. Profiling only observes —
     /// behaviour, trace, and stats are identical to an unprofiled run.
     pub fn run_until_profiled<F: FnMut(&World) -> bool>(
@@ -576,9 +576,9 @@ impl World {
         max_steps: Step,
         cond: F,
         prof: &PhaseProfiler,
-        deliver: Phase,
-        expire: Phase,
     ) -> bool {
+        let kind = self.channel.kind();
+        let (deliver, expire) = (delivery_phase(kind), expiry_phase(kind));
         let mut obs = ProfObs::begin();
         let reached = self.run_loop(max_steps, cond, &mut obs, deliver, expire);
         obs.finish(prof);

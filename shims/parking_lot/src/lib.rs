@@ -5,7 +5,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
 
 /// A mutual-exclusion lock whose `lock` never returns a `Result`.
 #[derive(Debug, Default)]
@@ -33,17 +33,6 @@ impl<T: ?Sized> Mutex<T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Attempts to acquire the lock without blocking; `None` if another
-    /// holder has it right now (parking_lot returns `Option`, not a
-    /// `Result`).
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Returns a mutable reference to the data without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
@@ -61,16 +50,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
         assert_eq!(m.into_inner(), 6);
-    }
-
-    #[test]
-    fn try_lock_skips_a_held_lock() {
-        let m = Mutex::new(1);
-        {
-            let _g = m.lock();
-            assert!(m.try_lock().is_none(), "held elsewhere");
-        }
-        assert_eq!(*m.try_lock().expect("free now"), 1);
     }
 
     #[test]
