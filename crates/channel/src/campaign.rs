@@ -271,7 +271,9 @@ impl CampaignScheduler {
         for s in &mut self.states {
             *s = ClauseState::default();
         }
-        self.rng = ChaCha8Rng::seed_from_u64(self.plan.seed);
+        // The plan's seed never changes, so every reset replays the
+        // campaign's keystream from the generator's tape.
+        self.rng.reseed(self.plan.seed);
         self.written = 0;
     }
 

@@ -7,7 +7,7 @@
 //! deterministic given their seed, so every run is replayable.
 
 use crate::chan::Channel;
-use rand::{Rng, SeedableRng};
+use rand::{Bernoulli, Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -72,6 +72,13 @@ pub trait Scheduler: fmt::Debug {
     /// with that seed. Deterministic schedulers (eager, reorder, scripted)
     /// ignore the seed; wrappers forward it to their inner scheduler.
     /// Pooled executors call this between runs instead of re-boxing.
+    ///
+    /// Seeded schedulers rewind their generator with
+    /// [`ChaCha8Rng::reseed`]: a reset to the seed the scheduler already
+    /// holds replays that seed's keystream from the generator's tape
+    /// instead of computing it again, and draws exactly the words a fresh
+    /// build would. So a reset is still exactly a fresh build; it is only
+    /// cheaper when consecutive runs share a seed.
     fn reset(&mut self, seed: u64);
 
     /// Clones the scheduler state behind a box (object-safe `Clone`).
@@ -135,7 +142,7 @@ impl Scheduler for EagerScheduler {
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: ChaCha8Rng,
-    p_deliver: f64,
+    deliver: Bernoulli,
 }
 
 impl RandomScheduler {
@@ -146,10 +153,9 @@ impl RandomScheduler {
     ///
     /// Panics if `p_deliver` is not within `[0, 1]`.
     pub fn new(seed: u64, p_deliver: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_deliver), "probability out of range");
         RandomScheduler {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            p_deliver,
+            deliver: Bernoulli::new(p_deliver),
         }
     }
 }
@@ -158,18 +164,18 @@ impl Scheduler for RandomScheduler {
     fn decide(&mut self, _step: Step, chan: &dyn Channel) -> StepDecision {
         let mut d = StepDecision::idle();
         let to_r = chan.deliverable_to_r();
-        if !to_r.is_empty() && self.rng.gen_bool(self.p_deliver) {
+        if !to_r.is_empty() && self.deliver.sample(&mut self.rng) {
             d.deliver_to_r = Some(to_r[self.rng.gen_range(0..to_r.len())]);
         }
         let to_s = chan.deliverable_to_s();
-        if !to_s.is_empty() && self.rng.gen_bool(self.p_deliver) {
+        if !to_s.is_empty() && self.deliver.sample(&mut self.rng) {
             d.deliver_to_s = Some(to_s[self.rng.gen_range(0..to_s.len())]);
         }
         d
     }
 
     fn reset(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.rng.reseed(seed);
     }
 
     fn box_clone(&self) -> Box<dyn Scheduler> {
@@ -184,9 +190,9 @@ impl Scheduler for RandomScheduler {
 #[derive(Debug, Clone)]
 pub struct DupStormScheduler {
     rng: ChaCha8Rng,
-    /// Probability of delivering anything at all in a direction (keeping a
-    /// bit of starvation makes the storm nastier, not kinder).
-    p_deliver: f64,
+    /// Whether to deliver anything at all in a direction (keeping a bit of
+    /// starvation makes the storm nastier, not kinder).
+    deliver: Bernoulli,
 }
 
 impl DupStormScheduler {
@@ -197,10 +203,9 @@ impl DupStormScheduler {
     ///
     /// Panics if `p_deliver` is not within `[0, 1]`.
     pub fn new(seed: u64, p_deliver: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_deliver), "probability out of range");
         DupStormScheduler {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            p_deliver,
+            deliver: Bernoulli::new(p_deliver),
         }
     }
 }
@@ -209,14 +214,14 @@ impl Scheduler for DupStormScheduler {
     fn decide(&mut self, _step: Step, chan: &dyn Channel) -> StepDecision {
         let mut d = StepDecision::idle();
         let to_r = chan.deliverable_to_r();
-        if !to_r.is_empty() && self.rng.gen_bool(self.p_deliver) {
+        if !to_r.is_empty() && self.deliver.sample(&mut self.rng) {
             // Bias toward the *oldest* (smallest) messages: stale floods.
             let idx = self.rng.gen_range(0..to_r.len().max(1));
             let idx = idx.min(self.rng.gen_range(0..to_r.len()));
             d.deliver_to_r = Some(to_r[idx]);
         }
         let to_s = chan.deliverable_to_s();
-        if !to_s.is_empty() && self.rng.gen_bool(self.p_deliver) {
+        if !to_s.is_empty() && self.deliver.sample(&mut self.rng) {
             let idx = self.rng.gen_range(0..to_s.len().max(1));
             let idx = idx.min(self.rng.gen_range(0..to_s.len()));
             d.deliver_to_s = Some(to_s[idx]);
@@ -225,7 +230,7 @@ impl Scheduler for DupStormScheduler {
     }
 
     fn reset(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.rng.reseed(seed);
     }
 
     fn box_clone(&self) -> Box<dyn Scheduler> {
@@ -239,8 +244,8 @@ impl Scheduler for DupStormScheduler {
 #[derive(Debug, Clone)]
 pub struct DropHeavyScheduler {
     rng: ChaCha8Rng,
-    p_drop: f64,
-    p_deliver: f64,
+    drop: Bernoulli,
+    deliver: Bernoulli,
 }
 
 impl DropHeavyScheduler {
@@ -250,12 +255,10 @@ impl DropHeavyScheduler {
     ///
     /// Panics if either probability is not within `[0, 1]`.
     pub fn new(seed: u64, p_drop: f64, p_deliver: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_drop), "probability out of range");
-        assert!((0.0..=1.0).contains(&p_deliver), "probability out of range");
         DropHeavyScheduler {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            p_drop,
-            p_deliver,
+            drop: Bernoulli::new(p_drop),
+            deliver: Bernoulli::new(p_deliver),
         }
     }
 }
@@ -265,11 +268,11 @@ impl Scheduler for DropHeavyScheduler {
         let mut d = StepDecision::idle();
         if chan.can_delete() {
             let to_r = chan.deliverable_to_r();
-            if !to_r.is_empty() && self.rng.gen_bool(self.p_drop) {
+            if !to_r.is_empty() && self.drop.sample(&mut self.rng) {
                 d.delete_to_r.push(to_r[self.rng.gen_range(0..to_r.len())]);
             }
             let to_s = chan.deliverable_to_s();
-            if !to_s.is_empty() && self.rng.gen_bool(self.p_drop) {
+            if !to_s.is_empty() && self.drop.sample(&mut self.rng) {
                 d.delete_to_s.push(to_s[self.rng.gen_range(0..to_s.len())]);
             }
         }
@@ -277,18 +280,18 @@ impl Scheduler for DropHeavyScheduler {
         // executor; choosing from the current view is still sound because
         // the executor ignores infeasible decisions.
         let to_r = chan.deliverable_to_r();
-        if !to_r.is_empty() && self.rng.gen_bool(self.p_deliver) {
+        if !to_r.is_empty() && self.deliver.sample(&mut self.rng) {
             d.deliver_to_r = Some(to_r[self.rng.gen_range(0..to_r.len())]);
         }
         let to_s = chan.deliverable_to_s();
-        if !to_s.is_empty() && self.rng.gen_bool(self.p_deliver) {
+        if !to_s.is_empty() && self.deliver.sample(&mut self.rng) {
             d.deliver_to_s = Some(to_s[self.rng.gen_range(0..to_s.len())]);
         }
         d
     }
 
     fn reset(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.rng.reseed(seed);
     }
 
     fn box_clone(&self) -> Box<dyn Scheduler> {
@@ -348,8 +351,8 @@ impl Scheduler for ReorderScheduler {
 #[derive(Debug, Clone)]
 pub struct TargetedScheduler {
     rng: ChaCha8Rng,
-    p_target: f64,
-    p_deliver: f64,
+    target: Bernoulli,
+    deliver: Bernoulli,
 }
 
 impl TargetedScheduler {
@@ -359,12 +362,10 @@ impl TargetedScheduler {
     ///
     /// Panics if either probability is not within `[0, 1]`.
     pub fn new(seed: u64, p_target: f64, p_deliver: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_target), "probability out of range");
-        assert!((0.0..=1.0).contains(&p_deliver), "probability out of range");
         TargetedScheduler {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            p_target,
-            p_deliver,
+            target: Bernoulli::new(p_target),
+            deliver: Bernoulli::new(p_deliver),
         }
     }
 }
@@ -376,28 +377,28 @@ impl Scheduler for TargetedScheduler {
             // Deliverable lists are sorted by message index; protocols
             // allocate new logical messages at fresh indices, so the last
             // entry is the adversary's best guess at "the current one".
-            if self.rng.gen_bool(self.p_target) {
+            if self.target.sample(&mut self.rng) {
                 if let Some(&m) = chan.deliverable_to_r().last() {
                     d.delete_to_r.push(m);
                 }
             }
-            if self.rng.gen_bool(self.p_target) {
+            if self.target.sample(&mut self.rng) {
                 if let Some(&m) = chan.deliverable_to_s().last() {
                     d.delete_to_s.push(m);
                 }
             }
         }
-        if self.rng.gen_bool(self.p_deliver) {
+        if self.deliver.sample(&mut self.rng) {
             d.deliver_to_r = chan.deliverable_to_r().first().copied();
         }
-        if self.rng.gen_bool(self.p_deliver) {
+        if self.deliver.sample(&mut self.rng) {
             d.deliver_to_s = chan.deliverable_to_s().first().copied();
         }
         d
     }
 
     fn reset(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.rng.reseed(seed);
     }
 
     fn box_clone(&self) -> Box<dyn Scheduler> {

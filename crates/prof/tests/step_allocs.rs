@@ -4,8 +4,9 @@
 //! Protocol outputs live inline ([`stp_core::Msgs`]) and per-run resets
 //! copy into existing buffers, so once a pooled world has grown its
 //! buffers to a workload's high-water mark, no step phase touches the
-//! heap. The allocation counters are process-wide, so the tests in this
-//! binary take turns.
+//! heap. Nor does a reset: a seed-major lap keeps its schedulers'
+//! keystream tapes, and a lap of new seeds builds none. The allocation
+//! counters are process-wide, so the tests in this binary take turns.
 
 use std::sync::Mutex;
 use stp_channel::{ChannelSpec, SchedulerSpec};
@@ -87,6 +88,83 @@ fn warmed_e1_steps_allocate_nothing() {
     for scheduler in e1_adversaries() {
         let label = format!("tight-5 dup {scheduler:?}");
         assert_warm_steps_allocate_nothing(&label, &family, &ChannelSpec::Dup, &scheduler, 20_000);
+    }
+}
+
+/// Allocations made by `lap`, resets included, on every thread: the
+/// profiler's total over the lap less what an empty lap counts (the
+/// profiler's own set-up).
+fn allocs_in(label: &str, mut lap: impl FnMut()) -> u64 {
+    let idle = PhaseProfiler::new(1)
+        .report("step_allocs", label)
+        .allocs_total;
+    // The profiler's set-up allocates, so a zero below is measured, not
+    // missing.
+    assert!(idle > 0, "counting allocator not installed");
+    let prof = PhaseProfiler::new(1);
+    lap();
+    prof.report("step_allocs", label).allocs_total - idle
+}
+
+/// Runs the `(input, seed)` cells of `laps` on one unobserved pooled
+/// world per E1 adversary, resetting it before each cell, and returns the
+/// allocations of the last lap.
+fn last_lap_allocs(laps: &[Vec<(usize, u64)>]) -> Vec<(SchedulerSpec, u64)> {
+    let family = TightFamily::new(5, ResendPolicy::Once);
+    let claimed = family.claimed_family();
+    let seqs = claimed.seqs();
+    e1_adversaries()
+        .into_iter()
+        .map(|scheduler| {
+            let mut world = World::builder(seqs[0].clone())
+                .sender(family.sender_for(&seqs[0]))
+                .receiver(family.receiver())
+                .channel(ChannelSpec::Dup.build())
+                .scheduler(scheduler.build(0))
+                .mode(TraceMode::Off)
+                .build()
+                .expect("every component supplied");
+            let mut lap = |cells: &[(usize, u64)]| {
+                for &(x, seed) in cells {
+                    world.reset(&seqs[x], seed);
+                    assert!(world.run_until(20_000, World::is_complete));
+                }
+            };
+            let (last, warm) = laps.split_last().expect("at least one lap");
+            for cells in warm {
+                lap(cells);
+            }
+            let allocs = allocs_in(&format!("{scheduler:?}"), || lap(last));
+            (scheduler, allocs)
+        })
+        .collect()
+}
+
+#[test]
+fn a_warmed_seed_major_lap_allocates_nothing() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let inputs = TightFamily::new(5, ResendPolicy::Once).claimed_len();
+    // Every input under seed 0, then every input under seed 1, …: each
+    // seed's resets after its first replay the scheduler's tape, and each
+    // seed change keeps the tape's buffer.
+    let lap: Vec<(usize, u64)> = (0..SEEDS)
+        .flat_map(|seed| (0..inputs).map(move |x| (x, seed)))
+        .collect();
+    for (scheduler, allocs) in last_lap_allocs(&[lap.clone(), lap]) {
+        assert_eq!(allocs, 0, "{scheduler:?}: a warm seed-major lap allocated");
+    }
+}
+
+#[test]
+fn a_lap_of_new_seeds_builds_no_tape() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let inputs = TightFamily::new(5, ResendPolicy::Once).claimed_len() as u64;
+    // Every reset takes a seed no earlier reset used, as a session slot's
+    // does. Building a tape would allocate its 8 KiB buffer.
+    let lap =
+        |from: u64| -> Vec<(usize, u64)> { (0..inputs).map(|x| (x as usize, from + x)).collect() };
+    for (scheduler, allocs) in last_lap_allocs(&[lap(1), lap(1 + inputs)]) {
+        assert_eq!(allocs, 0, "{scheduler:?}: a lap of new seeds allocated");
     }
 }
 

@@ -17,17 +17,25 @@
 //!   from one source, the world's incremental counters
 //!   ([`World::stats`]).
 //! * **In-place fill** — the grid's result slots are allocated once, in
-//!   grid order, and dealt out in 16-cell chunks from a shared
+//!   run order, and dealt out in 16-cell chunks from a shared
 //!   [`Mutex`]; each worker writes every run straight into its slot, so
-//!   the outcome is in grid order however the chunks interleaved, with
-//!   no per-worker buckets and no scatter after the join. The calling
-//!   thread is always one of the workers, so at `threads(1)` the grid runs
-//!   serially with nothing spawned, and [`SweepEngine::run_isolated`] is
-//!   the same loop over a static deal.
+//!   there are no per-worker buckets. The calling thread is always one of
+//!   the workers, so at `threads(1)` the grid runs serially with nothing
+//!   spawned, and [`SweepEngine::run_isolated`] is the same loop over a
+//!   static deal.
+//! * **Seed-major runs** — within each scheduler block the cells run
+//!   seed-major (every sequence under one seed, then the next seed), so a
+//!   pooled world is reset to the seed it already holds and its scheduler
+//!   replays the seed's keystream
+//!   ([`ChaCha8Rng::reseed`](rand_chacha::ChaCha8Rng::reseed)) instead of
+//!   computing it again.
 //!
 //! The grid itself is the cartesian product *schedulers × claimed
-//! sequences × seeds*, flattened scheduler-major so a single-scheduler
-//! spec reproduces the legacy sweep order bit-for-bit.
+//! sequences × seeds*, and the outcome lists it scheduler-major, then
+//! sequence, then seed, so a single-scheduler spec reproduces the legacy
+//! sweep order bit-for-bit. With one seed the run order is that grid
+//! order; with more, the runs are put back into grid order after the
+//! join.
 //!
 //! For scaling measurements on oversubscribed or single-core hosts,
 //! [`SweepEngine::run_isolated`] runs each worker's share of a static
@@ -164,9 +172,9 @@ pub struct SweepEngine {
     spec: SweepSpec,
 }
 
-/// Grid cells per chunk: the unit in which workers take slots to fill,
-/// from the shared deal of [`SweepEngine::run`] or the static one of
-/// [`SweepEngine::run_isolated`].
+/// Grid cells per chunk: the unit in which workers take slots to fill
+/// from the shared deal of [`SweepEngine::run`], so the deal's lock is
+/// taken once per 16 cells.
 const DEAL_CHUNK: usize = 16;
 
 /// A timed [`SweepEngine::run_isolated`] result: the merged outcome plus
@@ -214,9 +222,12 @@ impl SweepEngine {
     }
 
     /// Runs the whole grid across the spec's worker threads, pooling one
-    /// world per (worker, scheduler recipe). Results are returned in grid
-    /// order, identical for every thread count; at `threads(1)` the one
-    /// worker is the calling thread and nothing is spawned.
+    /// world per (worker, scheduler recipe). Cells run seed-major within
+    /// each scheduler block, so consecutive cells on a worker share a seed
+    /// and replay its keystream. Results are returned in grid order
+    /// (scheduler, then sequence, then seed), identical for every thread
+    /// count; at `threads(1)` the one worker is the calling thread and
+    /// nothing is spawned.
     pub fn run(&self, family: &dyn ProtocolFamily) -> SweepOutcome {
         self.run_inner(family, None)
     }
@@ -242,7 +253,9 @@ impl SweepEngine {
                         .expect("no worker panics holding the deal")
                         .next()
                 };
-                self.fill(family, claimed, prof, iter::from_fn(next));
+                let cells =
+                    iter::from_fn(next).flat_map(|(c, chunk)| (c * DEAL_CHUNK..).zip(chunk));
+                self.fill(family, claimed, prof, cells);
             };
             // The calling thread is worker 0; `threads - 1` more are spawned.
             std::thread::scope(|scope| {
@@ -256,8 +269,9 @@ impl SweepEngine {
 
     /// Runs every worker's share of a static deal sequentially on the
     /// calling thread, timing each worker's busy loop. The worker count
-    /// is the spec's `threads`; the grid is cut into 16-cell chunks and
-    /// chunk `c` goes to worker `c % threads`. The merged outcome is
+    /// is the spec's `threads`, and cell `i` of the run order (seed-major
+    /// within each scheduler block, as in [`SweepEngine::run`]) goes to
+    /// worker `i % threads`. The merged outcome is in grid order and
     /// bit-identical to [`SweepEngine::run`], and
     /// [`IsolatedReport::runs_per_sec`] measures the partition's critical
     /// path: what that many real cores would achieve, judged from one.
@@ -279,75 +293,84 @@ impl SweepEngine {
         }
     }
 
-    /// Allocates the grid's slots once, in grid order, lets `deal` hand
-    /// them to workers that fill them in place, and packages the runs.
+    /// Allocates the grid's slots once, in run order, lets `deal` hand
+    /// them to workers that fill them in place, and packages the runs in
+    /// grid order.
     fn run_grid(
         &self,
         family: &dyn ProtocolFamily,
         deal: impl FnOnce(&[DataSeq], &mut [Option<MemberRun>]),
     ) -> SweepOutcome {
         let claimed = family.claimed_family();
-        let cells = self.spec.schedulers.len() * claimed.len() * self.spec.seeds.len();
+        let (seqs, seeds) = (claimed.len(), self.spec.seeds.len());
+        let cells = self.spec.schedulers.len() * seqs * seeds;
         let mut slots = vec![None; cells];
         deal(claimed.seqs(), &mut slots);
-        // `Option<MemberRun>` and `MemberRun` share a layout, so this
-        // collect reuses the slot vector's buffer.
-        let runs = slots
-            .into_iter()
-            .map(|run| run.expect("every grid cell ran exactly once"))
-            .collect();
+        let ran = |run: Option<MemberRun>| run.expect("every grid cell ran exactly once");
+        let runs = if seeds > 1 && seqs > 1 {
+            // Grid cell (sequence x, seed s) of a scheduler block ran as
+            // slot (s, x) of the same block.
+            let per_scheduler = seqs * seeds;
+            (0..cells)
+                .map(|g| {
+                    let (block, rest) = (g - g % per_scheduler, g % per_scheduler);
+                    ran(slots[block + (rest % seeds) * seqs + rest / seeds].take())
+                })
+                .collect()
+        } else {
+            // Run order is grid order. `Option<MemberRun>` and `MemberRun`
+            // share a layout, so this collect reuses the slot vector's
+            // buffer.
+            slots.into_iter().map(ran).collect()
+        };
         SweepOutcome::from_runs(runs)
     }
 
-    /// One worker's fill loop: runs every cell of every `(chunk index,
-    /// chunk)` it is handed on its own pool of worlds (one per scheduler
-    /// recipe, built lazily and reset between cells; worlds never cross
-    /// threads, so the boxed components need no `Send` bound) and writes
-    /// each run into its grid slot. A cell's `(scheduler, sequence, seed)`
-    /// follows from its grid index, scheduler-major, then sequence, then
-    /// seed — the legacy sweep order within each scheduler block.
+    /// One worker's fill loop: runs every `(run index, slot)` it is handed
+    /// on its own pool of worlds (one per scheduler recipe, built lazily
+    /// and reset between cells; worlds never cross threads, so the boxed
+    /// components need no `Send` bound) and writes each run into its slot.
+    /// A cell's `(scheduler, sequence, seed)` follows from its run index:
+    /// scheduler-major, then seed, then sequence, so a world's consecutive
+    /// cells share a seed.
     fn fill<'s>(
         &self,
         family: &dyn ProtocolFamily,
         claimed: &[DataSeq],
         prof: Option<&PhaseProfiler>,
-        chunks: impl Iterator<Item = (usize, &'s mut [Option<MemberRun>])>,
+        cells: impl Iterator<Item = (usize, &'s mut Option<MemberRun>)>,
     ) {
         let spec = &self.spec;
         let mut worlds: Vec<Option<World>> = (0..spec.schedulers.len()).map(|_| None).collect();
-        let seeds = spec.seeds.len();
-        let per_scheduler = claimed.len() * seeds;
+        let seqs = claimed.len();
+        let per_scheduler = seqs * spec.seeds.len();
         // Per-worker sampling tick: each worker profiles every
         // `period`-th of *its own* cells, so the sampled share is
         // independent of the thread count.
         let mut tick: u64 = 0;
-        for (c, chunk) in chunks {
-            for (i, slot) in (c * DEAL_CHUNK..).zip(chunk) {
-                let cell_prof = prof.filter(|p| {
-                    tick += 1;
-                    p.sample(tick)
-                });
-                let (sched, rest) = (i / per_scheduler, i % per_scheduler);
-                let x = &claimed[rest / seeds];
-                let seed = spec.seeds[rest % seeds];
-                let run = run_cell(&mut worlds, family, spec, sched, x, seed, cell_prof);
-                *slot = Some(run);
-            }
+        for (i, slot) in cells {
+            let cell_prof = prof.filter(|p| {
+                tick += 1;
+                p.sample(tick)
+            });
+            let (sched, rest) = (i / per_scheduler, i % per_scheduler);
+            let seed = spec.seeds[rest / seqs];
+            let x = &claimed[rest % seqs];
+            let run = run_cell(&mut worlds, family, spec, sched, x, seed, cell_prof);
+            *slot = Some(run);
         }
     }
 }
 
 /// Worker `w`'s share of [`SweepEngine::run_isolated`]'s static deal of
-/// `slots` over `workers` workers: every `workers`-th chunk from chunk
-/// `w`, with its chunk index. Round-robin chunks (rather than contiguous
-/// blocks) keep the deal balanced even when cell cost drifts across the
-/// grid.
-fn dealt<T>(slots: &mut [T], workers: usize, w: usize) -> impl Iterator<Item = (usize, &mut [T])> {
-    slots
-        .chunks_mut(DEAL_CHUNK)
-        .enumerate()
-        .skip(w)
-        .step_by(workers)
+/// `slots` over `workers` workers: every `workers`-th cell from cell `w`,
+/// with its index. Single cells rather than 16-cell chunks keep the deal
+/// balanced however cell cost drifts across the sequences: in seed-major
+/// order a chunk holds neighbouring sequences of one seed, so a chunk
+/// deal can give each worker the same sequences under every seed. A
+/// worker's consecutive cells still share a seed.
+fn dealt<T>(slots: &mut [T], workers: usize, w: usize) -> impl Iterator<Item = (usize, &mut T)> {
+    slots.iter_mut().enumerate().skip(w).step_by(workers)
 }
 
 /// Executes one grid cell on a pooled world, building it on first use and
@@ -633,13 +656,11 @@ mod tests {
             let mut grid: Vec<usize> = (0..cells).collect();
             let mut seen = vec![false; cells];
             for w in 0..workers {
-                for (c, chunk) in dealt(&mut grid, workers, w) {
-                    assert_eq!(c % workers, w, "chunk on the wrong worker");
-                    for (&mut i, k) in chunk.iter_mut().zip(c * DEAL_CHUNK..) {
-                        assert_eq!(i, k, "{cells}/{workers}: chunk {c} misindexed");
-                        assert!(!seen[i], "{cells}/{workers}: cell {i} dealt twice");
-                        seen[i] = true;
-                    }
+                for (k, &mut i) in dealt(&mut grid, workers, w) {
+                    assert_eq!(k % workers, w, "cell on the wrong worker");
+                    assert_eq!(i, k, "{cells}/{workers}: cell {k} misindexed");
+                    assert!(!seen[i], "{cells}/{workers}: cell {i} dealt twice");
+                    seen[i] = true;
                 }
             }
             assert!(

@@ -7,10 +7,44 @@
 //! upstream's scheme, so streams are **not** bit-compatible with the real
 //! crate — experiment tables derived from seeded runs are regenerated,
 //! not compared against historical output.
+//!
+//! # Replaying a seed: the tape
+//!
+//! A sweep runs every input against the same seeded adversaries, so a
+//! pooled scheduler is rewound to the seed it already holds again and
+//! again. [`ChaCha8Rng::reseed`] rewinds to the start of a seed's stream
+//! exactly as [`SeedableRng::seed_from_u64`] would build it, and when the
+//! seed's key is the one the generator already holds it replays the
+//! blocks an earlier pass computed instead of computing them again:
+//!
+//! * **Record on repeat.** The tape is built only by a reseed to the key
+//!   already held. From then on every block computed at the tape's end is
+//!   appended to it, and a block the tape holds is copied from it. A
+//!   generator given a new seed on every reseed (a session slot, whose
+//!   every session draws a fresh seed) never builds one.
+//! * **A key change.** Reseeding to another key empties the tape for the
+//!   new key if it replayed anything since the last key change, keeping
+//!   its buffer, and frees it otherwise. So a seed-major sweep, which
+//!   reseeds each seed many times in a row, allocates nothing once warm,
+//!   and a tape that stopped paying off is gone after one key change.
+//! * **The cap.** The tape holds at most 128 blocks (8 KiB, allocated
+//!   once); blocks past it are computed on every pass. Over 64 seeds of
+//!   the E1 m = 5 grid a dup-storm cell draws 25.0 blocks on average
+//!   (p50 20, p99 112, p99.9 142, max 181) and a random-0.5 cell 15.6
+//!   (p99 40, max 59), so 0.19% of the dup-storm blocks fall past the
+//!   cap.
+//!
+//! Which block comes next is the block counter in state words 12–13, and
+//! which seed the tape belongs to is the key in words 4–11, so the tape
+//! adds one pointer to the generator. The stream is the same with or
+//! without it: a replayed block is the block the same state computes.
 
 #![forbid(unsafe_code)]
 
 pub use rand::{RngCore, SeedableRng};
+
+/// The most blocks a replay tape holds.
+const TAPE_BLOCKS: usize = 128;
 
 /// A deterministic ChaCha-8 random number generator.
 #[derive(Debug, Clone)]
@@ -21,13 +55,22 @@ pub struct ChaCha8Rng {
     block: [u32; 16],
     /// Next unread word index in `block`; 16 means exhausted.
     word: usize,
+    /// Blocks `0..len` of the held key's stream, once a reseed repeated
+    /// that key.
+    tape: Option<Box<Tape>>,
+}
+
+/// The replay tape: a prefix of the held key's stream, block by block.
+#[derive(Debug, Clone)]
+struct Tape {
+    blocks: Vec<[u32; 16]>,
+    /// Whether a reseed replayed a block since the last key change.
+    replayed: bool,
 }
 
 const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
-// One ChaCha quarter-round over four local words. The block function
-// keeps its sixteen working words in locals rather than an indexed array,
-// so they can live in registers for all eight rounds.
+// One ChaCha quarter-round over four local words.
 macro_rules! quarter_round {
     ($a:ident, $b:ident, $c:ident, $d:ident) => {
         $a = $a.wrapping_add($b);
@@ -49,44 +92,113 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The 32-byte key `seed_from_u64(seed)` uses: four SplitMix64 outputs.
+fn seed_key(seed: u64) -> [u8; 32] {
+    let mut sm = seed;
+    let mut key = [0u8; 32];
+    for chunk in key.chunks_exact_mut(8) {
+        chunk.copy_from_slice(&splitmix64(&mut sm).to_le_bytes());
+    }
+    key
+}
+
+/// The key as state words 4–11.
+fn key_words(key: [u8; 32]) -> [u32; 8] {
+    let mut words = [0u32; 8];
+    for (w, chunk) in words.iter_mut().zip(key.chunks_exact(4)) {
+        *w = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    words
+}
+
+/// Writes the ChaCha8 block of `s` to `out`. The sixteen working words
+/// are locals rather than an indexed array, so they can live in registers
+/// for all eight rounds.
+fn chacha8_block(s: &[u32; 16], out: &mut [u32; 16]) {
+    let (mut x0, mut x1, mut x2, mut x3) = (s[0], s[1], s[2], s[3]);
+    let (mut x4, mut x5, mut x6, mut x7) = (s[4], s[5], s[6], s[7]);
+    let (mut x8, mut x9, mut x10, mut x11) = (s[8], s[9], s[10], s[11]);
+    let (mut x12, mut x13, mut x14, mut x15) = (s[12], s[13], s[14], s[15]);
+    for _ in 0..4 {
+        // 8 rounds = 4 double-rounds: a column round, then a diagonal one.
+        quarter_round!(x0, x4, x8, x12);
+        quarter_round!(x1, x5, x9, x13);
+        quarter_round!(x2, x6, x10, x14);
+        quarter_round!(x3, x7, x11, x15);
+        quarter_round!(x0, x5, x10, x15);
+        quarter_round!(x1, x6, x11, x12);
+        quarter_round!(x2, x7, x8, x13);
+        quarter_round!(x3, x4, x9, x14);
+    }
+    let working = [
+        x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
+    ];
+    for ((o, w), k) in out.iter_mut().zip(working).zip(s) {
+        *o = w.wrapping_add(*k);
+    }
+}
+
 impl ChaCha8Rng {
     /// Builds a generator from a full 32-byte key.
     pub fn from_key(key: [u8; 32]) -> Self {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&CHACHA_CONSTANTS);
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            state[4 + i] = u32::from_le_bytes(chunk.try_into().unwrap());
-        }
+        state[4..12].copy_from_slice(&key_words(key));
         // Words 12..16 are the block counter and nonce, starting at zero.
         ChaCha8Rng {
             state,
             block: [0; 16],
             word: 16,
+            tape: None,
         }
     }
 
-    fn refill(&mut self) {
-        let s = self.state;
-        let (mut x0, mut x1, mut x2, mut x3) = (s[0], s[1], s[2], s[3]);
-        let (mut x4, mut x5, mut x6, mut x7) = (s[4], s[5], s[6], s[7]);
-        let (mut x8, mut x9, mut x10, mut x11) = (s[8], s[9], s[10], s[11]);
-        let (mut x12, mut x13, mut x14, mut x15) = (s[12], s[13], s[14], s[15]);
-        for _ in 0..4 {
-            // 8 rounds = 4 double-rounds: a column round, then a diagonal one.
-            quarter_round!(x0, x4, x8, x12);
-            quarter_round!(x1, x5, x9, x13);
-            quarter_round!(x2, x6, x10, x14);
-            quarter_round!(x3, x7, x11, x15);
-            quarter_round!(x0, x5, x10, x15);
-            quarter_round!(x1, x6, x11, x12);
-            quarter_round!(x2, x7, x8, x13);
-            quarter_round!(x3, x4, x9, x14);
+    /// Rewinds to the start of `seed`'s stream: afterwards the generator
+    /// draws exactly what `seed_from_u64(seed)` would. A reseed to the key
+    /// already held replays that stream's blocks from the tape as far as
+    /// an earlier pass computed them, and builds the tape if there is
+    /// none yet; a reseed to another key empties or frees it (see the
+    /// [crate docs](crate#replaying-a-seed-the-tape)).
+    pub fn reseed(&mut self, seed: u64) {
+        let key = key_words(seed_key(seed));
+        if self.state[4..12] == key {
+            let tape = self.tape.get_or_insert_with(|| {
+                Box::new(Tape {
+                    blocks: Vec::with_capacity(TAPE_BLOCKS),
+                    replayed: false,
+                })
+            });
+            tape.replayed |= !tape.blocks.is_empty();
+        } else {
+            self.state[4..12].copy_from_slice(&key);
+            match &mut self.tape {
+                Some(tape) if tape.replayed => {
+                    tape.blocks.clear();
+                    tape.replayed = false;
+                }
+                _ => self.tape = None,
+            }
         }
-        let working = [
-            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
-        ];
-        for ((out, w), k) in self.block.iter_mut().zip(working).zip(s) {
-            *out = w.wrapping_add(k);
+        self.state[12] = 0;
+        self.state[13] = 0;
+        self.word = 16;
+    }
+
+    fn refill(&mut self) {
+        match self.tape.as_deref_mut() {
+            None => chacha8_block(&self.state, &mut self.block),
+            Some(tape) => {
+                // The index of the next block: the counter in words 12 and 13.
+                let at = (u64::from(self.state[13]) << 32) | u64::from(self.state[12]);
+                if at < tape.blocks.len() as u64 {
+                    self.block = tape.blocks[at as usize];
+                } else {
+                    chacha8_block(&self.state, &mut self.block);
+                    if at == tape.blocks.len() as u64 && tape.blocks.len() < TAPE_BLOCKS {
+                        tape.blocks.push(self.block);
+                    }
+                }
+            }
         }
         // 64-bit counter across words 12 and 13.
         let (lo, carry) = self.state[12].overflowing_add(1);
@@ -136,12 +248,7 @@ impl RngCore for ChaCha8Rng {
 
 impl SeedableRng for ChaCha8Rng {
     fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut key = [0u8; 32];
-        for chunk in key.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&splitmix64(&mut sm).to_le_bytes());
-        }
-        ChaCha8Rng::from_key(key)
+        ChaCha8Rng::from_key(seed_key(seed))
     }
 }
 
@@ -178,6 +285,93 @@ mod tests {
         let draws: Vec<u64> = (0..40).map(|_| a.next_u64()).collect();
         let distinct: std::collections::HashSet<_> = draws.iter().collect();
         assert!(distinct.len() > 30, "stream should not cycle early");
+    }
+
+    /// `n` draws alternating `next_u32` and `next_u64` (low word first),
+    /// flattened to words. A `next_u64` starts every third word, so over
+    /// any sixteen blocks one starts on each word index, word 15 (the pair
+    /// that straddles a refill) included.
+    fn mixed_draws(rng: &mut ChaCha8Rng, n: usize) -> Vec<u32> {
+        let mut words = Vec::with_capacity(n * 2);
+        for i in 0..n {
+            if i % 2 == 0 {
+                words.push(rng.next_u32());
+            } else {
+                let pair = rng.next_u64();
+                words.extend([pair as u32, (pair >> 32) as u32]);
+            }
+        }
+        words
+    }
+
+    /// Draws that run this many blocks past the tape's cap.
+    const PAST_THE_CAP: usize = (TAPE_BLOCKS + 3) * 16 * 2 / 3;
+
+    #[test]
+    fn a_same_seed_reseed_replays_the_stream() {
+        for seed in [0, 7, u64::MAX] {
+            let fresh = |n| mixed_draws(&mut ChaCha8Rng::seed_from_u64(seed), n);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Passes that grow, shrink and regrow: each replays what the
+            // tape holds and records what lies past its end, up to the cap.
+            for n in [5, 40, PAST_THE_CAP, 11, PAST_THE_CAP] {
+                rng.reseed(seed);
+                assert_eq!(mixed_draws(&mut rng, n), fresh(n), "seed={seed} n={n}");
+            }
+            let tape = rng.tape.as_ref().expect("a repeated key builds a tape");
+            assert_eq!(tape.blocks.len(), TAPE_BLOCKS, "the tape stops at its cap");
+        }
+    }
+
+    #[test]
+    fn a_reseed_to_a_new_seed_is_a_fresh_build() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        rng.reseed(3);
+        mixed_draws(&mut rng, 100);
+        rng.reseed(3);
+        mixed_draws(&mut rng, 7);
+        // Mid-block, with a tape for seed 3 that has replayed.
+        for seed in [4, 0, u64::MAX, 3] {
+            rng.reseed(seed);
+            let fresh = mixed_draws(&mut ChaCha8Rng::seed_from_u64(seed), 300);
+            assert_eq!(mixed_draws(&mut rng, 300), fresh, "seed={seed}");
+        }
+    }
+
+    #[test]
+    fn a_clone_taken_mid_replay_continues_identically() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        mixed_draws(&mut rng, 200);
+        rng.reseed(11);
+        mixed_draws(&mut rng, 200);
+        rng.reseed(11);
+        // Inside the recorded prefix, then across its end.
+        mixed_draws(&mut rng, 57);
+        let mut copy = rng.clone();
+        assert_eq!(mixed_draws(&mut copy, 400), mixed_draws(&mut rng, 400));
+    }
+
+    #[test]
+    fn a_new_seed_every_run_builds_no_tape() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        for seed in 1..50 {
+            rng.reseed(seed);
+            mixed_draws(&mut rng, 64);
+            assert!(rng.tape.is_none(), "seed={seed}");
+        }
+        // A tape that stops replaying is freed at the next key change.
+        rng.reseed(49);
+        mixed_draws(&mut rng, 64);
+        rng.reseed(50);
+        assert!(rng.tape.is_none());
+    }
+
+    #[test]
+    fn a_generator_fits_its_budget() {
+        // The state, the current block and its cursor, plus the tape's one
+        // pointer: pooled schedulers hold one generator per world.
+        let size = std::mem::size_of::<ChaCha8Rng>();
+        assert!(size <= 144, "ChaCha8Rng is {size} B");
     }
 
     // The first 40 words of four seeds' streams. Every seeded table and
