@@ -120,9 +120,9 @@ pub struct FleetStats {
     pub disconnected: u64,
     /// Sessions that ran out of step budget.
     pub exhausted: u64,
-    /// Admissions that reused a previously-occupied slot.
+    /// Admissions that reset a pooled world of the session's recipe.
     pub recycle_hits: u64,
-    /// Admissions that provisioned a virgin slot.
+    /// Admissions that built a world, the recipe having none idle.
     pub recycle_misses: u64,
     /// Protocol steps executed.
     pub steps: u64,
@@ -331,9 +331,9 @@ pub struct FleetRecord {
     pub disconnected: u64,
     /// Sessions that ran out of step budget.
     pub exhausted: u64,
-    /// Admissions that reused a previously-occupied slot.
+    /// Admissions that reset a pooled world of the session's recipe.
     pub recycle_hits: u64,
-    /// Admissions that provisioned a virgin slot.
+    /// Admissions that built a world, the recipe having none idle.
     pub recycle_misses: u64,
     /// Protocol steps executed.
     pub steps: u64,
@@ -645,12 +645,12 @@ pub fn prometheus_text(snapshot: &FleetSnapshot, prof: &ProfRecord) -> String {
         ),
         (
             "stp_slot_recycle_hits_total",
-            "Admissions that reused a previously-occupied slot.",
+            "Admissions that reset a pooled world.",
             |s| s.recycle_hits,
         ),
         (
             "stp_slot_recycle_misses_total",
-            "Admissions that provisioned a virgin slot.",
+            "Admissions that built a world.",
             |s| s.recycle_misses,
         ),
         (

@@ -3,22 +3,24 @@
 //!
 //! One [`World`] runs one transmission: two processors, a channel and an
 //! adversary, advanced one global step at a time (§2.2). A
-//! [`SessionEngine`] holds a pool of such worlds, one per slot, each
-//! built unobserved (trace off, no probe, no provenance): it holds no
-//! recorder, every step runs the kernel's quiet sink, and a session's
-//! [`RunStats`] are those of [`SessionSpec::build_world`] run to the same
-//! stopping point. Around the worlds the engine keeps dense per-slot
-//! columns (budgets, rounds, due rounds, fates) and grants every active
-//! session a quantum of protocol steps per *round*, running each one ahead
-//! of that schedule at admission and releasing its outcome in the round
-//! the schedule fixes (see [`SessionEngine`]). The `sessions_parity`
-//! suite checks the engine's stopping rule and slot recycling over the
-//! full seed × channel × family grid.
+//! [`SessionEngine`] holds a pool of such worlds, one stack per
+//! recipe (the (family, channel, scheduler) triple), each built
+//! unobserved (trace off, no probe, no provenance): it holds no recorder,
+//! every step runs the kernel's quiet sink, and a session's [`RunStats`]
+//! are those of [`SessionSpec::build_world`] run to the same stopping
+//! point. Around the worlds the engine keeps dense per-slot columns
+//! (budgets, rounds, due rounds, fates, inputs, final stats) and grants
+//! every active session a quantum of protocol steps per *round*, running
+//! each one ahead of that schedule at admission and releasing its outcome
+//! in the round the schedule fixes (see [`SessionEngine`]). The
+//! `sessions_parity` suite checks the engine's stopping rule and world
+//! recycling over the full seed × channel × family grid.
 //!
-//! Slots are recycled under churn: a retiring session's slot goes onto
-//! its *recipe's* free list (the (family, channel, scheduler) triple),
-//! and a later admission with the same recipe rewinds the slot's world
-//! with [`World::reset`] instead of building a new one.
+//! A slot borrows a world only while its session still has steps to run.
+//! Once the run-ahead reaches the session's fate or its TTL cap, the
+//! world's stats move into the slot's stats column and the world goes back
+//! onto its recipe's stack, where the next admission of that recipe
+//! rewinds it with [`World::reset`] instead of building a new one.
 //!
 //! [`SessionServer`] shards the store: `submit` routes round-robin,
 //! `poll`/`disconnect` route by the shard bits of the [`SessionId`], and
@@ -235,16 +237,40 @@ pub enum SessionStatus {
     },
 }
 
-// An interned (family, channel, scheduler) triple plus the free slots
-// whose worlds last ran it — the unit of reset-in-place recycling.
+// An interned (family, channel, scheduler) triple plus its idle worlds,
+// most recently returned on top — the unit of reset-in-place recycling.
+// The worlds stay boxed: a release or a lease moves a pointer between a
+// slot and this stack, not a whole `World`.
+#[allow(clippy::vec_box)]
 struct Recipe {
     family: FamilySpec,
     channel: ChannelSpec,
     scheduler: SchedulerSpec,
-    free: Vec<u32>,
+    idle: Vec<Box<World>>,
 }
 
-const NO_RECIPE: u32 = u32::MAX;
+impl Recipe {
+    // A world of this recipe set up to run `input` under adversary seed
+    // `seed`: the top idle world rewound, or a new build when none is
+    // idle. Interned equality proves an idle world was built from this
+    // exact recipe, and the reset contract makes the rewound world run
+    // bit-identically to a fresh build.
+    fn lease(&mut self, input: &DataSeq, seed: u64) -> Box<World> {
+        match self.idle.pop() {
+            Some(mut world) => {
+                world.reset(input, seed);
+                world
+            }
+            None => Box::new(unobserved_world(
+                &self.family,
+                &self.channel,
+                &self.scheduler,
+                input.clone(),
+                seed,
+            )),
+        }
+    }
+}
 
 // How many quanta one visit may run a session ahead of the round-robin
 // schedule: admission runs this far, and a session still unfated when
@@ -269,18 +295,21 @@ struct QueuedSession {
     ttl_rounds: Option<u64>,
 }
 
-/// One shard of the session store: fixed-capacity slots, a recipe table,
-/// an admission queue, and a completion buffer.
+/// One shard of the session store: fixed-capacity slots, a recipe table
+/// with a pool of idle worlds per recipe, an admission queue, and a
+/// completion buffer.
 ///
-/// Each slot holds an unobserved [`World`] (trace off, no probe, no
-/// provenance, hence no recorder), which owns the session's processors, channel, adversary
-/// and counters; the engine steps it only through
-/// [`World::run_until`] and [`World::run_until_profiled`]. Admission
-/// rewinds the slot's world with [`World::reset`] when it last ran the
-/// incoming session's recipe, and builds a new one otherwise. Everything
-/// the per-round walk reads lives in dense columns beside the worlds,
-/// indexed by slot: the due round, fate, expiry, stall threshold, serial,
-/// budget, rounds and seed.
+/// A slot holds an unobserved [`World`] (trace off, no probe, no
+/// provenance, hence no recorder) only while its session still has steps
+/// to run; the engine steps it only through [`World::run_until`] and
+/// [`World::run_until_profiled`]. Admission takes any free slot and
+/// rewinds the idle world its recipe returned last with
+/// [`World::reset`], or builds one when the recipe has none idle. When
+/// the run-ahead (below) reaches the session's fate or its TTL cap, the
+/// world's stats move into the slot's stats column and the world goes
+/// back onto its recipe's stack. Everything the per-round walk reads
+/// lives in dense columns indexed by slot: the due round, fate, expiry,
+/// stall threshold, serial, budget, rounds and seed.
 ///
 /// The engine keeps a round-robin schedule — each active session is
 /// granted `quantum` protocol steps per round — but does not execute it
@@ -314,9 +343,12 @@ pub struct SessionEngine {
     quantum: u32,
     round: u64,
     recipes: Vec<Recipe>,
-    // Slot columns, all `capacity` long. A slot's world is `None` until
-    // its first admission and kept, for reuse, after it retires.
-    worlds: Vec<Option<World>>,
+    // Slot columns, all `capacity` long. A slot's world is `Some` only
+    // while its session still has steps to run; then its stats move to
+    // `stats` and the world to its recipe's idle stack.
+    worlds: Vec<Option<Box<World>>>,
+    stats: Vec<RunStats>,
+    inputs: Vec<DataSeq>,
     slot_recipe: Vec<u32>,
     serials: Vec<u64>,
     deadline: Vec<Step>,
@@ -333,14 +365,16 @@ pub struct SessionEngine {
     // run-ahead progress (`u64::MAX` when the session only walks away).
     due: Vec<u64>,
     fate: Vec<Option<SessionFate>>,
-    // Rosters: dense active list (swap-remove retire), never-used slots,
+    // Rosters: dense active list (swap-remove retire), free slots,
     // admissions waiting for capacity.
     active: Vec<u32>,
-    virgin: Vec<u32>,
+    free: Vec<u32>,
     queue: VecDeque<QueuedSession>,
     completed: Vec<SessionOutcome>,
     next_serial: u64,
+    // Admissions that rewound a pooled world, and that built one.
     recycled: u64,
+    built: u64,
     // The shard's fleet row. `round`, `submitted`, the admission split
     // and the gauges are filled from the fields above (see `fill_row`);
     // the rest is counted here.
@@ -387,7 +421,12 @@ impl SessionEngine {
             round: 0,
             recipes: Vec::new(),
             worlds: (0..capacity).map(|_| None).collect(),
-            slot_recipe: vec![NO_RECIPE; capacity],
+            // Built one by one: `vec!` clones an entry per slot, and an
+            // empty `DataSeq`'s clone is an out-of-line call that made
+            // this column ten times dearer to build.
+            stats: (0..capacity).map(|_| RunStats::empty(0)).collect(),
+            inputs: (0..capacity).map(|_| DataSeq::default()).collect(),
+            slot_recipe: vec![0; capacity],
             serials: vec![0; capacity],
             deadline: vec![0; capacity],
             expires: vec![u64::MAX; capacity],
@@ -398,11 +437,12 @@ impl SessionEngine {
             due: vec![u64::MAX; capacity],
             fate: vec![None; capacity],
             active: Vec::with_capacity(capacity),
-            virgin: (0..capacity as u32).rev().collect(),
+            free: (0..capacity as u32).rev().collect(),
             queue: VecDeque::new(),
             completed: Vec::new(),
             next_serial: 0,
             recycled: 0,
+            built: 0,
             row: FleetStats::new(shard),
             metrics: None,
             watchdog: None,
@@ -472,8 +512,8 @@ impl SessionEngine {
         self.completed.len()
     }
 
-    /// Admissions that reused a previously-occupied slot (as opposed to a
-    /// virgin one) — the recycling the churn bench exercises.
+    /// Admissions that rewound a pooled world (as opposed to building
+    /// one) — the recycling the churn bench exercises.
     pub fn slots_recycled(&self) -> u64 {
         self.recycled
     }
@@ -500,8 +540,7 @@ impl SessionEngine {
         row.round = self.round;
         row.submitted = self.next_serial;
         row.recycle_hits = self.recycled;
-        // Virgin slots are only ever popped, once each.
-        row.recycle_misses = (self.capacity - self.virgin.len()) as u64;
+        row.recycle_misses = self.built;
         row.admitted = row.recycle_hits + row.recycle_misses;
         row.active = self.active.len() as u64;
         row.queued = self.queue.len() as u64;
@@ -666,39 +705,29 @@ impl SessionEngine {
 
     fn admit_from_queue(&mut self, prof: Option<&PhaseProfiler>) {
         // Batch admission: the free-slot budget is computed once and the
-        // loop pops exactly that many entries — each admission is a
-        // dense-struct move plus a recipe-id-keyed slot reset, followed
-        // by the session's run-ahead while the slot is hot.
+        // loop pops exactly that many entries. Each admitted session runs
+        // ahead at once, so a session fated in its run-ahead hands its
+        // world to the next admission of its recipe.
         let admits = (self.capacity - self.active.len()).min(self.queue.len());
-        if admits == 0 {
-            return;
-        }
-        if let Some(p) = prof {
-            // Admission windows are sampled per admitting round at the
-            // same 1-in-period rate as the chunk and retire windows, so
-            // phase shares stay comparable. (Timing every admission round
-            // against 1-in-period step samples overcounted admission by
-            // the sampling period — the profile that motivated the fast
-            // path read 77% where the true share was ~3%.) A sampled
-            // round provisions the whole batch inside the window and runs
-            // the sessions ahead after it, so the window prices
-            // provisioning only.
-            self.prof_tick += 1;
-            if p.sample(self.prof_tick) {
-                let first = self.active.len();
-                p.time(Phase::Admission, || {
-                    for _ in 0..admits {
-                        self.admit();
-                    }
-                });
-                for i in first..self.active.len() {
-                    self.run_ahead(self.active[i] as usize, prof);
-                }
-                return;
-            }
-        }
         for _ in 0..admits {
-            let slot = self.admit();
+            let slot = match prof {
+                // Admissions are sampled 1-in-period, like retirements
+                // and run-ahead chunks, so phase shares stay comparable.
+                // (Timing every admission round against 1-in-period step
+                // samples overcounted admission by the sampling period.)
+                // A sampled window times one admission and leaves the
+                // interleaving alone: admitting a whole batch before any
+                // run-ahead would build a world for every session in it.
+                Some(p) => {
+                    self.prof_tick += 1;
+                    if p.sample(self.prof_tick) {
+                        p.time(Phase::Admission, || self.admit())
+                    } else {
+                        self.admit()
+                    }
+                }
+                None => self.admit(),
+            };
             self.run_ahead(slot, prof);
         }
     }
@@ -725,7 +754,7 @@ impl SessionEngine {
             family: spec.family.clone(),
             channel: spec.channel.clone(),
             scheduler: spec.scheduler.clone(),
-            free: Vec::new(),
+            idle: Vec::new(),
         });
         self.recipes.len() - 1
     }
@@ -745,44 +774,28 @@ impl SessionEngine {
             .queue
             .pop_front()
             .expect("admission budget covers the queue");
-        // Prefer a slot that last ran this exact recipe (reset in place),
-        // then a virgin slot, then cannibalize any other free slot.
-        let slot = self.recipes[rid as usize]
+        let slot = self
             .free
             .pop()
-            .or_else(|| self.virgin.pop())
-            .or_else(|| self.recipes.iter_mut().find_map(|r| r.free.pop()))
-            .expect("active < capacity implies a free slot exists");
-        let slot = slot as usize;
-
-        let prev = self.slot_recipe[slot];
-        if prev != NO_RECIPE {
+            .expect("active < capacity implies a free slot exists") as usize;
+        let recipe = &mut self.recipes[rid as usize];
+        if recipe.idle.is_empty() {
+            self.built += 1;
+        } else {
             self.recycled += 1;
         }
-        let input_len = input.len();
-        let Recipe {
-            family,
-            channel,
-            scheduler,
-            ..
-        } = &self.recipes[rid as usize];
-        match &mut self.worlds[slot] {
-            // Interned equality proves the world was built from this
-            // exact recipe; the reset contract makes the rewound world
-            // run bit-identically to a fresh build.
-            Some(world) if prev == rid => world.reset(&input, seed),
-            world => *world = Some(unobserved_world(family, channel, scheduler, input, seed)),
-        }
-
+        self.worlds[slot] = Some(recipe.lease(&input, seed));
+        self.stall_at[slot] = match &self.watchdog {
+            Some(w) => self.round.saturating_add(w.threshold_rounds(
+                healthy_step_bound(&recipe.family, input.len()),
+                self.quantum,
+            )),
+            None => u64::MAX,
+        };
+        self.inputs[slot] = input;
         self.seeds[slot] = seed;
         self.slot_recipe[slot] = rid;
         self.admitted_round[slot] = self.round;
-        self.stall_at[slot] = match &self.watchdog {
-            Some(w) => self.round.saturating_add(
-                w.threshold_rounds(healthy_step_bound(family, input_len), self.quantum),
-            ),
-            None => u64::MAX,
-        };
         self.serials[slot] = serial;
         self.deadline[slot] = max_steps;
         self.expires[slot] = ttl_rounds.map_or(u64::MAX, |ttl| self.round.saturating_add(ttl));
@@ -792,11 +805,25 @@ impl SessionEngine {
         slot
     }
 
-    // The world in an occupied (active or once-admitted) slot.
-    fn world(&self, slot: usize) -> &World {
-        self.worlds[slot]
-            .as_ref()
-            .expect("admitted slot has a world")
+    // Moves the stats of the world in `slot`, if it still holds one, into
+    // the slot's stats column, and the world back onto its recipe's idle
+    // stack.
+    fn release(&mut self, slot: usize) {
+        if let Some(mut world) = self.worlds[slot].take() {
+            self.stats[slot] = world.take_stats();
+            self.recipes[self.slot_recipe[slot] as usize]
+                .idle
+                .push(world);
+        }
+    }
+
+    // The steps the session in `slot` has run: its world's count while it
+    // holds one, else the final count in the stats column.
+    fn progress(&self, slot: usize) -> Step {
+        match &self.worlds[slot] {
+            Some(world) => world.step_count(),
+            None => self.stats[slot].steps,
+        }
     }
 
     fn retire(&mut self, pos: usize, fate: SessionFate) {
@@ -812,44 +839,46 @@ impl SessionEngine {
             SessionFate::Exhausted => self.row.exhausted += 1,
             SessionFate::Disconnected => self.row.disconnected += 1,
         }
+        debug_assert!(self.worlds[slot].is_none(), "retiring slot holds a world");
         let outcome = SessionOutcome {
             id: SessionId::new(self.shard, serial),
             fate,
-            stats: self.world(slot).stats(),
+            stats: std::mem::replace(&mut self.stats[slot], RunStats::empty(0)),
             submitted_round: self.submitted[slot],
             retired_round: self.round,
         };
-        self.recipes[self.slot_recipe[slot] as usize]
-            .free
-            .push(slot as u32);
+        self.free.push(slot as u32);
         self.completed.push(outcome);
     }
 
-    // Flags the session in `slot` as stalled, exactly once per
-    // admission: reconstructs its full SessionSpec from the recipe table,
-    // the slot's world and its columns (complete replay provenance),
-    // buffers the StallRecord for `drain_stalls`, and disarms the slot's
-    // threshold. The session keeps running — the watchdog observes, it
-    // does not kill.
-    fn flag_stall(&mut self, slot: usize) {
-        self.stall_at[slot] = u64::MAX;
+    // The full spec of the session in `slot`, rebuilt from the recipe
+    // table and the slot's columns: complete replay provenance.
+    fn spec(&self, slot: usize) -> SessionSpec {
         let r = &self.recipes[self.slot_recipe[slot] as usize];
-        let input = self.world(slot).input();
-        let expected = healthy_step_bound(&r.family, input.len());
-        let threshold = self
-            .watchdog
-            .as_ref()
-            .map_or(0, |w| w.threshold_rounds(expected, self.quantum));
-        let spec = SessionSpec {
+        SessionSpec {
             family: r.family.clone(),
-            input: input.clone(),
+            input: self.inputs[slot].clone(),
             channel: r.channel.clone(),
             scheduler: r.scheduler.clone(),
             seed: self.seeds[slot],
             max_steps: self.deadline[slot],
             ttl_rounds: (self.expires[slot] != u64::MAX)
                 .then(|| self.expires[slot] - self.admitted_round[slot]),
-        };
+        }
+    }
+
+    // Flags the session in `slot` as stalled, exactly once per
+    // admission: buffers a StallRecord carrying the session's full spec
+    // for `drain_stalls`, and disarms the slot's threshold. The session
+    // keeps running — the watchdog observes, it does not kill.
+    fn flag_stall(&mut self, slot: usize) {
+        self.stall_at[slot] = u64::MAX;
+        let spec = self.spec(slot);
+        let expected = healthy_step_bound(&spec.family, spec.input.len());
+        let threshold = self
+            .watchdog
+            .as_ref()
+            .map_or(0, |w| w.threshold_rounds(expected, self.quantum));
         self.stalls.push(StallRecord {
             experiment: String::new(),
             shard: self.shard,
@@ -870,8 +899,7 @@ impl SessionEngine {
     // has a fate or reached its TTL cap, so the cap is exact.)
     fn scheduled_steps(&self, slot: usize, round: u64) -> Step {
         let rounds = round - self.admitted_round[slot];
-        self.world(slot)
-            .step_count()
+        self.progress(slot)
             .min(rounds.saturating_mul(u64::from(self.quantum)))
     }
 
@@ -882,7 +910,9 @@ impl SessionEngine {
     // session's: completion is checked before each step and after the
     // last, and the budget caps the count. A session that expires in its
     // admission round (TTL 0) stops at 0 steps, and the walk's expiry
-    // check, which comes before any fate, retires it.
+    // check, which comes before any fate, retires it. A session with a
+    // fate or at its TTL cap has no steps left to run, so its world is
+    // released.
     fn run_ahead(&mut self, slot: usize, prof: Option<&PhaseProfiler>) {
         let sampled = match prof {
             Some(p) => {
@@ -923,22 +953,26 @@ impl SessionEngine {
             None if steps >= cap => u64::MAX,
             None => admitted + steps / q,
         };
+        if fate.is_some() || steps >= cap {
+            self.release(slot);
+        }
     }
 
     // Puts the session in `slot` back at the step count the schedule has
-    // reached: rewinds its world and replays that many steps, all of
-    // which precede the session's fate.
+    // reached, with its world released: when the run-ahead went further,
+    // replays that many steps, all of which precede the session's fate,
+    // on a world leased from the pool (the slot's own, if it had one).
     fn rewind(&mut self, slot: usize) {
         let steps = self.scheduled_steps(slot, self.round);
-        let seed = self.seeds[slot];
-        let world = self.worlds[slot].as_mut().expect("active slot has a world");
-        if steps == world.step_count() {
-            return;
+        self.release(slot);
+        if steps < self.stats[slot].steps {
+            let recipe = &mut self.recipes[self.slot_recipe[slot] as usize];
+            let mut world = recipe.lease(&self.inputs[slot], self.seeds[slot]);
+            let complete = world.run_until(steps, World::is_complete);
+            debug_assert!(!complete, "the schedule stops short of the fate");
+            self.worlds[slot] = Some(world);
+            self.release(slot);
         }
-        let input = world.input().clone();
-        world.reset(&input, seed);
-        let complete = world.run_until(steps, World::is_complete);
-        debug_assert!(!complete, "the schedule stops short of the fate");
     }
 }
 
@@ -1589,8 +1623,8 @@ mod tests {
     #[test]
     fn slot_recycling_replays_bit_identically() {
         // Two laps of the same five sessions through a 2-slot shard: the
-        // second lap reuses slots (reset in place) and must reproduce the
-        // first lap's stats exactly.
+        // second lap reuses pooled worlds (reset in place) and must
+        // reproduce the first lap's stats exactly.
         let specs: Vec<SessionSpec> = (0..5).map(|s| tight_spec(&[1, 2, 0], s)).collect();
         let mut engine = SessionEngine::new(0, 2, 8);
         let lap = |engine: &mut SessionEngine| -> Vec<RunStats> {
@@ -1613,9 +1647,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_recipe_recycling_rebuilds_slots() {
-        // Alternate two recipes through a 1-slot shard: every admission
-        // after the first recycles the slot, half across recipes.
+    fn alternating_recipes_each_reuse_their_pooled_world() {
+        // Alternate two recipes through a 1-slot shard: each recipe builds
+        // one world on its first admission and rewinds it on every later
+        // one, and every run equals a fresh one.
         let mut engine = SessionEngine::new(0, 1, 8);
         let abp = SessionSpec {
             family: FamilySpec::Abp {
@@ -1647,7 +1682,13 @@ mod tests {
                 engine.drain_completed();
             }
         }
-        assert!(engine.slots_recycled() >= 5);
+        let fleet = engine.fleet_stats();
+        assert_eq!(fleet.recycle_misses, 2, "one build per recipe");
+        assert!(fleet.recycle_hits >= 4, "{} reuses", fleet.recycle_hits);
+        assert_eq!(
+            engine.recipes.iter().map(|r| r.idle.len()).sum::<usize>(),
+            2
+        );
     }
 
     #[test]
@@ -1983,7 +2024,7 @@ mod tests {
                     // Bounded work per visit: at most 4 quanta
                     // (`HORIZON_QUANTA`) past the previous visit, so at
                     // most 4 by the end of the admission round.
-                    let ran = engine.world(engine.active[0] as usize).step_count();
+                    let ran = engine.progress(engine.active[0] as usize);
                     assert!(
                         ran - progress <= 4 * qs && ran <= (k + 3) * qs,
                         "{ctx}: {ran} steps run, {progress} a round earlier"
@@ -1999,6 +2040,68 @@ mod tests {
                 assert_eq!(retired, *spec != long, "q={q}: {spec:?}");
             }
         }
+    }
+
+    // A completing session and a quantum under which the admission
+    // run-ahead reaches its fate but the schedule retires it only in a
+    // later round: `(spec, quantum, final steps)`.
+    fn fated_ahead_of_schedule() -> (SessionSpec, u32, Step) {
+        let spec = tight_spec(&[1, 2, 0], 5);
+        let mut world = spec.build_world();
+        assert!(world.run_until(spec.max_steps, World::is_complete));
+        let n = world.step_count();
+        // n ≤ 4q, so the admission run-ahead reaches the fate, and
+        // (n − 1) / q ≥ 1, so the schedule retires it after round 1.
+        let q = n.div_ceil(4);
+        assert!(n >= 3 && (n - 1) / q >= 1, "{n} steps");
+        (spec, q as u32, n)
+    }
+
+    #[test]
+    fn disconnecting_a_fated_session_replays_on_a_pooled_world() {
+        let (spec, q, n) = fated_ahead_of_schedule();
+        let mut engine = SessionEngine::new(0, 4, q);
+        let serial = engine.submit(spec.clone());
+        engine.step_round();
+        let slot = engine.active[0] as usize;
+        assert!(engine.worlds[slot].is_none(), "the fated world went back");
+        assert_eq!(engine.recipes[0].idle.len(), 1);
+        assert_eq!(engine.stats[slot].steps, n);
+        let scheduled = u64::from(q);
+        assert_eq!(
+            engine.poll(serial),
+            SessionStatus::Running { steps: scheduled }
+        );
+        assert!(engine.disconnect(serial));
+        let drained = engine.drain_completed();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].fate, SessionFate::Disconnected);
+        assert_eq!(drained[0].stats, world_after(&spec, scheduled));
+        // The replay borrowed the pooled world and returned it.
+        assert_eq!(engine.recipes[0].idle.len(), 1);
+        assert!(engine.worlds.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_stall_record_of_a_fated_session_carries_its_full_spec() {
+        let (spec, q, _) = fated_ahead_of_schedule();
+        let mut engine = SessionEngine::new(2, 4, q);
+        engine.arm_watchdog(WatchdogSpec {
+            multiplier: 0.0,
+            min_rounds: 1,
+        });
+        let serial = engine.submit(spec.clone());
+        // Round 0 admits and runs the session to its fate; round 1 flags
+        // it before the schedule retires it.
+        engine.step_round();
+        let slot = engine.active[0] as usize;
+        assert!(engine.worlds[slot].is_none(), "the fated world went back");
+        engine.step_round();
+        let stalls = engine.drain_stalls();
+        assert_eq!(stalls.len(), 1);
+        assert_eq!(stalls[0].serial, serial);
+        assert_eq!(stalls[0].spec, spec, "input and budgets included");
+        assert_eq!(stalls[0].steps, u64::from(q));
     }
 
     #[test]
@@ -2313,6 +2416,48 @@ mod tests {
     }
 
     #[test]
+    fn a_full_churn_shard_builds_worlds_for_few_of_its_slots() {
+        // `bench_sessions`' mix and shard shape: 4096 slots, 4096
+        // arrivals a round, quantum 8. Most sessions reach their fate in
+        // the admission run-ahead and hand their world to the next
+        // admission of the recipe, so the shard builds worlds for at most
+        // a tenth of its slots (221 of 4096 on this workload). One world
+        // per slot would read 4096 here.
+        let mut mix = churn_mix();
+        mix.push(SessionTemplate {
+            family: FamilySpec::Tight {
+                d: 4,
+                policy: ResendPolicy::EveryTick,
+            },
+            channel: ChannelSpec::Del,
+            scheduler: SchedulerSpec::Random { p_deliver: 0.7 },
+        });
+        let spec = ChurnSpec {
+            sessions: 3 * 4_096,
+            arrivals_per_round: 4_096,
+            server: ServerSpec {
+                shards: 1,
+                capacity_per_shard: 4_096,
+                quantum: 8,
+                watchdog: None,
+            },
+            max_steps: 2_000,
+            seed: 0x5E55_1045,
+            disconnect_rate: 0.05,
+            disconnect_after: 2,
+            mix,
+        };
+        let fleet = run_churn(&spec, &ChurnRun::default()).fleet;
+        let slots = spec.server.capacity_per_shard as u64;
+        assert_eq!(fleet.admitted, spec.sessions);
+        assert!(
+            fleet.recycle_misses * 10 <= slots,
+            "{} worlds built for {slots} slots",
+            fleet.recycle_misses
+        );
+    }
+
+    #[test]
     fn churn_outcomes_are_pinned() {
         // Every session's outcome is a pure function of its spec, so a
         // change to the store that moves any of them moves the digest,
@@ -2369,11 +2514,14 @@ mod tests {
 
     #[test]
     fn session_worlds_stay_unobserved() {
-        // A slot built with a recording mode would put the trace, probe
-        // and provenance sink on the churn hot path.
+        // A world built with a recording mode would put the trace, probe
+        // and provenance sink on the churn hot path. Every running and
+        // every pooled world is checked at every round boundary: 1 428
+        // checks on this workload (6 051 when each slot kept a world).
         let mut checked = 0;
         metered_churn_with_disconnects(|engine, _| {
-            for world in engine.worlds.iter().flatten() {
+            let pooled = engine.recipes.iter().flat_map(|r| &r.idle);
+            for world in engine.worlds.iter().flatten().chain(pooled) {
                 assert_eq!(world.mode(), TraceMode::Off);
                 assert!(world.msg_events().is_empty());
                 checked += 1;
@@ -2414,7 +2562,20 @@ mod tests {
                 if !matches!(recipe.channel, ChannelSpec::Del | ChannelSpec::LossyFifo) {
                     continue;
                 }
-                let world = engine.world(slot);
+                // A fated session's world has gone back to the pool: check
+                // a replay of its spec to the slot's final step count,
+                // which must reproduce the slot's stats column.
+                let replay;
+                let world = match &engine.worlds[slot] {
+                    Some(world) => world,
+                    None => {
+                        let mut w = engine.spec(slot).build_world();
+                        w.run_until(engine.stats[slot].steps, World::is_complete);
+                        assert_eq!(w.stats(), engine.stats[slot], "slot {slot} replay");
+                        replay = w;
+                        &replay
+                    }
+                };
                 let (st, channel) = (world.stats(), world.channel());
                 let in_flight = channel.pending_to_r() + channel.pending_to_s();
                 assert_eq!(

@@ -441,16 +441,19 @@ impl World {
         &observed(self.rec.as_deref()).trace
     }
 
-    /// The input tape of the current run.
-    pub(crate) fn input(&self) -> &DataSeq {
-        &self.input
-    }
-
     /// Aggregate statistics of the run so far, maintained incrementally in
     /// every trace mode. Under [`TraceMode::Full`] this equals
     /// [`RunStats::of`] on the recorded trace.
     pub fn stats(&self) -> RunStats {
         self.stats.clone()
+    }
+
+    /// Moves the run's statistics out without copying them, leaving the
+    /// world's counters at [`RunStats::empty`]. The world is then fit only
+    /// for a [`World::reset`]; the next run's write-step buffer is
+    /// allocated at its first write.
+    pub(crate) fn take_stats(&mut self) -> RunStats {
+        std::mem::replace(&mut self.stats, RunStats::empty(self.input.len()))
     }
 
     /// The channel, for inspection.
